@@ -60,7 +60,12 @@ def _add_source(p: _Parser, required: bool = True):
 def _add_common(p: _Parser, fmt_default: str = "json"):
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt_default)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for the census CSV; other subcommands ignore it",
+    )
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -224,7 +229,6 @@ def _run_ek(cmd: Command) -> int:
             system,
             cmd.x,
             g_descriptors=stats.default_g_descriptors(system) if system.field else (),
-            threads=cmd.threads,
         ),
     )
     payload = report.as_dict()
@@ -262,7 +266,7 @@ def _run_moments(cmd: Command) -> int:
     h = max(system.group.h, 1)
     sigma2 = sum(float(v) ** 2 for v in kappa) / h
     big_l = stats.loglog(cmd.x)
-    swp = census.sweep(system, cmd.x, threads=cmd.threads)
+    swp = census.sweep(system, cmd.x)
     rows = {}
     for k in range(1, cmd.k + 1):
         measured = stats.f_central_moment(system, cmd.x, kappa, k, sweep=swp)
@@ -285,7 +289,7 @@ def _run_moments(cmd: Command) -> int:
 def _run_check(cmd: Command) -> int:
     system = _system(cmd)
     descs = stats.default_g_descriptors(system)
-    swp = census.sweep(system, cmd.x, g_descriptors=descs, threads=cmd.threads)
+    swp = census.sweep(system, cmd.x, g_descriptors=descs)
     g_rows = []
     for desc in descs:
         measured, predicted = stats.g_mean_check(system, desc, cmd.x, sweep=swp)

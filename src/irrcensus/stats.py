@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .abelian import StructuralConstants
-from .census import SiteSystem, Sweep, Totals, sweep as census_sweep
+from .census import SiteSystem, Sweep, Totals, _Kahan, sweep as census_sweep
 from .errors import DomainError
 
 HIST_LO = -6.0
@@ -158,18 +158,13 @@ def landau_check(system: SiteSystem, x: int):
     if x < 3:
         raise DomainError("needs x >= 3")
     h = max(system.group.h, 1)
-    sums = [0.0] * h
-    comps = [0.0] * h
+    sums = [_Kahan() for _ in range(h)]
     for s in system.sites:
         if s.norm > x:
             break
-        i = s.class_index - 1
-        v = 1.0 / s.norm
-        t = sums[i] + v
-        comps[i] += (sums[i] - t) + v if sums[i] >= v else (v - t) + sums[i]
-        sums[i] = t
+        sums[s.class_index - 1].add(1.0 / s.norm)
     center = loglog(x) / h
-    return tuple(s + c - center for s, c in zip(sums, comps))
+    return tuple(k.value - center for k in sums)
 
 
 def exceptional_fraction(
@@ -177,8 +172,8 @@ def exceptional_fraction(
 ) -> float:
     """Fraction of principal ideals with either some omega_i far from L/h
     (beyond L^(2/3)) or some Omega_i - omega_i >= log L."""
-    if x <= 15:
-        return 1.0
+    if x < 16:
+        raise DomainError("the exceptional set needs x >= 16")
     totals = _totals(system, x, sweep)
     h = totals.h
     big_l = loglog(x)

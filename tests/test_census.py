@@ -1,14 +1,17 @@
 import io
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irrcensus import census
 from irrcensus.abelian import TypeVector
 from irrcensus.errors import DomainError, ResourceLimitError
 from irrcensus.synth import SynthModel
-from irrcensus.abelian import cyclic_group, trivial_group
+from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
 
 from helpers import ideal_count_by_character, principal_count_by_norm_form
 
@@ -188,10 +191,9 @@ def test_principal_counts_other_fields(d, w):
 
 
 def test_completeness_small_norms(sys5):
-    # spot-check ideal counts norm by norm against the character sum
-    swp = census.sweep(sys5, 50)
-    prev = 0
-    for x in (10, 25, 50):
+    # ideal counts norm by norm against the character sum; the sweep's
+    # bulk-counted leaf ranges are shortest, and most often empty, at small x
+    for x in range(1, 301):
         assert census.sweep(sys5, x).at(x).n_ideals == ideal_count_by_character(-20, x)
 
 
@@ -211,30 +213,111 @@ def test_sweep_matches_enumeration(sys5, sys5_records):
     )
 
 
-def test_sweep_threads_and_shards_agree(sys5):
-    base = census.sweep(sys5, 10**4, checkpoints=(100, 10**4), g_descriptors=(((0, 2),),))
-    threaded = census.sweep(
-        sys5, 10**4, checkpoints=(100, 10**4), g_descriptors=(((0, 2),),), threads=8
-    )
-    resharded = census.sweep(
-        sys5, 10**4, checkpoints=(100, 10**4), g_descriptors=(((0, 2),),), shards=5
-    )
-    for x in (100, 10**4):
-        a, b, c = base.at(x), threaded.at(x), resharded.at(x)
-        assert a.class_counts == b.class_counts == c.class_counts
-        assert a.nu_counts == b.nu_counts == c.nu_counts
-        assert a.profile_counts == b.profile_counts == c.profile_counts
-        # fixed shard structure: identical floats for any thread count
-        assert a.g_sums == b.g_sums
-        assert a.harmonic_principal == b.harmonic_principal
-        # different shard structure: equal to within 1e-12 relative
-        assert math.isclose(a.g_sums[0], c.g_sums[0], rel_tol=1e-12)
-        assert math.isclose(
-            a.harmonic_principal, c.harmonic_principal, rel_tol=1e-12
+REFERENCE_X = 2 * 10**4
+
+
+def _ideal_norms_and_classes(system, x):
+    """(norm, 0-based class) of every ideal of norm <= x, by a plain
+    recursive walk that visits each ideal."""
+    cay = system.ordering.cayley()
+    sites = system.sites
+    out = []
+
+    def rec(start, n, c):
+        out.append((n, c))
+        for j in range(start, len(sites)):
+            q = sites[j].norm
+            if n * q > x:
+                break
+            m, cm = n, c
+            while m * q <= x:
+                m *= q
+                cm = cay[cm][sites[j].class_index - 1]
+                rec(j + 1, m, cm)
+
+    rec(0, 1, 0)
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_walks():
+    """Cyclic, Z/2xZ/2 (-21, -30) and Z/2^3 (-105) fields and synthetic
+    Z/2xZ/4 and Z/3xZ/3 streams, each with its full reference census."""
+    systems = {d: census.for_field(d, REFERENCE_X) for d in (-5, -21, -30, -105)}
+    for orders in ((2, 4), (3, 3)):
+        model = SynthModel(group=group_from_orders(orders), seed=29)
+        systems[orders] = census.for_synth(model, REFERENCE_X)
+    return {
+        str(key): (
+            system,
+            list(census.enumerate_principal(system, REFERENCE_X)),
+            _ideal_norms_and_classes(system, REFERENCE_X),
         )
-        assert math.isclose(
-            a.harmonic_irreducible, c.harmonic_irreducible, rel_tol=1e-12
+        for key, system in systems.items()
+    }
+
+
+def _g_product(system, fact, desc):
+    dividing = {en.site_id for en in fact.entries}
+    return math.prod(
+        (1.0 - 1.0 / system.sites[sid].norm) ** e
+        if sid in dividing
+        else (-1.0 / system.sites[sid].norm) ** e
+        for sid, e in desc
+    )
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_reference_walk(reference_walks, data):
+    system, records, ideals = reference_walks[
+        data.draw(st.sampled_from(sorted(reference_walks)), label="system")
+    ]
+    x = data.draw(st.integers(1, REFERENCE_X), label="x")
+    cps = data.draw(st.lists(st.integers(1, x), max_size=3), label="checkpoints")
+    norms = [s.norm for s in system.sites]
+    n_small = bisect_right(norms, math.isqrt(x))
+    n_all = bisect_right(norms, x)
+    descs = []
+    if n_all > n_small:
+        # a site of norm > sqrt(x) lies in the bulk-counted leaf ranges
+        big = data.draw(st.integers(n_small, n_all - 1), label="large site")
+        descs.append(((big, 1),))
+    if n_all:
+        descs.append(
+            tuple(
+                data.draw(
+                    st.lists(
+                        st.tuples(st.integers(0, n_all - 1), st.integers(1, 3)),
+                        min_size=1,
+                        max_size=2,
+                        unique_by=lambda t: t[0],
+                    ),
+                    label="descriptor",
+                )
+            )
         )
+    swp = census.sweep(system, x, checkpoints=cps, g_descriptors=descs)
+    h = swp.at(x).h
+    assert swp.visited + swp.bulk == swp.at(x).n_ideals
+    for cp in swp.checkpoints:
+        tot = swp.at(cp)
+        classes = Counter(c for n, c in ideals if n <= cp)
+        assert tot.class_counts == tuple(classes[i] for i in range(h))
+        recs = [(fact, rec) for fact, rec in records if rec.norm <= cp]
+        assert tot.nu_counts == Counter(rec.nu for _, rec in recs)
+        assert tot.profile_counts == Counter(
+            (rec.omega, max(b - a for a, b in zip(rec.omega, rec.Omega)))
+            for _, rec in recs
+        )
+        assert tot.irreducible_count == sum(rec.is_irreducible for _, rec in recs)
+        hs = census.harmonic_sums(system, cp)
+        assert tot.irreducible_count == hs.irreducible_count
+        assert math.isclose(tot.harmonic_principal, hs.principal, rel_tol=1e-12)
+        assert math.isclose(tot.harmonic_irreducible, hs.irreducible, rel_tol=1e-12)
+        for got, desc in zip(tot.g_sums, swp.g_descriptors):
+            want = math.fsum(_g_product(system, fact, desc) for fact, _ in recs)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_harmonic_sums_minus1_by_hand():
