@@ -12,7 +12,7 @@ walks one by one only the nodes that can have children; the leaves n*q
 whose last prime q satisfies N(q)^2 > x // n (about 99% of all ideals at
 x = 1e7) are counted in bulk per class from per-class prefix tables.
 ``enumerate_principal`` and ``harmonic_sums`` walk every ideal and serve
-as its reference.
+as its reference.  The census CSV is one such walk followed by one sort.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .abelian import (
@@ -40,10 +40,6 @@ from .synth import SynthModel, synth_sites
 
 DEFAULT_BRUTE_OMEGA_BOUND = 24
 DEFAULT_DIVISOR_BOUND = 10**6
-
-#: Number of stride shards of the census CSV walk.  Rows are sorted after
-#: the shards are joined, so the file is byte-identical for any --threads.
-MERGE_SHARDS = 16
 
 
 class FactorEntry(NamedTuple):
@@ -374,11 +370,12 @@ def is_irreducible(fact: Factorization, sc: StructuralConstants) -> bool:
 # enumeration
 
 
-def _principal_walk(system: SiteSystem, x: int, shard: int = 0, stride: int = 1):
+def _principal_walk(system: SiteSystem, x: int):
     """Yield (norm, entries, omega, Omega) for principal ideals of norm <= x.
 
-    DFS over sites in increasing norm; ``shard``/``stride`` select a subset
-    of the top-level branches (the unit ideal belongs to shard 0).
+    DFS over sites in increasing norm.  A node comes before its children and
+    both sites and exponents ascend, so ideals come out in lexicographic
+    order of their entries.
     """
     norms = system._norms
     cls0 = system._cls0
@@ -389,15 +386,15 @@ def _principal_walk(system: SiteSystem, x: int, shard: int = 0, stride: int = 1)
     Omega = [0] * h
     stack: list[list[int]] = []
 
-    def rec(indices, n, c, emit_self):
-        if emit_self and c == 0:
+    def rec(start, n, c):
+        if c == 0:
             yield (
                 n,
                 tuple((s[0], s[1]) for s in stack),
                 tuple(omega),
                 tuple(Omega),
             )
-        for j in indices:
+        for j in range(start, nsites):
             q = norms[j]
             n2 = n * q
             if n2 > x:
@@ -409,7 +406,7 @@ def _principal_walk(system: SiteSystem, x: int, shard: int = 0, stride: int = 1)
             stack.append(frame)
             c2 = cay[c][cj]
             while True:
-                yield from rec(range(j + 1, nsites), n2, c2, True)
+                yield from rec(j + 1, n2, c2)
                 n3 = n2 * q
                 if n3 > x:
                     break
@@ -421,7 +418,7 @@ def _principal_walk(system: SiteSystem, x: int, shard: int = 0, stride: int = 1)
             omega[cj] -= 1
             stack.pop()
 
-    yield from rec(range(shard, nsites, stride), 1, 0, shard == 0)
+    yield from rec(0, 1, 0)
 
 
 def _record_from_walk(system, sc, norm, entries, omega, Omega) -> tuple:
@@ -877,42 +874,24 @@ def census_header(h: int) -> str:
     return f"norm,class,{omega_cols},{Omega_cols},nu,delta,is_irreducible,squarefull_norm"
 
 
-def _census_rows(system, sc, x, shard, stride):
+def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:
+    """The census rows as int tuples in ``census_header`` column order,
+    norm-ascending with ties broken by the factorization."""
     rows = []
-    for norm, entries, omega, Omega in _principal_walk(system, x, shard, stride):
-        fact, record = _record_from_walk(system, sc, norm, entries, omega, Omega)
-        cells = [str(norm), "1"]
-        cells.extend(str(v) for v in record.omega)
-        cells.extend(str(v) for v in record.Omega)
-        cells.append(str(record.nu))
-        cells.append(str(record.delta))
-        cells.append("1" if record.is_irreducible else "0")
-        cells.append(str(record.squarefull_norm))
-        rows.append((norm, entries, ",".join(cells)))
+    for _, r in enumerate_principal(system, x):
+        tail = (r.nu, r.delta, int(r.is_irreducible), r.squarefull_norm)
+        rows.append((r.norm, 1, *r.omega, *r.Omega, *tail))
+    # the walk is lexicographic in the factorization, so a stable sort by
+    # norm alone breaks ties by the factorization
+    rows.sort(key=itemgetter(0))
     return rows
 
 
-def write_census_csv(
-    system: SiteSystem, x: int, out, threads: int = 1, shards: int = MERGE_SHARDS
-) -> int:
-    """Write the principal-ideal census, norm-ascending (ties broken by the
-    factorization), one row per principal ideal.  Returns the row count."""
-    if x > system.limit:
-        raise DomainError(f"x={x} exceeds the site stream limit {system.limit}")
-    sc = system.constants
-    if threads <= 1:
-        all_rows = []
-        for k in range(shards):
-            all_rows.extend(_census_rows(system, sc, x, k, shards))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_census_rows, system, sc, x, k, shards)
-                for k in range(shards)
-            ]
-            all_rows = [row for f in futures for row in f.result()]
-    all_rows.sort(key=lambda r: (r[0], r[1]))
+def write_census_csv(system: SiteSystem, x: int, out) -> int:
+    """Write the principal-ideal census, one row per principal ideal, in
+    ``census_rows`` order.  Returns the row count."""
+    rows = census_rows(system, x)
     out.write(census_header(system.group.h) + "\n")
-    for _, _, line in all_rows:
-        out.write(line + "\n")
-    return len(all_rows)
+    for row in rows:
+        out.write(",".join(map(str, row)) + "\n")
+    return len(rows)

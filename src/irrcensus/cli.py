@@ -39,7 +39,6 @@ class Command:
     seed: int | None = None
     out: str | None = None
     fmt: str = "json"
-    threads: int = 1
     kappa: tuple[float, ...] | None = None
 
 
@@ -60,12 +59,6 @@ def _add_source(p: _Parser, required: bool = True):
 def _add_common(p: _Parser, fmt_default: str = "json"):
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt_default)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for the census CSV; other subcommands ignore it",
-    )
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -119,7 +112,7 @@ def parse(argv) -> Command:
     if ns.subcommand is None:
         raise UsageError("a subcommand is required")
     cmd = Command(subcommand=ns.subcommand)
-    for name in ("x", "m", "k", "seed", "out", "fmt", "threads"):
+    for name in ("x", "m", "k", "seed", "out", "fmt"):
         if hasattr(ns, name) and getattr(ns, name) is not None:
             setattr(cmd, name, getattr(ns, name))
     if getattr(ns, "field", None) is not None:
@@ -138,8 +131,6 @@ def parse(argv) -> Command:
         raise UsageError("synthetic streams require an explicit --seed")
     if cmd.subcommand == "check" and cmd.group is not None:
         raise UsageError("check requires --field (density constants need a field)")
-    if cmd.threads < 1:
-        raise UsageError("--threads must be >= 1")
     return cmd
 
 
@@ -198,16 +189,16 @@ def _run_constants(cmd: Command) -> int:
 
 def _run_census(cmd: Command) -> int:
     system = _system(cmd)
-    buf = StringIO()
-    census.write_census_csv(system, cmd.x, buf, threads=cmd.threads)
-    text = buf.getvalue()
     if cmd.fmt == "json":
-        lines = text.strip().split("\n")
         payload = {
-            "schema": lines[0].split(","),
-            "rows": [[int(v) for v in line.split(",")] for line in lines[1:]],
+            "schema": census.census_header(system.group.h).split(","),
+            "rows": census.census_rows(system, cmd.x),
         }
         text = stats.dumps(payload) + "\n"
+    else:
+        buf = StringIO()
+        census.write_census_csv(system, cmd.x, buf)
+        text = buf.getvalue()
     _emit(text, cmd.out)
     return 0
 
@@ -312,7 +303,7 @@ def _run_check(cmd: Command) -> int:
     return 0
 
 
-SELFTEST_FIELDS = (-5, -23, -14)
+SELFTEST_FIELDS = (-5, -23, -14, -30)
 
 
 def _run_selftest(cmd: Command) -> int:
@@ -320,19 +311,20 @@ def _run_selftest(cmd: Command) -> int:
     for d in SELFTEST_FIELDS:
         system = census.for_field(d, cmd.x)
         sc = system.constants
-        checked = 0
+        checked = mismatched = 0
         for fact, record in census.enumerate_principal(system, cmd.x):
             nu_b = census.nu_bruteforce(fact, system.ordering)
             nu_s = census.nu_squarefull_formula(fact, sc)
             delta_b = census.delta_bruteforce(fact, system.ordering)
             if not (record.nu == nu_b == nu_s and record.delta == delta_b):
-                failures += 1
+                mismatched += 1
                 sys.stderr.write(
                     f"selftest mismatch: d={d} norm={record.norm} "
                     f"nu={record.nu}/{nu_b}/{nu_s} delta={record.delta}/{delta_b}\n"
                 )
             checked += 1
-        status = "ok" if not failures else "FAIL"
+        failures += mismatched
+        status = "ok" if not mismatched else "FAIL"
         sys.stdout.write(f"selftest d={d}: {checked} principal ideals, {status}\n")
     return 0 if failures == 0 else 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .abelian import ClassOrdering, GroupSpec, canonical_ordering
+from .abelian import ClassOrdering, GroupSpec, _factorize, canonical_ordering
 from .errors import DomainError, ResourceLimitError
 from .primes import is_prime, kronecker_prime, primes_up_to, sqrt_mod_prime
 
@@ -461,16 +461,3 @@ def sites_to_csv(sites, out) -> None:
     for s in sites:
         out.write(f"{s.id},{s.p},{s.norm},{s.splitting},{s.class_index},{s.conjugate_id}\n")
 
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out

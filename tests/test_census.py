@@ -363,14 +363,6 @@ def test_census_csv_golden_small(sys5):
     )
 
 
-def test_census_csv_threads_identical(sys5):
-    one = io.StringIO()
-    eight = io.StringIO()
-    census.write_census_csv(sys5, 10**4, one, threads=1)
-    census.write_census_csv(sys5, 10**4, eight, threads=8)
-    assert one.getvalue() == eight.getvalue()
-
-
 def test_make_factorization_validation(sys5):
     with pytest.raises(DomainError):
         census.make_factorization(sys5, [(0, 0)])

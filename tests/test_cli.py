@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from irrcensus import cli
+from irrcensus import census, cli
 
 
 def test_parse_constants_group():
@@ -26,8 +26,9 @@ def test_parse_exclusive_flags():
 
 
 def test_parse_unknown_flag():
-    with pytest.raises(cli.UsageError):
-        cli.parse(["census", "--field", "-5", "--x", "10", "--bogus"])
+    for extra in (["--bogus"], ["--threads", "8"]):
+        with pytest.raises(cli.UsageError):
+            cli.parse(["census", "--field", "-5", "--x", "10"] + extra)
 
 
 def test_parse_missing_required():
@@ -95,10 +96,16 @@ def test_census_to_file(tmp_path):
 
 
 def test_census_json_format(capsys):
-    assert cli.main(["census", "--field", "-5", "--x", "20", "--format", "json"]) == 0
+    argv = ["census", "--field", "-5", "--x", "20"]
+    assert cli.main(argv + ["--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"][0] == "norm"
     assert payload["rows"][0][0] == 1
+    # same rows, in the same order, as the CSV (norms 6 and 9 are tied)
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert payload["schema"] == lines[0].split(",")
+    assert payload["rows"] == [[int(v) for v in line.split(",")] for line in lines[1:]]
 
 
 def test_equidist_counts_sum(capsys):
@@ -126,12 +133,12 @@ def test_ek_writes_report_and_histogram(tmp_path):
     assert hist.startswith("bin_low,bin_high,count")
 
 
-def test_ek_deterministic_across_threads(tmp_path):
+def test_ek_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     base = ["ek", "--field", "-5", "--x", "10000"]
     assert cli.main(base + ["--out", str(a)]) == 0
-    assert cli.main(base + ["--out", str(b), "--threads", "8"]) == 0
+    assert cli.main(base + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -168,10 +175,22 @@ def test_check_output(capsys):
     assert cli.main(["check", "--group", "2", "--x", "100", "--seed", "1"]) == 2
 
 
-def test_selftest_small(capsys):
+def test_selftest_small(capsys, monkeypatch):
     assert cli.main(["selftest", "--x", "300"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok") == 3
+    assert out.count("ok") == 4
+    # a mismatch fails its own field and the exit code, not the later fields
+    calls = []
+    oracle = census.delta_bruteforce
+
+    def off_by_one_once(fact, ordering):
+        calls.append(fact)
+        return oracle(fact, ordering) + (len(calls) == 1)
+
+    monkeypatch.setattr(census, "delta_bruteforce", off_by_one_once)
+    assert cli.main(["selftest", "--x", "300"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 1 and out.count("ok") == 3
 
 
 def test_identical_commands_identical_files(tmp_path):
