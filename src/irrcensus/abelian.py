@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, ResourceLimitError
 
@@ -289,6 +289,12 @@ class StructuralConstants:
     def B(self) -> float:
         return math.sqrt(self.B_squared.numerator / self.B_squared.denominator)
 
+    @cached_property
+    def sorted_types(self) -> tuple[TypeVector, ...]:
+        """The types in ascending order, the order nu's decomposition uses."""
+        return tuple(sorted(self.types))
+
+    @cached_property
     def max_type_component(self) -> tuple[int, ...]:
         """Per-class maximum of t_i over all types (truncation degrees)."""
         h = self.group.h

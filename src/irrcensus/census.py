@@ -1,5 +1,10 @@
 """Census of principal ideals: exact irreducible-divisor and divisor counts.
 
+A ``SiteSystem`` holds the class group and the prime-site stream as
+columns (``quadratic.SiteColumns``); ``system.sites`` builds a
+``PrimeSite`` only for a site that is indexed or iterated over.  The walks
+below read the norms and classes from Python lists made once per system.
+
 Ideals of norm <= x are enumerated by depth-first search over the prime
 sites in increasing norm order, carrying exponent stacks and running
 class/omega state so each node costs O(1) beyond its own statistics.  The
@@ -26,6 +31,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .abelian import (
     ClassOrdering,
     GroupSpec,
@@ -35,7 +42,14 @@ from .abelian import (
     structural_constants,
 )
 from .errors import DomainError, ResourceLimitError
-from .quadratic import ClassGroup, FieldSpec, PrimeSite, class_group, prime_sites_up_to
+from .quadratic import (
+    ClassGroup,
+    FieldSpec,
+    SiteColumns,
+    as_site_columns,
+    class_group,
+    prime_sites_up_to,
+)
 from .synth import SynthModel, synth_sites
 
 DEFAULT_BRUTE_OMEGA_BOUND = 24
@@ -74,23 +88,30 @@ class CensusRecord:
 
 @dataclass(frozen=True, eq=False)
 class SiteSystem:
-    """A class group (abstract) plus a materialized prime-site stream."""
+    """A class group (abstract) plus its prime-site stream, held as columns.
+
+    ``sites`` is a ``SiteColumns``: numpy columns p, norm, splitting,
+    class_index and conjugate_id, where a site's id is its stream position.
+    Indexing or iterating it builds ``PrimeSite`` views lazily; any other
+    sequence of ``PrimeSite`` passed in is converted to columns.  The
+    walkers read ``_norms`` and ``_cls0`` (0-based classes), Python lists
+    built once from the columns: indexing a numpy array, or running
+    ``bisect`` on one, costs far more per node than a list does.
+    """
 
     group: GroupSpec
     ordering: ClassOrdering
-    sites: tuple[PrimeSite, ...]
+    sites: SiteColumns
     limit: int
     field: FieldSpec | None = None
 
     def __post_init__(self):
-        for i, s in enumerate(self.sites):
-            if s.id != i:
-                raise DomainError("site ids must be sequential stream positions")
-        norms = tuple(s.norm for s in self.sites)
-        if any(a > b for a, b in zip(norms, norms[1:])):
+        sites = as_site_columns(self.sites)
+        object.__setattr__(self, "sites", sites)
+        if np.any(sites.norm[1:] < sites.norm[:-1]):
             raise DomainError("sites must be sorted by norm")
-        object.__setattr__(self, "_norms", norms)
-        object.__setattr__(self, "_cls0", tuple(s.class_index - 1 for s in self.sites))
+        object.__setattr__(self, "_norms", sites.norm.tolist())
+        object.__setattr__(self, "_cls0", (sites.class_index - 1).tolist())
 
     @property
     def constants(self) -> StructuralConstants:
@@ -100,29 +121,37 @@ class SiteSystem:
     def _class_tables(self) -> tuple[list[list[int]], list[list[float]]]:
         """Per class: the stream positions of its sites, and compensated
         prefix sums of 1/N over them (entry i sums the first i sites).
-        Built on first use by ``sweep``."""
-        h = max(self.group.h, 1)
-        positions: list[list[int]] = [[] for _ in range(h)]
-        prefix: list[list[float]] = [[0.0] for _ in range(h)]
-        sums = [_Kahan() for _ in range(h)]
-        for j, (q, c) in enumerate(zip(self._norms, self._cls0)):
-            positions[c].append(j)
-            sums[c].add(1.0 / q)
-            prefix[c].append(sums[c].value)
+        Built on first use by ``sweep`` or ``stats.landau_check``."""
+        cls0 = self.sites.class_index - 1
+        order = np.argsort(cls0, kind="stable")
+        cuts = np.cumsum(np.bincount(cls0, minlength=max(self.group.h, 1)))[:-1]
+        positions: list[list[int]] = []
+        prefix: list[list[float]] = []
+        for pos, inverse in zip(np.split(order, cuts), np.split(1.0 / self.sites.norm[order], cuts)):
+            positions.append(pos.tolist())
+            # _Kahan.add inlined (every term is positive), in stream order
+            s = comp = 0.0
+            pre = [0.0]
+            for v in inverse.tolist():
+                t = s + v
+                comp += (s - t) + v if s >= v else (v - t) + s
+                s = t
+                pre.append(s + comp)
+            prefix.append(pre)
         return positions, prefix
 
 
 def for_field(field, limit: int) -> SiteSystem:
     """Site system for Q(sqrt(d)); accepts d or a prebuilt ClassGroup."""
     cg = field if isinstance(field, ClassGroup) else class_group(field)
-    sites = tuple(prime_sites_up_to(cg, limit))
+    sites = prime_sites_up_to(cg, limit)
     return SiteSystem(
         group=cg.group, ordering=cg.ordering, sites=sites, limit=limit, field=cg.field
     )
 
 
 def for_synth(model: SynthModel, limit: int) -> SiteSystem:
-    sites = tuple(synth_sites(model, limit))
+    sites = synth_sites(model, limit)
     return SiteSystem(
         group=model.group,
         ordering=canonical_ordering(model.group),
@@ -189,11 +218,11 @@ def nu_exact(fact: Factorization, sc: StructuralConstants):
     by_class: list[list[int]] = [[] for _ in range(h)]
     for en in fact.entries:
         by_class[en.class_index - 1].append(en.exponent)
-    maxt = sc.max_type_component()
+    maxt = sc.max_type_component
     coeffs = [_bounded_subset_counts(by_class[i], maxt[i]) for i in range(h)]
     by_type = {}
     total = 0
-    for tv in sorted(sc.types):
+    for tv in sc.sorted_types:
         prod = 1
         for i, ti in enumerate(tv.t):
             if ti:
@@ -422,10 +451,8 @@ def _principal_walk(system: SiteSystem, x: int):
 
 
 def _record_from_walk(system, sc, norm, entries, omega, Omega) -> tuple:
-    fact_entries = tuple(
-        FactorEntry(j, system.sites[j].norm, system.sites[j].class_index, e)
-        for j, e in entries
-    )
+    norms, cls0 = system._norms, system._cls0
+    fact_entries = tuple(FactorEntry(j, norms[j], cls0[j] + 1, e) for j, e in entries)
     fact = Factorization(entries=fact_entries, norm=norm, class_index=1)
     nu, by_type = nu_exact(fact, sc)
     delta = delta_exact(fact, system.ordering)
@@ -652,9 +679,9 @@ def _walk(system, x, cps, descs):
     inverse = [row.index(0) for row in cay]
     h = max(system.group.h, 1)
     sc = system.constants
-    types_tuples = tuple(sorted(tv.t for tv in sc.types))
+    types_tuples = tuple(tv.t for tv in sc.sorted_types)
     types_set = set(types_tuples)
-    maxt = sc.max_type_component()
+    maxt = sc.max_type_component
     nsites = len(norms)
     last = len(cps) - 1
     buckets = [_Bucket(h, len(descs)) for _ in cps]

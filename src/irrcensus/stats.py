@@ -9,10 +9,11 @@ standardized statistics, and the tests pin trends and frozen anchors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .abelian import StructuralConstants
-from .census import SiteSystem, Sweep, Totals, _Kahan, sweep as census_sweep
+from .census import SiteSystem, Sweep, Totals, sweep as census_sweep
 from .errors import DomainError
 
 HIST_LO = -6.0
@@ -157,14 +158,12 @@ def landau_check(system: SiteSystem, x: int):
     """Per-class reciprocal-norm sums over prime sites, minus L/h."""
     if x < 3:
         raise DomainError("needs x >= 3")
-    h = max(system.group.h, 1)
-    sums = [_Kahan() for _ in range(h)]
-    for s in system.sites:
-        if s.norm > x:
-            break
-        sums[s.class_index - 1].add(1.0 / s.norm)
-    center = loglog(x) / h
-    return tuple(k.value - center for k in sums)
+    # the first k sites have norm <= x; each class's compensated sum over
+    # them is an entry of the per-class prefix tables the sweep uses
+    positions, prefix = system._class_tables
+    k = bisect_right(system._norms, x)
+    center = loglog(x) / max(system.group.h, 1)
+    return tuple(pre[bisect_left(pos, k)] - center for pos, pre in zip(positions, prefix))
 
 
 def exceptional_fraction(

@@ -10,13 +10,15 @@ fixed (group, seed, law).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 from .abelian import GroupSpec
 from .errors import DomainError
-from .primes import primes_up_to
-from .quadratic import PrimeSite
+from .primes import prime_array
+from .quadratic import SYNTHETIC, SiteColumns
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -65,9 +67,31 @@ def _label(model: SynthModel, index: int) -> int:
     return model.group.h
 
 
-def synth_sites(model: SynthModel, limit: int) -> Iterator[PrimeSite]:
-    """Deterministic site stream: the i-th prime gets label(seed, i)."""
+def _labels(model: SynthModel, n: int) -> np.ndarray:
+    """``_label(model, i)`` for i in range(n), on uint64 arrays: splitmix64
+    wraps modulo 2**64 exactly as the masked integer version does."""
+    z = np.uint64(model.seed & _MASK) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    r = z ^ (z >> np.uint64(31))
+    h = model.group.h
+    if model.label_law is None:
+        return (r % np.uint64(h)).astype(np.int64) + 1
+    # the first i whose running sum of the law exceeds u, else the last class
+    bounds = np.array(list(itertools.accumulate(model.label_law)))
+    return np.minimum(np.searchsorted(bounds, r / 2.0**64, side="right"), h - 1) + 1
+
+
+def synth_sites(model: SynthModel, limit: int) -> SiteColumns:
+    """Deterministic site stream: the i-th prime gets label(seed, i).
+
+    Returns the stream as columns; iterating or indexing it yields
+    ``PrimeSite`` views.
+    """
     if limit < 2:
         raise DomainError("site stream needs limit >= 2")
-    for i, p in enumerate(primes_up_to(limit)):
-        yield PrimeSite(i, p, p, "synthetic", _label(model, i), i)
+    p = prime_array(limit)
+    ids = np.arange(p.size, dtype=np.int64)
+    return SiteColumns(
+        p, p, np.full(p.size, SYNTHETIC, dtype=np.int8), _labels(model, p.size), ids
+    )

@@ -1,12 +1,18 @@
+import dataclasses
 import io
 import math
 import random
 
+import numpy as np
 import pytest
 
+from irrcensus import census
 from irrcensus.errors import DomainError, ResourceLimitError
+from irrcensus.primes import is_prime, prime_array, primes_up_to, sqrt_mod_prime
 from irrcensus.quadratic import (
+    PrimeSite,
     QuadForm,
+    SiteColumns,
     class_group,
     compose,
     form_pow,
@@ -146,8 +152,6 @@ def test_splitting_examples():
 
 def test_splitting_matches_kronecker():
     field = class_group(-23).field
-    from irrcensus.primes import primes_up_to
-
     for p in primes_up_to(200):
         expected = kronecker(field.discriminant, p)
         got = splitting_type(field, p)
@@ -257,6 +261,88 @@ def test_sites_csv_golden():
         "4,7,7,split,2,5\n"
         "5,7,7,split,2,4\n"
     )
+
+
+def _scalar_sites(cg, primes, limit):
+    """Per-prime oracle for the site columns: one prime at a time, through
+    splitting_type, sqrt_mod_prime and reduce_form."""
+    disc = cg.field.discriminant
+    rows = []
+    for p in primes:
+        kind = splitting_type(cg.field, p)
+        if kind == "inert":
+            if p * p <= limit:
+                rows.append((p * p, 0, p, kind, 1))
+            continue
+        if kind == "ramified":
+            roots = [(0 if disc % 8 == 0 else 2) if p == 2 else (p if disc % 2 else 0)]
+        elif p == 2:
+            roots = [1, 3]
+        else:
+            r = sqrt_mod_prime(disc, p)
+            b = r if (r - disc) % 2 == 0 else r + p
+            roots = sorted((b, 2 * p - b))
+        for b in roots:
+            form = reduce_form(p, b, (b * b - disc) // (4 * p))
+            rows.append((p, b, p, kind, cg.class_index[form]))
+    rows.sort()
+    out = []
+    for i, (norm, _, p, kind, cls) in enumerate(rows):
+        mate = i
+        if kind == "split":
+            mate = i + 1 if i + 1 < len(rows) and rows[i + 1][2] == p else i - 1
+        out.append(PrimeSite(i, p, norm, kind, cls, mate))
+    return out
+
+
+# w = 4 and 6, 2 split/inert/ramified, non-cyclic groups (-30, -105, -1155)
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -7, -15, -23, -30, -105, -1155])
+def test_site_columns_match_scalar_oracle(d):
+    limit = 2 * 10**4
+    primes = [p for p in range(2, limit + 1) if is_prime(p)]
+    assert prime_array(limit).tolist() == primes == list(primes_up_to(limit, 1000))
+    cg = class_group(d)
+    expected = _scalar_sites(cg, primes, limit)
+    # p = 1 (mod 8) takes the deep Tonelli-Shanks path
+    assert any(s.p % 8 == 1 and s.splitting == "split" for s in expected)
+    cols = prime_sites_up_to(cg, limit)
+    assert len(cols) == len(expected)
+    assert list(cols) == expected
+    assert [cols[i] for i in range(-len(cols), 0, 37)] == expected[::37]
+    assert cols[5:9] == tuple(expected[5:9])
+    # the CSV writer takes the columns or any PrimeSite iterable, alike
+    a, b = io.StringIO(), io.StringIO()
+    sites_to_csv(cols, a)
+    sites_to_csv(iter(expected), b)
+    assert a.getvalue() == b.getvalue()
+
+
+def test_site_columns_are_read_only_sequences():
+    cols = prime_sites_up_to(class_group(-5), 10)
+    assert isinstance(cols, SiteColumns) and len(cols) == 6
+    assert cols[-1] == PrimeSite(5, 7, 7, "split", 2, 4)
+    with pytest.raises(IndexError):
+        cols[6]
+    with pytest.raises(ValueError):
+        cols.norm[0] = 1
+    with pytest.raises(AttributeError):
+        cols.norm = np.zeros(6, dtype=np.int64)
+
+
+def test_conjugate_and_order_checks_stay_loud(monkeypatch):
+    cg = class_group(-23)  # Z/3: the conjugate sites of a split prime lie in classes 2 and 3
+    monkeypatch.setattr(cg.ordering, "neg_table", lambda: [0, 1, 2])
+    with pytest.raises(DomainError, match="not inverse"):
+        prime_sites_up_to(cg, 100)
+    system = census.for_field(-5, 100)
+    sites = list(system.sites)
+    swapped = [dataclasses.replace(s, id=i) for i, s in enumerate(sites[1::-1] + sites[2:])]
+    with pytest.raises(DomainError, match="sorted"):
+        dataclasses.replace(system, sites=swapped)
+    with pytest.raises(DomainError, match="sequential"):
+        dataclasses.replace(system, sites=sites[1:])
+    again = dataclasses.replace(system, sites=sites)
+    assert list(again.sites) == sites and again._norms == system._norms
 
 
 def test_reduced_forms_are_reduced_and_primitive():

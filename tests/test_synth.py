@@ -4,9 +4,10 @@ from collections import Counter
 import pytest
 
 from irrcensus import census, stats
-from irrcensus.abelian import cyclic_group, trivial_group
+from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
 from irrcensus.errors import DomainError
-from irrcensus.synth import SynthModel, splitmix64, synth_sites
+from irrcensus.primes import is_prime
+from irrcensus.synth import SynthModel, _label, splitmix64, synth_sites
 
 from helpers import omega_sieve
 
@@ -44,6 +45,20 @@ def test_frozen_stream_checksum():
     assert labels == (
         2, 2, 1, 1, 2, 1, 2, 3, 2, 3, 3, 2, 3, 2, 3, 3, 3, 1, 1, 1, 1, 2, 1, 2, 3,
     )
+
+
+@pytest.mark.parametrize(
+    "law", [None, (0.1, 0.2, 0.05, 0.15, 0.0, 0.3, 0.1, 0.1)], ids=["uniform", "law"]
+)
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -3])
+def test_synth_columns_match_scalar_labels(law, seed):
+    limit = 2 * 10**4
+    model = SynthModel(group=group_from_orders((2, 4)), seed=seed, label_law=law)
+    primes = [p for p in range(2, limit + 1) if is_prime(p)]
+    expected = [(i, p, p, "synthetic", _label(model, i), i) for i, p in enumerate(primes)]
+    got = [(s.id, s.p, s.norm, s.splitting, s.class_index, s.conjugate_id)
+           for s in synth_sites(model, limit)]
+    assert got == expected
 
 
 def test_trivial_group_all_class_one():
