@@ -323,21 +323,9 @@ def _inv_factorial_product(t: tuple[int, ...]) -> Fraction:
     return Fraction(1, math.prod(math.factorial(v) for v in t))
 
 
-def structural_constants(
-    group: GroupSpec, max_order: int = DEFAULT_MAX_ORDER
-) -> StructuralConstants:
-    if max_order == DEFAULT_MAX_ORDER:
-        return _structural_constants_default(group)
-    return _structural_constants(group, max_order)
-
-
 @lru_cache(maxsize=None)
-def _structural_constants_default(group: GroupSpec) -> StructuralConstants:
-    return _structural_constants(group, DEFAULT_MAX_ORDER)
-
-
-def _structural_constants(group: GroupSpec, max_order: int) -> StructuralConstants:
-    types = enumerate_types(group, max_order=max_order)
+def structural_constants(group: GroupSpec) -> StructuralConstants:
+    types = enumerate_types(group)
     davenport = max(tv.length for tv in types)
     maximal = frozenset(tv for tv in types if tv.length == davenport)
     h = group.h

@@ -12,12 +12,15 @@ irreducible-divisor count nu is computed three independent ways (per-class
 subset-count products, exhaustive sub-multiset search, and a
 squarefull/squarefree split), which the tests hold to exact agreement.
 
-``sweep`` aggregates the report statistics in one deterministic pass.  It
-walks one by one only the nodes that can have children; the leaves n*q
-whose last prime q satisfies N(q)^2 > x // n (about 99% of all ideals at
-x = 1e7) are counted in bulk per class from per-class prefix tables.
-``enumerate_principal`` and ``harmonic_sums`` walk every ideal and serve
-as its reference.  The census CSV is one such walk followed by one sort.
+``_walk`` is the one DFS over sites.  ``sweep`` aggregates the report
+statistics in one pass of it that walks one by one only the nodes that can
+have children; the leaves n*q whose last prime q satisfies N(q)^2 > x // n
+(about 99% of all ideals at x = 1e7) are counted in bulk per class from
+per-class prefix tables.  In full-walk mode every ideal is visited:
+``census_rows`` (the census CSV, one walk and one sort) builds its rows
+from the walk's state and ``harmonic_sums`` sums 1/N.
+``enumerate_principal`` takes only the factorizations from the walk and
+computes each field with the oracle functions, as the reference for both.
 """
 
 from __future__ import annotations
@@ -334,18 +337,22 @@ def delta_exact(
         raise ResourceLimitError(
             f"{ndiv} divisors exceed the configured bound {max_divisors}"
         )
-    h = len(ordering.elements)
-    cay = ordering.cayley()
+    pairs = ((en.class_index - 1, en.exponent) for en in fact.entries)
+    return _delta(pairs, ordering.cayley())
+
+
+def _delta(class_exponent_pairs, cay) -> int:
+    """Principal divisors of prod g_c^e over (0-based class c, exponent e)."""
+    h = len(cay)
     vec = [0] * h
     vec[0] = 1
-    for en in fact.entries:
-        c = en.class_index - 1
+    for c, e in class_exponent_pairs:
         new = [0] * h
         for g, cnt in enumerate(vec):
             if cnt:
                 gg = g
                 new[gg] += cnt
-                for _ in range(en.exponent):
+                for _ in range(e):
                     gg = cay[gg][c]
                     new[gg] += cnt
         vec = new
@@ -399,91 +406,64 @@ def is_irreducible(fact: Factorization, sc: StructuralConstants) -> bool:
 # enumeration
 
 
-def _principal_walk(system: SiteSystem, x: int):
-    """Yield (norm, entries, omega, Omega) for principal ideals of norm <= x.
-
-    DFS over sites in increasing norm.  A node comes before its children and
-    both sites and exponents ascend, so ideals come out in lexicographic
-    order of their entries.
-    """
-    norms = system._norms
-    cls0 = system._cls0
-    cay = system.ordering.cayley()
-    h = max(system.group.h, 1)
-    nsites = len(norms)
-    omega = [0] * h
-    Omega = [0] * h
-    stack: list[list[int]] = []
-
-    def rec(start, n, c):
-        if c == 0:
-            yield (
-                n,
-                tuple((s[0], s[1]) for s in stack),
-                tuple(omega),
-                tuple(Omega),
-            )
-        for j in range(start, nsites):
-            q = norms[j]
-            n2 = n * q
-            if n2 > x:
-                break
-            cj = cls0[j]
-            omega[cj] += 1
-            Omega[cj] += 1
-            frame = [j, 1]
-            stack.append(frame)
-            c2 = cay[c][cj]
-            while True:
-                yield from rec(j + 1, n2, c2)
-                n3 = n2 * q
-                if n3 > x:
-                    break
-                n2 = n3
-                frame[1] += 1
-                Omega[cj] += 1
-                c2 = cay[c2][cj]
-            Omega[cj] -= frame[1]
-            omega[cj] -= 1
-            stack.pop()
-
-    yield from rec(0, 1, 0)
+def _check_bound(system: SiteSystem, x: int):
+    if x < 1:
+        raise DomainError("norm bound must be >= 1")
+    if x > system.limit:
+        raise DomainError(f"x={x} exceeds the site stream limit {system.limit}")
 
 
-def _record_from_walk(system, sc, norm, entries, omega, Omega) -> tuple:
-    norms, cls0 = system._norms, system._cls0
-    fact_entries = tuple(FactorEntry(j, norms[j], cls0[j] + 1, e) for j, e in entries)
-    fact = Factorization(entries=fact_entries, norm=norm, class_index=1)
-    nu, by_type = nu_exact(fact, sc)
-    delta = delta_exact(fact, system.ordering)
-    irred = bool(fact.entries) and is_irreducible(fact, sc)
-    squarefull = math.prod(
-        en.norm**en.exponent for en in fact_entries if en.exponent >= 2
-    )
-    record = CensusRecord(
-        norm=norm,
-        omega=omega,
-        Omega=Omega,
-        nu=nu,
-        nu_by_type=by_type,
-        delta=delta,
-        is_irreducible=irred,
-        squarefull_norm=squarefull,
-    )
-    return fact, record
+def _each_principal(system: SiteSystem, x: int, emit) -> _Bucket:
+    """Run ``_walk`` in full-walk mode: every ideal of norm <= x is visited
+    one by one and ``emit`` is called on each principal one.  Returns the
+    walk's single bucket."""
+    _check_bound(system, x)
+    buckets, _, _ = _walk(system, x, (x,), (), emit)
+    return buckets[0]
 
 
 def enumerate_principal(
     system: SiteSystem, x: int
 ) -> Iterator[tuple[Factorization, CensusRecord]]:
-    """Every principal ideal of norm <= x, DFS order, fully populated."""
-    if x < 1:
-        raise DomainError("norm bound must be >= 1")
-    if x > system.limit:
-        raise DomainError(f"x={x} exceeds the site stream limit {system.limit}")
+    """Every principal ideal of norm <= x, DFS order, fully populated.
+
+    Only the factorizations come from the walk; every record field is
+    computed from the factorization by the oracle functions, so this is an
+    independent reference for ``sweep`` and ``census_rows``.
+    """
+    norms = system._norms
+    cls0 = system._cls0
+    walked = []
+
+    def emit(n, sites, exps, depth, Omega, stats):
+        walked.append((n, tuple(sites[:depth]), tuple(exps[:depth])))
+
+    _each_principal(system, x, emit)
     sc = system.constants
-    for norm, entries, omega, Omega in _principal_walk(system, x):
-        yield _record_from_walk(system, sc, norm, entries, omega, Omega)
+    h = system.group.h
+    for n, sites, exps in walked:
+        entries = tuple(
+            FactorEntry(j, norms[j], cls0[j] + 1, e) for j, e in zip(sites, exps)
+        )
+        fact = Factorization(entries=entries, norm=n, class_index=1)
+        omega = [0] * h
+        Omega = [0] * h
+        for en in fact.entries:
+            omega[en.class_index - 1] += 1
+            Omega[en.class_index - 1] += en.exponent
+        nu, by_type = nu_exact(fact, sc)
+        yield fact, CensusRecord(
+            norm=fact.norm,
+            omega=tuple(omega),
+            Omega=tuple(Omega),
+            nu=nu,
+            nu_by_type=by_type,
+            delta=delta_exact(fact, system.ordering),
+            is_irreducible=bool(fact.entries) and is_irreducible(fact, sc),
+            squarefull_norm=math.prod(
+                en.norm**en.exponent for en in fact.entries if en.exponent >= 2
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -496,31 +476,21 @@ class HarmonicSums:
 def harmonic_sums(system: SiteSystem, x: int, exact: bool = False) -> HarmonicSums:
     """Reciprocal-norm sums over principal and over irreducible ideals.
 
-    ``exact=True`` accumulates Fractions (only sensible for small x).
+    The ideals are walked one by one, never counted in bulk, so this stays a
+    reference for ``sweep``.  ``exact=True`` accumulates Fractions (only
+    sensible for small x).
     """
-    if x > system.limit:
-        raise DomainError(f"x={x} exceeds the site stream limit {system.limit}")
-    sc = system.constants
-    types_set = {tv.t for tv in sc.types}
-    count = 0
+    exact_sums = [Fraction(0), Fraction(0)]
+
+    def add_exact(n, sites, exps, depth, Omega, stats):
+        exact_sums[0] += Fraction(1, n)
+        if stats[2]:
+            exact_sums[1] += Fraction(1, n)
+
+    b = _each_principal(system, x, add_exact if exact else lambda *row: None)
     if exact:
-        total_p = Fraction(0)
-        total_i = Fraction(0)
-        for norm, entries, omega, Omega in _principal_walk(system, x):
-            total_p += Fraction(1, norm)
-            if Omega in types_set:
-                total_i += Fraction(1, norm)
-                count += 1
-        return HarmonicSums(total_p, total_i, count)
-    kp = _Kahan()
-    ki = _Kahan()
-    for norm, entries, omega, Omega in _principal_walk(system, x):
-        inv = 1.0 / norm
-        kp.add(inv)
-        if Omega in types_set:
-            ki.add(inv)
-            count += 1
-    return HarmonicSums(kp.value, ki.value, count)
+        return HarmonicSums(exact_sums[0], exact_sums[1], b.irred_count)
+    return HarmonicSums(b.harm_principal.value, b.harm_irred.value, b.irred_count)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +630,8 @@ def _normalize_descriptor(desc) -> tuple[tuple[int, int], ...]:
     return out
 
 
-def _walk(system, x, cps, descs):
-    """The single DFS pass behind ``sweep``: returns (buckets, visited, bulk).
+def _walk(system, x, cps, descs, emit=None):
+    """The one DFS over sites: returns (buckets, visited, bulk).
 
     At a node of norm n, let lim = x // n.  Sites q with N(q)^2 <= lim may
     have descendants and are walked one by one.  A site with
@@ -671,6 +641,13 @@ def _walk(system, x, cps, descs):
     positions and reciprocal-norm prefix sums of each class, the way pi(x/n)
     counts the largest prime factor in Lagarias-Miller-Odlyzko.  Descriptor
     sites are always walked, because the g-products depend on them.
+
+    Given ``emit`` (full-walk mode), no leaf is counted in bulk and each
+    principal ideal is passed on as ``emit(n, sites, exps, depth, Omega,
+    stats)``: the first ``depth`` entries of the walk's own stack lists
+    ``sites``/``exps`` are its stream positions and exponents, ascending,
+    and ``stats`` is its ``principal_stats`` tuple.  Ideals come in
+    lexicographic order of their factorization.
     """
     norms = system._norms
     cls0 = system._cls0
@@ -700,6 +677,7 @@ def _walk(system, x, cps, descs):
 
     omega = [0] * h
     Omega = [0] * h
+    stack_site = [0] * 80
     stack_cls = [0] * 80
     stack_exp = [0] * 80
     by_class: list[list[int]] = [[] for _ in range(h)]
@@ -757,7 +735,10 @@ def _walk(system, x, cps, descs):
         b = buckets[bisect_left(cps, n)]
         b.class_counts[c] += 1
         if not c:
-            tally(b, principal_stats(depth), 1, 1.0 / n)
+            stats = principal_stats(depth)
+            tally(b, stats, 1, 1.0 / n)
+            if emit is not None:
+                emit(n, stack_site, stack_exp, depth, Omega, stats)
 
     def leaves(a: int, z: int, n: int, c: int, depth: int):
         """Bulk-count the leaves n*q for the sites q at stream positions
@@ -801,6 +782,7 @@ def _walk(system, x, cps, descs):
         cj = cls0[j]
         omega[cj] += 1
         Omega[cj] += 1
+        stack_site[depth] = j
         stack_cls[depth] = cj
         stack_exp[depth] = 1
         tracked = j in desc_set
@@ -831,10 +813,10 @@ def _walk(system, x, cps, descs):
         lim = x // n
         if norms[start] > lim:
             return
-        split = bisect_right(norms, math.isqrt(lim), start)
+        end = bisect_right(norms, lim, start)
+        split = end if emit is not None else bisect_right(norms, math.isqrt(lim), start, end)
         for j in range(start, split):
             descend(j, n, c, depth)
-        end = bisect_right(norms, lim, split)
         a = split
         for d in desc_sites[bisect_left(desc_sites, split) :]:
             if d >= end:
@@ -848,6 +830,9 @@ def _walk(system, x, cps, descs):
 
     visit(1, 0, 0)
     children(0, 1, 0, 0)
+    # descend and children call each other: break the cycle, so the walk's
+    # frame and whatever emit holds are freed without the cyclic GC
+    descend = children = None
     return buckets, visited, bulk
 
 
@@ -858,10 +843,7 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
     Float accumulators are summed in the fixed order of a single DFS, so the
     result is deterministic.
     """
-    if x < 1:
-        raise DomainError("norm bound must be >= 1")
-    if x > system.limit:
-        raise DomainError(f"x={x} exceeds the site stream limit {system.limit}")
+    _check_bound(system, x)
     if checkpoints is None:
         cps = (x,)
     else:
@@ -903,11 +885,23 @@ def census_header(h: int) -> str:
 
 def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:
     """The census rows as int tuples in ``census_header`` column order,
-    norm-ascending with ties broken by the factorization."""
+    norm-ascending with ties broken by the factorization.  Each row is built
+    from the walk's state as its ideal is visited."""
+    norms = system._norms
+    cls0 = system._cls0
+    cay = system.ordering.cayley()
     rows = []
-    for _, r in enumerate_principal(system, x):
-        tail = (r.nu, r.delta, int(r.is_irreducible), r.squarefull_norm)
-        rows.append((r.norm, 1, *r.omega, *r.Omega, *tail))
+
+    def emit(n, sites, exps, depth, Omega, stats):
+        nu, (omega, _), irred, _ = stats
+        squarefull = 1
+        for i in range(depth):
+            if exps[i] >= 2:
+                squarefull *= norms[sites[i]] ** exps[i]
+        delta = _delta(((cls0[sites[i]], exps[i]) for i in range(depth)), cay)
+        rows.append((n, 1, *omega, *Omega, nu, delta, int(irred), squarefull))
+
+    _each_principal(system, x, emit)
     # the walk is lexicographic in the factorization, so a stable sort by
     # norm alone breaks ties by the factorization
     rows.sort(key=itemgetter(0))

@@ -20,6 +20,7 @@ HIST_LO = -6.0
 HIST_HI = 6.0
 HIST_WIDTH = 0.25
 _HIST_BINS = int(round((HIST_HI - HIST_LO) / HIST_WIDTH))
+MOMENT_ORDERS = (1, 2, 3, 4)  # standardized moments of nu in the report
 
 
 def loglog(x) -> float:
@@ -347,7 +348,6 @@ def build_report(
     m: int = 2,
     g_descriptors=None,
     sweep: Sweep | None = None,
-    moment_orders=(1, 2, 3, 4),
 ) -> StatReport:
     sc = system.constants
     if g_descriptors is None:
@@ -359,7 +359,7 @@ def build_report(
     mean_nu = sum(nu * c for nu, c in totals.nu_counts.items()) / n
     var_nu = sum((nu - mean_nu) ** 2 * c for nu, c in totals.nu_counts.items()) / n
     z_moments = {}
-    for k in moment_orders:
+    for k in MOMENT_ORDERS:
         z_moments[k] = (
             sum(standardize(nu, sc, x) ** k * c for nu, c in totals.nu_counts.items())
             / n

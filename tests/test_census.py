@@ -1,8 +1,10 @@
+import gc
 import io
 import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,9 +243,9 @@ def _ideal_norms_and_classes(system, x):
 
 @pytest.fixture(scope="module")
 def reference_walks():
-    """Cyclic, Z/2xZ/2 (-21, -30) and Z/2^3 (-105) fields and synthetic
+    """Cyclic, Z/2xZ/2 (-21, -30) and Z/2^3 (-105, -1155) fields and synthetic
     Z/2xZ/4 and Z/3xZ/3 streams, each with its full reference census."""
-    systems = {d: census.for_field(d, REFERENCE_X) for d in (-5, -21, -30, -105)}
+    systems = {d: census.for_field(d, REFERENCE_X) for d in (-5, -21, -30, -105, -1155)}
     for orders in ((2, 4), (3, 3)):
         model = SynthModel(group=group_from_orders(orders), seed=29)
         systems[orders] = census.for_synth(model, REFERENCE_X)
@@ -318,6 +320,70 @@ def test_sweep_matches_reference_walk(reference_walks, data):
         for got, desc in zip(tot.g_sums, swp.g_descriptors):
             want = math.fsum(_g_product(system, fact, desc) for fact, _ in recs)
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _record_row(rec):
+    return (
+        rec.norm,
+        1,
+        *rec.omega,
+        *rec.Omega,
+        rec.nu,
+        rec.delta,
+        int(rec.is_irreducible),
+        rec.squarefull_norm,
+    )
+
+
+@pytest.mark.parametrize("x", [1, 7, 300, REFERENCE_X])
+def test_census_rows_match_enumeration(reference_walks, x):
+    # the rows take nu, omega and irreducibility from the walk's state; the
+    # records compute every field from the factorization with the oracles
+    for system, records, _ in reference_walks.values():
+        want = sorted(
+            (_record_row(rec) for _, rec in records if rec.norm <= x), key=itemgetter(0)
+        )
+        assert census.census_rows(system, x) == want
+
+
+@pytest.mark.parametrize("x", [1, 300, REFERENCE_X])
+def test_harmonic_sums_walk_every_ideal(reference_walks, x):
+    # bit-equal to a sum in walk order: a bulk-counted sum differs in the
+    # last bit on some of these systems
+    for system, records, _ in reference_walks.values():
+        principal, irreducible = census._Kahan(), census._Kahan()
+        count = 0
+        for _, rec in records:
+            if rec.norm <= x:
+                principal.add(1.0 / rec.norm)
+                if rec.is_irreducible:
+                    irreducible.add(1.0 / rec.norm)
+                    count += 1
+        hs = census.harmonic_sums(system, x)
+        assert hs.principal.hex() == principal.value.hex()
+        assert hs.irreducible.hex() == irreducible.value.hex()
+        assert hs.irreducible_count == count
+
+
+def test_harmonic_sums_rejects_empty_bound(sys5):
+    for exact in (False, True):
+        with pytest.raises(DomainError):
+            census.harmonic_sums(sys5, 0, exact=exact)
+
+
+def test_walks_leave_no_garbage(sys5):
+    census.sweep(sys5, 10**3)  # build the cached tables first
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        census.sweep(sys5, 10**3)
+        assert gc.collect() == 0
+        census.census_rows(sys5, 10**3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_harmonic_sums_minus1_by_hand():
