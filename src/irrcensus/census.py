@@ -6,11 +6,18 @@ columns (``quadratic.SiteColumns``); ``system.sites`` builds a
 below read the norms and classes from Python lists made once per system.
 
 Ideals of norm <= x are enumerated by depth-first search over the prime
-sites in increasing norm order, carrying exponent stacks and running
-class/omega state so each node costs O(1) beyond its own statistics.  The
-irreducible-divisor count nu is computed three independent ways (per-class
-subset-count products, exhaustive sub-multiset search, and a
-squarefull/squarefree split), which the tests hold to exact agreement.
+sites in increasing norm order.  The walk keeps each node's state on its
+stack and updates it in O(h) per site pushed or exponent raised: the class,
+omega/Omega, each class's subset-count polynomial truncated at the largest
+type component of that class, and (in full-walk mode) the class
+distribution of the node's divisors, whose principal entry is delta.  nu
+is a sum over the types of products of those polynomials' coefficients, so
+it depends only on the tuple of polynomials; there are few distinct tuples,
+and the walk memoizes nu on them.  The irreducible-divisor count nu is also
+computed three independent ways from a factorization (per-class subset-count
+products, exhaustive sub-multiset search, and a squarefull/squarefree
+split), which the tests hold to exact agreement with each other and with
+the walk.
 
 ``_walk`` is the one DFS over sites.  ``sweep`` aggregates the report
 statistics in one pass of it that walks one by one only the nodes that can
@@ -31,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -172,6 +179,8 @@ def make_factorization(system: SiteSystem, entries) -> Factorization:
     for site_id, exp in sorted(entries):
         if exp < 1:
             raise DomainError("exponents must be >= 1")
+        if not 0 <= site_id < len(system.sites):
+            raise DomainError(f"site id {site_id} out of range")
         site = system.sites[site_id]
         built.append(FactorEntry(site_id, site.norm, site.class_index, exp))
         norm *= site.norm**exp
@@ -337,22 +346,18 @@ def delta_exact(
         raise ResourceLimitError(
             f"{ndiv} divisors exceed the configured bound {max_divisors}"
         )
-    pairs = ((en.class_index - 1, en.exponent) for en in fact.entries)
-    return _delta(pairs, ordering.cayley())
-
-
-def _delta(class_exponent_pairs, cay) -> int:
-    """Principal divisors of prod g_c^e over (0-based class c, exponent e)."""
+    cay = ordering.cayley()
     h = len(cay)
     vec = [0] * h
     vec[0] = 1
-    for c, e in class_exponent_pairs:
+    for en in fact.entries:
+        c = en.class_index - 1
         new = [0] * h
         for g, cnt in enumerate(vec):
             if cnt:
                 gg = g
                 new[gg] += cnt
-                for _ in range(e):
+                for _ in range(en.exponent):
                     gg = cay[gg][c]
                     new[gg] += cnt
         vec = new
@@ -418,7 +423,7 @@ def _each_principal(system: SiteSystem, x: int, emit) -> _Bucket:
     one by one and ``emit`` is called on each principal one.  Returns the
     walk's single bucket."""
     _check_bound(system, x)
-    buckets, _, _ = _walk(system, x, (x,), (), emit)
+    buckets, _, _, _ = _walk(system, x, (x,), (), emit)
     return buckets[0]
 
 
@@ -435,7 +440,7 @@ def enumerate_principal(
     cls0 = system._cls0
     walked = []
 
-    def emit(n, sites, exps, depth, Omega, stats):
+    def emit(n, sites, exps, depth, Omega, stats, delta):
         walked.append((n, tuple(sites[:depth]), tuple(exps[:depth])))
 
     _each_principal(system, x, emit)
@@ -482,7 +487,7 @@ def harmonic_sums(system: SiteSystem, x: int, exact: bool = False) -> HarmonicSu
     """
     exact_sums = [Fraction(0), Fraction(0)]
 
-    def add_exact(n, sites, exps, depth, Omega, stats):
+    def add_exact(n, sites, exps, depth, Omega, stats, delta):
         exact_sums[0] += Fraction(1, n)
         if stats[2]:
             exact_sums[1] += Fraction(1, n)
@@ -587,7 +592,11 @@ class Sweep:
     """Aggregated census statistics, one bucket per checkpoint band.
 
     ``visited`` counts the ideals walked one by one and ``bulk`` the leaves
-    counted in bulk; they sum to ``at(x).n_ideals``.
+    counted in bulk; they sum to ``at(x).n_ideals``.  ``nu_states`` counts
+    the distinct tuples of per-class subset-count polynomials the walk met,
+    which is how many times nu was summed over the types; every other
+    principal ideal or bulk-counted group of leaves read nu from the memo.
+    None of the three enters a report.
     """
 
     system: SiteSystem
@@ -597,6 +606,7 @@ class Sweep:
     _buckets: list
     visited: int
     bulk: int
+    nu_states: int
 
     def at(self, x: int) -> Totals:
         if x not in self.checkpoints:
@@ -630,8 +640,19 @@ def _normalize_descriptor(desc) -> tuple[tuple[int, int], ...]:
     return out
 
 
+def _add_shifted(poly: tuple, base: tuple, e: int) -> tuple:
+    """poly + t^e * base, truncated at the degree of poly.
+
+    A class's subset-count polynomial is the product over its sites of
+    1 + t + ... + t^e.  Pushing a site multiplies the saved polynomial
+    ``base`` by 1 + t, which is ``_add_shifted(base, base, 1)``; raising
+    that site's exponent to e adds ``base`` shifted by e.
+    """
+    return poly[:e] + tuple(map(add, poly[e:], base))
+
+
 def _walk(system, x, cps, descs, emit=None):
-    """The one DFS over sites: returns (buckets, visited, bulk).
+    """The one DFS over sites: returns (buckets, visited, bulk, nu_states).
 
     At a node of norm n, let lim = x // n.  Sites q with N(q)^2 <= lim may
     have descendants and are walked one by one.  A site with
@@ -642,12 +663,23 @@ def _walk(system, x, cps, descs, emit=None):
     counts the largest prime factor in Lagarias-Miller-Odlyzko.  Descriptor
     sites are always walked, because the g-products depend on them.
 
+    The node's state is updated in O(h) as sites are pushed and popped:
+    omega/Omega, each class's subset-count polynomial truncated at
+    ``max_type_component`` (see ``_add_shifted``) and, in full-walk mode,
+    the class distribution of the node's divisors, whose principal entry is
+    delta.  Each pushing frame saves what it replaces and restores it on
+    the way out.  nu depends only on the tuple of per-class polynomials, so
+    it is looked up in a memo local to this walk and summed over the types
+    only on a miss; ``nu_states`` is the number of distinct tuples met.  A
+    bulk-counted leaf's state is the node's, with its class's polynomial
+    times 1 + t.
+
     Given ``emit`` (full-walk mode), no leaf is counted in bulk and each
     principal ideal is passed on as ``emit(n, sites, exps, depth, Omega,
-    stats)``: the first ``depth`` entries of the walk's own stack lists
-    ``sites``/``exps`` are its stream positions and exponents, ascending,
-    and ``stats`` is its ``principal_stats`` tuple.  Ideals come in
-    lexicographic order of their factorization.
+    stats, delta)``: the first ``depth`` entries of the walk's own stack
+    lists ``sites``/``exps`` are its stream positions and exponents,
+    ascending, and ``stats`` is its ``principal_stats`` tuple.  Ideals come
+    in lexicographic order of their factorization.
     """
     norms = system._norms
     cls0 = system._cls0
@@ -656,8 +688,11 @@ def _walk(system, x, cps, descs, emit=None):
     inverse = [row.index(0) for row in cay]
     h = max(system.group.h, 1)
     sc = system.constants
-    types_tuples = tuple(tv.t for tv in sc.sorted_types)
-    types_set = set(types_tuples)
+    types_set = {tv.t for tv in sc.types}
+    # per type, its nonzero components as (class, t_i)
+    type_terms = tuple(
+        tuple((i, ti) for i, ti in enumerate(tv.t) if ti) for tv in sc.sorted_types
+    )
     maxt = sc.max_type_component
     nsites = len(norms)
     last = len(cps) - 1
@@ -677,33 +712,28 @@ def _walk(system, x, cps, descs, emit=None):
 
     omega = [0] * h
     Omega = [0] * h
+    polys = [(1,) + (0,) * m for m in maxt]
+    divisor_classes = [1] + [0] * (h - 1)
+    nu_memo: dict[tuple, int] = {}
     stack_site = [0] * 80
-    stack_cls = [0] * 80
     stack_exp = [0] * 80
-    by_class: list[list[int]] = [[] for _ in range(h)]
     visited = 0
     bulk = 0
 
-    def principal_stats(depth: int):
+    def principal_stats():
         """(nu, profile key, irreducible, g-products) of the node on the stack."""
-        if h == 1:
-            nuv = omega[0]
-        else:
-            for lst in by_class:
-                lst.clear()
-            for si in range(depth):
-                by_class[stack_cls[si]].append(stack_exp[si])
-            coeffs = [_bounded_subset_counts(by_class[i], maxt[i]) for i in range(h)]
+        key = tuple(polys)
+        nuv = nu_memo.get(key)
+        if nuv is None:
             nuv = 0
-            for t in types_tuples:
+            for terms in type_terms:
                 prod = 1
-                for i in range(h):
-                    ti = t[i]
-                    if ti:
-                        prod *= coeffs[i][ti]
-                        if not prod:
-                            break
+                for i, ti in terms:
+                    prod *= key[i][ti]
+                    if not prod:
+                        break
                 nuv += prod
+            nu_memo[key] = nuv
         m = 0
         for i in range(h):
             dv = Omega[i] - omega[i]
@@ -735,12 +765,12 @@ def _walk(system, x, cps, descs, emit=None):
         b = buckets[bisect_left(cps, n)]
         b.class_counts[c] += 1
         if not c:
-            stats = principal_stats(depth)
+            stats = principal_stats()
             tally(b, stats, 1, 1.0 / n)
             if emit is not None:
-                emit(n, stack_site, stack_exp, depth, Omega, stats)
+                emit(n, stack_site, stack_exp, depth, Omega, stats, divisor_classes[0])
 
-    def leaves(a: int, z: int, n: int, c: int, depth: int):
+    def leaves(a: int, z: int, n: int, c: int):
         """Bulk-count the leaves n*q for the sites q at stream positions
         [a, z), none of them a descriptor site, split at every checkpoint."""
         nonlocal bulk
@@ -764,13 +794,14 @@ def _walk(system, x, cps, descs, emit=None):
                     b.class_counts[row[cc]] += k
                     if cc == pc:
                         if leaf_stats is None:
+                            base = polys[pc]
+                            polys[pc] = _add_shifted(base, base, 1)
                             omega[pc] += 1
                             Omega[pc] += 1
-                            stack_cls[depth] = pc
-                            stack_exp[depth] = 1
-                            leaf_stats = principal_stats(depth + 1)
+                            leaf_stats = principal_stats()
                             omega[pc] -= 1
                             Omega[pc] -= 1
+                            polys[pc] = base
                         pre = inv_prefix[pc]
                         tally(b, leaf_stats, k, (pre[ib] - pre[ia]) / n)
                 lo = hi
@@ -778,16 +809,26 @@ def _walk(system, x, cps, descs, emit=None):
 
     def descend(j: int, n: int, c: int, depth: int):
         """Walk every node n*q^e (e >= 1) for site j, whose n*q <= x."""
+        nonlocal divisor_classes
         q = norms[j]
         cj = cls0[j]
         omega[cj] += 1
         Omega[cj] += 1
         stack_site[depth] = j
-        stack_cls[depth] = cj
         stack_exp[depth] = 1
         tracked = j in desc_set
         if tracked:
             present.add(j)
+        base = polys[cj]
+        polys[cj] = _add_shifted(base, base, 1)
+        top = maxt[cj]
+        # divisors of n*q^e: those of n times q^k, k <= e; slot g gains the
+        # count of slot g - k*cj, read through the row of the class of q^-k.
+        # Only full-walk mode reads delta, and the sweep is cheaper without.
+        dbase = divisor_classes
+        if emit is not None:
+            back = neg = inverse[cj]
+            divisor_classes = [v + dbase[s] for v, s in zip(dbase, cay[back])]
         e = 1
         n2 = n * q
         c2 = cay[c][cj]
@@ -801,8 +842,15 @@ def _walk(system, x, cps, descs, emit=None):
             stack_exp[depth] = e
             Omega[cj] += 1
             c2 = cay[c2][cj]
+            if e <= top:
+                polys[cj] = _add_shifted(polys[cj], base, e)
+            if emit is not None:
+                back = cay[back][neg]
+                divisor_classes = [v + dbase[s] for v, s in zip(divisor_classes, cay[back])]
         Omega[cj] -= e
         omega[cj] -= 1
+        polys[cj] = base
+        divisor_classes = dbase
         if tracked:
             present.discard(j)
 
@@ -822,18 +870,18 @@ def _walk(system, x, cps, descs, emit=None):
             if d >= end:
                 break
             if d > a:
-                leaves(a, d, n, c, depth)
+                leaves(a, d, n, c)
             descend(d, n, c, depth)
             a = d + 1
         if end > a:
-            leaves(a, end, n, c, depth)
+            leaves(a, end, n, c)
 
     visit(1, 0, 0)
     children(0, 1, 0, 0)
     # descend and children call each other: break the cycle, so the walk's
     # frame and whatever emit holds are freed without the cyclic GC
     descend = children = None
-    return buckets, visited, bulk
+    return buckets, visited, bulk, len(nu_memo)
 
 
 def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Sweep:
@@ -853,10 +901,10 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
     descs = tuple(_normalize_descriptor(d) for d in g_descriptors)
     for d in descs:
         for sid, _ in d:
-            if sid >= len(system.sites):
+            if not 0 <= sid < len(system.sites):
                 raise DomainError(f"descriptor site id {sid} out of range")
 
-    buckets, visited, bulk = _walk(system, x, cps, descs)
+    buckets, visited, bulk, nu_states = _walk(system, x, cps, descs)
     n_ideals = sum(sum(b.class_counts) for b in buckets)
     if visited + bulk != n_ideals:
         raise RuntimeError(
@@ -870,6 +918,7 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
         _buckets=buckets,
         visited=visited,
         bulk=bulk,
+        nu_states=nu_states,
     )
 
 
@@ -888,17 +937,14 @@ def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:
     norm-ascending with ties broken by the factorization.  Each row is built
     from the walk's state as its ideal is visited."""
     norms = system._norms
-    cls0 = system._cls0
-    cay = system.ordering.cayley()
     rows = []
 
-    def emit(n, sites, exps, depth, Omega, stats):
+    def emit(n, sites, exps, depth, Omega, stats, delta):
         nu, (omega, _), irred, _ = stats
         squarefull = 1
         for i in range(depth):
             if exps[i] >= 2:
                 squarefull *= norms[sites[i]] ** exps[i]
-        delta = _delta(((cls0[sites[i]], exps[i]) for i in range(depth)), cay)
         rows.append((n, 1, *omega, *Omega, nu, delta, int(irred), squarefull))
 
     _each_principal(system, x, emit)

@@ -243,9 +243,14 @@ def _ideal_norms_and_classes(system, x):
 
 @pytest.fixture(scope="module")
 def reference_walks():
-    """Cyclic, Z/2xZ/2 (-21, -30) and Z/2^3 (-105, -1155) fields and synthetic
-    Z/2xZ/4 and Z/3xZ/3 streams, each with its full reference census."""
-    systems = {d: census.for_field(d, REFERENCE_X) for d in (-5, -21, -30, -105, -1155)}
+    """Cyclic (-5, -23, -39, -47: Z/2 to Z/5), Z/2xZ/2 (-21, -30) and Z/2^3
+    (-105, -1155) fields and synthetic Z/2xZ/4 and Z/3xZ/3 streams, each with
+    its full reference census.  The Z/3, Z/4 and Z/5 fields truncate the
+    walk's subset-count polynomials at degrees 3 to 5."""
+    systems = {
+        d: census.for_field(d, REFERENCE_X)
+        for d in (-5, -21, -23, -30, -39, -47, -105, -1155)
+    }
     for orders in ((2, 4), (3, 3)):
         model = SynthModel(group=group_from_orders(orders), seed=29)
         systems[orders] = census.for_synth(model, REFERENCE_X)
@@ -257,6 +262,41 @@ def reference_walks():
         )
         for key, system in systems.items()
     }
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    exponents=st.lists(st.integers(1, 9), max_size=6),
+    max_degree=st.integers(0, 7),
+)
+def test_stack_polynomial_updates_match_subset_counts(exponents, max_degree):
+    # the walk pushes each site with exponent 1, then raises it one at a time
+    poly = (1,) + (0,) * max_degree
+    for i, e in enumerate(exponents):
+        base = poly
+        poly = census._add_shifted(base, base, 1)
+        for k in range(1, e + 1):
+            if k > 1:
+                poly = census._add_shifted(poly, base, k)
+            want = census._bounded_subset_counts(exponents[:i] + [k], max_degree)
+            assert list(poly) == want
+
+
+def test_sweeps_of_different_groups_keep_their_own_memo(reference_walks):
+    # a nu memo shared across walks would need a key that tells groups of
+    # the same order apart: Z/4 (-39) and Z/2xZ/2 (-21, -30), and Z/2^3
+    # (-105, -1155) and Z/2xZ/4, take turns in one process
+    for key in ("-39", "-30", "-39", "-21", "-105", "(2, 4)", "-1155", "(2, 4)"):
+        system, records, _ = reference_walks[key]
+        tot = census.sweep(system, REFERENCE_X).at(REFERENCE_X)
+        assert tot.nu_counts == Counter(rec.nu for _, rec in records)
+        assert tot.irreducible_count == sum(rec.is_irreducible for _, rec in records)
+
+
+def test_sweep_counters_anchor(sys5):
+    # integer anchors for the walk's own counters at d = -5, x = 1e4
+    swp = census.sweep(sys5, 10**4)
+    assert (swp.visited, swp.bulk, swp.nu_states) == (1214, 12833, 32)
 
 
 def _g_product(system, fact, desc):
@@ -434,9 +474,19 @@ def test_make_factorization_validation(sys5):
         census.make_factorization(sys5, [(0, 0)])
     with pytest.raises(DomainError):
         census.make_factorization(sys5, [(0, 1), (0, 1)])
+    for site_id in (-1, len(sys5.sites)):
+        with pytest.raises(DomainError):
+            census.make_factorization(sys5, [(site_id, 1)])
     fact = census.make_factorization(sys5, [(2, 1), (0, 1)])
     assert [e.site_id for e in fact.entries] == [0, 2]
     assert fact.norm == 6
+
+
+def test_sweep_rejects_descriptor_site_out_of_range(sys5):
+    # site -1 would alias the last site in a lookup but is never walked
+    for site_id in (-1, len(sys5.sites)):
+        with pytest.raises(DomainError):
+            census.sweep(sys5, 100, g_descriptors=(((site_id, 1),),))
 
 
 def test_x_beyond_limit_rejected(sys5):

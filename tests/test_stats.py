@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -119,6 +120,25 @@ def test_g_mean_small_sweep(sys5, sweep5):
     m_single, p_single = stats.g_mean_check(sys5, ((1, 1),), 10**4, sweep=sweep5)
     assert p_single == 0.0
     assert abs(m_single) < 0.05
+
+
+def test_g_mean_rejects_site_out_of_range(sys5, sweep5):
+    for site_id in (-1, len(sys5.sites)):
+        with pytest.raises(DomainError):
+            stats.g_mean_check(sys5, ((site_id, 1),), 10**4)
+        with pytest.raises(DomainError):
+            stats.g_mean_check(sys5, ((site_id, 1),), 10**4, sweep=sweep5)
+
+
+def test_report_ignores_walk_counters(sys5, sweep5):
+    # visited, bulk and nu_states describe the walk; no report byte reads them
+    report = stats.build_report(sys5, 10**4, m=2, sweep=sweep5)
+    scrambled = dataclasses.replace(sweep5, visited=-1, bulk=-1, nu_states=-1)
+    other = stats.build_report(sys5, 10**4, m=2, sweep=scrambled)
+    assert other.to_json() == report.to_json()
+    assert stats.histogram_csv(other.histogram_rows) == stats.histogram_csv(
+        report.histogram_rows
+    )
 
 
 def test_weber_small(sys5, sweep5):
