@@ -9,25 +9,28 @@ Ideals of norm <= x are enumerated by depth-first search over the prime
 sites in increasing norm order.  The walk keeps each node's state on its
 stack and updates it in O(h) per site pushed or exponent raised: the class,
 omega/Omega, each class's subset-count polynomial truncated at the largest
-type component of that class, and (in full-walk mode) the class
-distribution of the node's divisors, whose principal entry is delta.  nu
-is a sum over the types of products of those polynomials' coefficients, so
-it depends only on the tuple of polynomials; there are few distinct tuples,
-and the walk memoizes nu on them.  The irreducible-divisor count nu is also
+type component of that class, and (for the per-ideal callers below) the
+class distribution of the node's divisors, whose principal entry is delta.
+nu is a sum over the types of products of those polynomials' coefficients,
+so it depends only on the tuple of polynomials; there are few distinct
+tuples, and the walk memoizes nu on them.  The irreducible-divisor count nu is also
 computed three independent ways from a factorization (per-class subset-count
 products, exhaustive sub-multiset search, and a squarefull/squarefree
 split), which the tests hold to exact agreement with each other and with
 the walk.
 
-``_walk`` is the one DFS over sites.  ``sweep`` aggregates the report
-statistics in one pass of it that walks one by one only the nodes that can
-have children; the leaves n*q whose last prime q satisfies N(q)^2 > x // n
-(about 99% of all ideals at x = 1e7) are counted in bulk per class from
-per-class prefix tables.  In full-walk mode every ideal is visited:
+``_walk`` is the one DFS over sites, and every caller runs the same walk.
+It visits one by one only the nodes that can have children; the leaves n*q
+whose last prime q satisfies N(q)^2 > x // n (about 99% of all ideals at
+x = 1e7) are counted in bulk per class from per-class prefix tables.
+``sweep`` aggregates the report statistics from that pass.  The per-ideal
+callers also get each principal ideal one by one, walked nodes and leaves
+alike; a principal leaf's row is its node's state with one more prime of
+the class inverse to the node's, so no non-principal leaf is ever touched.
 ``census_rows`` (the census CSV, one walk and one sort) builds its rows
-from the walk's state and ``harmonic_sums`` sums 1/N.
-``enumerate_principal`` takes only the factorizations from the walk and
-computes each field with the oracle functions, as the reference for both.
+from that state and ``harmonic_sums`` sums 1/N.  ``enumerate_principal``
+takes only the factorizations from the walk and computes each field with
+the oracle functions, as the reference for both.
 """
 
 from __future__ import annotations
@@ -418,13 +421,11 @@ def _check_bound(system: SiteSystem, x: int):
         raise DomainError(f"x={x} exceeds the site stream limit {system.limit}")
 
 
-def _each_principal(system: SiteSystem, x: int, emit) -> _Bucket:
-    """Run ``_walk`` in full-walk mode: every ideal of norm <= x is visited
-    one by one and ``emit`` is called on each principal one.  Returns the
-    walk's single bucket."""
+def _each_principal(system: SiteSystem, x: int, emit):
+    """Run ``_walk`` to x, calling ``emit`` on each principal ideal of norm
+    <= x in lexicographic order of its factorization."""
     _check_bound(system, x)
-    buckets, _, _, _ = _walk(system, x, (x,), (), emit)
-    return buckets[0]
+    _walk(system, x, (x,), (), emit)
 
 
 def enumerate_principal(
@@ -432,9 +433,11 @@ def enumerate_principal(
 ) -> Iterator[tuple[Factorization, CensusRecord]]:
     """Every principal ideal of norm <= x, DFS order, fully populated.
 
-    Only the factorizations come from the walk; every record field is
-    computed from the factorization by the oracle functions, so this is an
-    independent reference for ``sweep`` and ``census_rows``.
+    Only the factorizations come from the walk, the principal leaves among
+    them from its bulk leaf ranges; every record field is computed from the
+    factorization by the oracle functions, so this is an independent
+    reference for ``sweep`` and ``census_rows``.  The tests hold the
+    factorizations themselves to a plain recursive walk.
     """
     norms = system._norms
     cls0 = system._cls0
@@ -481,21 +484,25 @@ class HarmonicSums:
 def harmonic_sums(system: SiteSystem, x: int, exact: bool = False) -> HarmonicSums:
     """Reciprocal-norm sums over principal and over irreducible ideals.
 
-    The ideals are walked one by one, never counted in bulk, so this stays a
-    reference for ``sweep``.  ``exact=True`` accumulates Fractions (only
-    sensible for small x).
+    Each principal ideal's 1/N is added on its own, in walk order, never
+    taken from the bulk prefix sums, so this stays a reference for
+    ``sweep``.  ``exact=True`` accumulates Fractions (only sensible for
+    small x).
     """
-    exact_sums = [Fraction(0), Fraction(0)]
+    one = Fraction(1) if exact else 1.0
+    principal, irreducible = (_Exact(), _Exact()) if exact else (_Kahan(), _Kahan())
+    count = 0
 
-    def add_exact(n, sites, exps, depth, Omega, stats, delta):
-        exact_sums[0] += Fraction(1, n)
+    def emit(n, sites, exps, depth, Omega, stats, delta):
+        nonlocal count
+        v = one / n
+        principal.add(v)
         if stats[2]:
-            exact_sums[1] += Fraction(1, n)
+            irreducible.add(v)
+            count += 1
 
-    b = _each_principal(system, x, add_exact if exact else lambda *row: None)
-    if exact:
-        return HarmonicSums(exact_sums[0], exact_sums[1], b.irred_count)
-    return HarmonicSums(b.harm_principal.value, b.harm_irred.value, b.irred_count)
+    _each_principal(system, x, emit)
+    return HarmonicSums(principal.value, irreducible.value, count)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +533,18 @@ class _Kahan:
     @property
     def value(self) -> float:
         return self.s + self.c
+
+
+class _Exact:
+    """A Fraction sum with the ``add``/``value`` interface of ``_Kahan``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = Fraction(0)
+
+    def add(self, v: Fraction):
+        self.value += v
 
 
 class _Bucket:
@@ -665,8 +684,8 @@ def _walk(system, x, cps, descs, emit=None):
 
     The node's state is updated in O(h) as sites are pushed and popped:
     omega/Omega, each class's subset-count polynomial truncated at
-    ``max_type_component`` (see ``_add_shifted``) and, in full-walk mode,
-    the class distribution of the node's divisors, whose principal entry is
+    ``max_type_component`` (see ``_add_shifted``) and, given ``emit``, the
+    class distribution of the node's divisors, whose principal entry is
     delta.  Each pushing frame saves what it replaces and restores it on
     the way out.  nu depends only on the tuple of per-class polynomials, so
     it is looked up in a memo local to this walk and summed over the types
@@ -674,12 +693,18 @@ def _walk(system, x, cps, descs, emit=None):
     bulk-counted leaf's state is the node's, with its class's polynomial
     times 1 + t.
 
-    Given ``emit`` (full-walk mode), no leaf is counted in bulk and each
-    principal ideal is passed on as ``emit(n, sites, exps, depth, Omega,
-    stats, delta)``: the first ``depth`` entries of the walk's own stack
-    lists ``sites``/``exps`` are its stream positions and exponents,
-    ascending, and ``stats`` is its ``principal_stats`` tuple.  Ideals come
-    in lexicographic order of their factorization.
+    Given ``emit``, each principal ideal is also passed on as ``emit(n,
+    sites, exps, depth, Omega, stats, delta)``: the first ``depth`` entries
+    of the walk's own stack lists ``sites``/``exps`` are its stream
+    positions and exponents, ascending, and ``stats`` is its
+    ``principal_stats`` tuple.  A walked node is passed on when visited.
+    The leaves of one bulk range that are principal (their site's class is
+    inverse to the node's) share every field but the norm: after the range
+    is counted, they are passed on one by one in ascending stream position,
+    each with its site pushed on the stack, all with one ``stats`` tuple,
+    and with delta = the node's divisors of the principal class plus those
+    of the node's class.  So ideals come in lexicographic order of their
+    factorization.
     """
     norms = system._norms
     cls0 = system._cls0
@@ -770,9 +795,10 @@ def _walk(system, x, cps, descs, emit=None):
             if emit is not None:
                 emit(n, stack_site, stack_exp, depth, Omega, stats, divisor_classes[0])
 
-    def leaves(a: int, z: int, n: int, c: int):
+    def leaves(a: int, z: int, n: int, c: int, depth: int):
         """Bulk-count the leaves n*q for the sites q at stream positions
-        [a, z), none of them a descriptor site, split at every checkpoint."""
+        [a, z), none of them a descriptor site, split at every checkpoint;
+        then pass the principal ones to ``emit``, if given."""
         nonlocal bulk
         bulk += z - a
         row = cay[c]
@@ -806,6 +832,17 @@ def _walk(system, x, cps, descs, emit=None):
                         tally(b, leaf_stats, k, (pre[ib] - pre[ia]) / n)
                 lo = hi
             i += 1
+        if emit is not None and leaf_stats is not None:
+            pos = positions[pc]
+            delta = divisor_classes[0] + divisor_classes[c]
+            # emit reads omega from leaf_stats, and Omega from the list
+            Omega[pc] += 1
+            stack_exp[depth] = 1
+            ia = bisect_left(pos, a)
+            for j in pos[ia : bisect_left(pos, z, ia)]:
+                stack_site[depth] = j
+                emit(n * norms[j], stack_site, stack_exp, depth + 1, Omega, leaf_stats, delta)
+            Omega[pc] -= 1
 
     def descend(j: int, n: int, c: int, depth: int):
         """Walk every node n*q^e (e >= 1) for site j, whose n*q <= x."""
@@ -824,7 +861,7 @@ def _walk(system, x, cps, descs, emit=None):
         top = maxt[cj]
         # divisors of n*q^e: those of n times q^k, k <= e; slot g gains the
         # count of slot g - k*cj, read through the row of the class of q^-k.
-        # Only full-walk mode reads delta, and the sweep is cheaper without.
+        # Only emit reads delta, and the sweep is cheaper without.
         dbase = divisor_classes
         if emit is not None:
             back = neg = inverse[cj]
@@ -862,7 +899,7 @@ def _walk(system, x, cps, descs, emit=None):
         if norms[start] > lim:
             return
         end = bisect_right(norms, lim, start)
-        split = end if emit is not None else bisect_right(norms, math.isqrt(lim), start, end)
+        split = bisect_right(norms, math.isqrt(lim), start, end)
         for j in range(start, split):
             descend(j, n, c, depth)
         a = split
@@ -870,11 +907,11 @@ def _walk(system, x, cps, descs, emit=None):
             if d >= end:
                 break
             if d > a:
-                leaves(a, d, n, c)
+                leaves(a, d, n, c, depth)
             descend(d, n, c, depth)
             a = d + 1
         if end > a:
-            leaves(a, end, n, c)
+            leaves(a, end, n, c, depth)
 
     visit(1, 0, 0)
     children(0, 1, 0, 0)
@@ -935,17 +972,27 @@ def census_header(h: int) -> str:
 def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:
     """The census rows as int tuples in ``census_header`` column order,
     norm-ascending with ties broken by the factorization.  Each row is built
-    from the walk's state as its ideal is visited."""
+    from the walk's state as ``_walk`` passes its ideal on, whether a walked
+    node or a principal leaf of a bulk range."""
     norms = system._norms
     rows = []
+    append = rows.append
+    last = tail = None
 
     def emit(n, sites, exps, depth, Omega, stats, delta):
-        nu, (omega, _), irred, _ = stats
-        squarefull = 1
-        for i in range(depth):
-            if exps[i] >= 2:
-                squarefull *= norms[sites[i]] ** exps[i]
-        rows.append((n, 1, *omega, *Omega, nu, delta, int(irred), squarefull))
+        # the walk passes the principal leaves of one bulk range with one
+        # shared stats tuple, and they share every column but the norm; a
+        # walked node's stats tuple is its own
+        nonlocal last, tail
+        if stats is not last:
+            nu, (omega, _), irred, _ = stats
+            squarefull = 1
+            for i in range(depth):
+                if exps[i] >= 2:
+                    squarefull *= norms[sites[i]] ** exps[i]
+            last = stats
+            tail = (1, *omega, *Omega, nu, delta, int(irred), squarefull)
+        append((n, *tail))
 
     _each_principal(system, x, emit)
     # the walk is lexicographic in the factorization, so a stable sort by
@@ -958,7 +1005,9 @@ def write_census_csv(system: SiteSystem, x: int, out) -> int:
     """Write the principal-ideal census, one row per principal ideal, in
     ``census_rows`` order.  Returns the row count."""
     rows = census_rows(system, x)
-    out.write(census_header(system.group.h) + "\n")
+    header = census_header(system.group.h)
+    out.write(header + "\n")
+    line = ",".join(["%d"] * (header.count(",") + 1)) + "\n"
     for row in rows:
-        out.write(",".join(map(str, row)) + "\n")
+        out.write(line % row)
     return len(rows)

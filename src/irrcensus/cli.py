@@ -163,11 +163,16 @@ def _group_spec(cmd: Command) -> abelian.GroupSpec:
     return abelian.group_from_orders(cmd.group)
 
 
+def _stream_limit(x: int) -> int:
+    """The site stream needs a limit >= 2; x = 1 has only the unit ideal."""
+    return max(x, 2)
+
+
 def _system(cmd: Command) -> census.SiteSystem:
     if cmd.d is not None:
-        return census.for_field(cmd.d, cmd.x)
+        return census.for_field(cmd.d, _stream_limit(cmd.x))
     model = SynthModel(group=_group_spec(cmd), seed=cmd.seed)
-    return census.for_synth(model, cmd.x)
+    return census.for_synth(model, _stream_limit(cmd.x))
 
 
 def _run_constants(cmd: Command) -> int:
@@ -309,7 +314,7 @@ SELFTEST_FIELDS = (-5, -23, -14, -30)
 def _run_selftest(cmd: Command) -> int:
     failures = 0
     for d in SELFTEST_FIELDS:
-        system = census.for_field(d, cmd.x)
+        system = census.for_field(d, _stream_limit(cmd.x))
         sc = system.constants
         checked = mismatched = 0
         for fact, record in census.enumerate_principal(system, cmd.x):

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import io
+import json
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -9,7 +11,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irrcensus import census
+from irrcensus import census, cli
 from irrcensus.abelian import TypeVector
 from irrcensus.errors import DomainError, ResourceLimitError
 from irrcensus.synth import SynthModel
@@ -219,26 +221,33 @@ REFERENCE_X = 2 * 10**4
 
 
 def _ideal_norms_and_classes(system, x):
-    """(norm, 0-based class) of every ideal of norm <= x, by a plain
-    recursive walk that visits each ideal."""
+    """A plain recursive walk that visits each ideal of norm <= x.
+
+    Returns (norm, 0-based class) of every ideal, and (norm, ((site,
+    exponent), ...)) of every principal one, both in lexicographic order of
+    the factorization."""
     cay = system.ordering.cayley()
     sites = system.sites
-    out = []
+    ideals = []
+    principal = []
 
-    def rec(start, n, c):
-        out.append((n, c))
+    def rec(start, n, c, factors):
+        ideals.append((n, c))
+        if c == 0:
+            principal.append((n, factors))
         for j in range(start, len(sites)):
             q = sites[j].norm
             if n * q > x:
                 break
-            m, cm = n, c
+            m, cm, e = n, c, 0
             while m * q <= x:
                 m *= q
+                e += 1
                 cm = cay[cm][sites[j].class_index - 1]
-                rec(j + 1, m, cm)
+                rec(j + 1, m, cm, factors + ((j, e),))
 
-    rec(0, 1, 0)
-    return out
+    rec(0, 1, 0, ())
+    return ideals, principal
 
 
 @pytest.fixture(scope="module")
@@ -258,10 +267,21 @@ def reference_walks():
         str(key): (
             system,
             list(census.enumerate_principal(system, REFERENCE_X)),
-            _ideal_norms_and_classes(system, REFERENCE_X),
+            *_ideal_norms_and_classes(system, REFERENCE_X),
         )
         for key, system in systems.items()
     }
+
+
+def test_enumerate_principal_matches_plain_walk(reference_walks):
+    # enumerate_principal takes its principal leaves from the same bulk
+    # ranges as sweep and census_rows; the plain walk visits every ideal
+    for system, records, _, principal in reference_walks.values():
+        got = [
+            (fact.norm, tuple((en.site_id, en.exponent) for en in fact.entries))
+            for fact, _ in records
+        ]
+        assert got == principal
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -287,7 +307,7 @@ def test_sweeps_of_different_groups_keep_their_own_memo(reference_walks):
     # the same order apart: Z/4 (-39) and Z/2xZ/2 (-21, -30), and Z/2^3
     # (-105, -1155) and Z/2xZ/4, take turns in one process
     for key in ("-39", "-30", "-39", "-21", "-105", "(2, 4)", "-1155", "(2, 4)"):
-        system, records, _ = reference_walks[key]
+        system, records, _, _ = reference_walks[key]
         tot = census.sweep(system, REFERENCE_X).at(REFERENCE_X)
         assert tot.nu_counts == Counter(rec.nu for _, rec in records)
         assert tot.irreducible_count == sum(rec.is_irreducible for _, rec in records)
@@ -312,7 +332,7 @@ def _g_product(system, fact, desc):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(data=st.data())
 def test_sweep_matches_reference_walk(reference_walks, data):
-    system, records, ideals = reference_walks[
+    system, records, ideals, _ = reference_walks[
         data.draw(st.sampled_from(sorted(reference_walks)), label="system")
     ]
     x = data.draw(st.integers(1, REFERENCE_X), label="x")
@@ -379,7 +399,7 @@ def _record_row(rec):
 def test_census_rows_match_enumeration(reference_walks, x):
     # the rows take nu, omega and irreducibility from the walk's state; the
     # records compute every field from the factorization with the oracles
-    for system, records, _ in reference_walks.values():
+    for system, records, _, _ in reference_walks.values():
         want = sorted(
             (_record_row(rec) for _, rec in records if rec.norm <= x), key=itemgetter(0)
         )
@@ -390,7 +410,7 @@ def test_census_rows_match_enumeration(reference_walks, x):
 def test_harmonic_sums_walk_every_ideal(reference_walks, x):
     # bit-equal to a sum in walk order: a bulk-counted sum differs in the
     # last bit on some of these systems
-    for system, records, _ in reference_walks.values():
+    for system, records, _, _ in reference_walks.values():
         principal, irreducible = census._Kahan(), census._Kahan()
         count = 0
         for _, rec in records:
@@ -402,6 +422,32 @@ def test_harmonic_sums_walk_every_ideal(reference_walks, x):
         hs = census.harmonic_sums(system, x)
         assert hs.principal.hex() == principal.value.hex()
         assert hs.irreducible.hex() == irreducible.value.hex()
+        assert hs.irreducible_count == count
+
+
+def test_small_x_principal_rows_and_harmonic_sums(sys5):
+    # x = 1..300, where the bulk leaf ranges are shortest or empty: the row
+    # count against the norm form, the harmonic sums bit-equal to a sum in
+    # plain-walk order, and the irreducible count against the oracle
+    _, principal = _ideal_norms_and_classes(sys5, 300)
+    sc = sys5.constants
+    irreducible = [
+        bool(factors) and census.is_irreducible(census.make_factorization(sys5, factors), sc)
+        for _, factors in principal
+    ]
+    for x in range(1, 301):
+        assert len(census.census_rows(sys5, x)) == principal_count_by_norm_form(-5, x, 2)
+        want_p, want_i = census._Kahan(), census._Kahan()
+        count = 0
+        for (n, _), irred in zip(principal, irreducible):
+            if n <= x:
+                want_p.add(1.0 / n)
+                if irred:
+                    want_i.add(1.0 / n)
+                    count += 1
+        hs = census.harmonic_sums(sys5, x)
+        assert hs.principal.hex() == want_p.value.hex()
+        assert hs.irreducible.hex() == want_i.value.hex()
         assert hs.irreducible_count == count
 
 
@@ -420,6 +466,12 @@ def test_walks_leave_no_garbage(sys5):
         census.sweep(sys5, 10**3)
         assert gc.collect() == 0
         census.census_rows(sys5, 10**3)
+        assert gc.collect() == 0
+        census.harmonic_sums(sys5, 10**3)
+        assert gc.collect() == 0
+        census.harmonic_sums(sys5, 10**3, exact=True)
+        assert gc.collect() == 0
+        list(census.enumerate_principal(sys5, 10**3))
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -467,6 +519,36 @@ def test_census_csv_golden_small(sys5):
         "9,1,0,1,0,2,1,2,1,9\n"
         "9,1,0,1,0,2,1,2,1,9\n"
     )
+
+
+CENSUS_GOLDEN = {
+    # census CLI source, x, row count, SHA-256 of the write_census_csv bytes
+    "-5": (("--field", "-5"), 2 * 10**4, 14046,
+           "aacdf8f3a49c6ed104744a5955f06a0e50aa241461ee7629a8a569cde74f6cfd"),
+    "-1155": (("--field", "-1155"), 3 * 10**4, 2786,
+              "7ff3643a6fcf2ec481a7858d0f44fe8c3a8ec5b22d8f9db0bc7d34291f8d0230"),
+    "2,4": (("--group", "2,4", "--seed", "11"), 2 * 10**4, 2523,
+            "6f3a2fa0989b52aafad4602578896362a5af6b7cd44f82cfcdd433ecc80e010e"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CENSUS_GOLDEN))
+def test_census_csv_golden_sha256(key, capsys):
+    source, x, n_rows, digest = CENSUS_GOLDEN[key]
+    argv = ["census", *source, "--x", str(x)]
+    system = cli._system(cli.parse(argv))
+    buf = io.StringIO()
+    assert census.write_census_csv(system, x, buf) == n_rows
+    text = buf.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the CLI writes the same bytes, and its JSON carries the same rows
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == text
+    assert cli.main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lines = text.splitlines()
+    assert payload["schema"] == lines[0].split(",")
+    assert payload["rows"] == [[int(v) for v in line.split(",")] for line in lines[1:]]
 
 
 def test_make_factorization_validation(sys5):

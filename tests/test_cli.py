@@ -108,6 +108,25 @@ def test_census_json_format(capsys):
     assert payload["rows"] == [[int(v) for v in line.split(",")] for line in lines[1:]]
 
 
+@pytest.mark.parametrize(
+    "source", [["--field", "-5"], ["--group", "2,4", "--seed", "3"]]
+)
+def test_census_x1_is_the_unit_row(source, capsys):
+    # the site stream is built to 2 at least; x = 1 has only the unit ideal
+    assert cli.main(["census", *source, "--x", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    h = header.count("omega_")
+    assert header.startswith("norm,class,omega_1")
+    assert rows == [",".join(["1", "1"] + ["0"] * (2 * h + 1) + ["1", "0", "1"])]
+
+
+def test_equidist_and_selftest_accept_x1(capsys):
+    assert cli.main(["equidist", "--field", "-5", "--x", "1", "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_principal"] == 1
+    assert cli.main(["selftest", "--x", "1"]) == 0
+    assert capsys.readouterr().out.count(": 1 principal ideals, ok") == len(cli.SELFTEST_FIELDS)
+
+
 def test_equidist_counts_sum(capsys):
     assert cli.main(["equidist", "--field", "-5", "--x", "10000", "--m", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
