@@ -106,6 +106,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# smallest --x each subcommand can report on: ek standardizes by log log x
+# (x >= 16), moments divides by log log x (x >= 3 > e), check runs
+# landau_check (x >= 3); the rest accept any x >= 1
+_MIN_X = {"ek": 16, "moments": 3, "check": 3}
+
+
 def parse(argv) -> Command:
     """Parse an argument vector into a validated Command (never exits)."""
     ns = build_parser().parse_args(argv)
@@ -124,8 +130,9 @@ def parse(argv) -> Command:
             cmd.kappa = tuple(float(v) for v in ns.kappa.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --kappa value {ns.kappa!r}") from exc
-    if cmd.x is not None and cmd.x < 1:
-        raise UsageError("--x must be >= 1")
+    min_x = _MIN_X.get(cmd.subcommand, 1)
+    if cmd.x is not None and cmd.x < min_x:
+        raise UsageError(f"--x must be >= {min_x} for {cmd.subcommand}")
     needs_stream = cmd.subcommand in ("census", "ek", "equidist", "moments", "check")
     if needs_stream and cmd.group is not None and cmd.seed is None:
         raise UsageError("synthetic streams require an explicit --seed")

@@ -2,9 +2,14 @@
 
 One segmented sieve produces the primes; the scalar helpers (``is_prime``,
 ``kronecker_prime``, ``sqrt_mod_prime``) serve single primes, and their
-array counterparts (``pow_mod``, ``sqrt_mod_primes``) serve whole prime
-columns at once.  The array helpers work in int64 and need every modulus
-below 2**31, so that products of two residues stay below 2**62.
+array counterparts (``kronecker_primes``, ``sqrt_mod_primes``, both on
+``pow_mod``) serve whole prime columns at once.  The array helpers spend
+at most one exponentiation per prime: ``kronecker_primes`` factors the
+symbol into genus characters, each a power on a fixed small modulus, and
+``sqrt_mod_primes`` splits the primes by p mod 8 into a^((p+1)/4), Atkin's
+root and Tonelli-Shanks with its non-residue read off a reciprocity table.
+They work in int64 and need every modulus below 2**31, so that products of
+two residues stay below 2**62.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .abelian import _factorize
 from .errors import DomainError
 
 SEGMENT_SIZE = 1 << 20
@@ -129,9 +135,22 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base**exp % mod for int64 arrays (exp >= 0, 1 < mod < 2**31)."""
+def pow_mod(base: np.ndarray, exp, mod) -> np.ndarray:
+    """Elementwise base**exp % mod for int64 arrays (exp >= 0, 1 < mod < 2**31).
+
+    ``exp`` and ``mod`` may also be ints shared by every lane; a shared
+    exponent multiplies in only at its set bits, with no per-lane mask.
+    """
     base = base % mod
+    if isinstance(exp, int):
+        out = np.ones_like(base)
+        while exp:
+            if exp & 1:
+                out = out * base % mod
+            exp >>= 1
+            if exp:
+                base = base * base % mod
+        return out
     exp = exp.copy()
     out = np.ones_like(base)
     while True:
@@ -143,21 +162,76 @@ def pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         base = base * base % mod
 
 
-def sqrt_mod_primes(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A square root of each a modulo the odd prime p (int64 arrays).
+# (c / p) for c = 1, -4, 8, -8 and odd p, indexed by p mod 8
+_TWO_PART_SIGNS = {
+    1: (0, 1, 0, 1, 0, 1, 0, 1),
+    -4: (0, 1, 0, -1, 0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
 
-    Every a must be a nonzero quadratic residue.  Lanes with p = 3 (mod 4)
-    take a^((p+1)/4); the others run Tonelli-Shanks with the smallest
-    non-residue, each lane leaving the loops once its own root is found.
+
+def kronecker_primes(disc: int, p: np.ndarray) -> np.ndarray:
+    """Kronecker symbols (disc / p) as int8 for an int64 array of primes p.
+
+    ``disc`` must be a fundamental discriminant: a product of one of
+    1, -4, 8, -8 and q* = (-1)^((q-1)/2) q for distinct odd primes q.  The
+    symbol is multiplicative in disc, so for odd p it is a lookup on p mod 8
+    times, by reciprocity, (q* / p) = (p / q) = (p mod q)^((q-1)/2) mod q per
+    q: log2 q squarings on a fixed modulus rather than log2 p per prime.
     """
-    a = a % p
-    root = np.empty_like(a)
-    easy = p % 4 == 3
-    root[easy] = pow_mod(a[easy], (p[easy] + 1) // 4, p[easy])
-    hard = np.flatnonzero(~easy)
-    if not hard.size:
-        return root
-    a, p = a[hard], p[hard]
+    odd = {q: e for q, e in _factorize(abs(disc)).items() if q > 2}
+    qstar = math.prod(q if q % 4 == 1 else -q for q in odd)
+    two_part = disc // qstar
+    if any(e > 1 for e in odd.values()) or two_part not in _TWO_PART_SIGNS:
+        raise DomainError(f"{disc} is not a fundamental discriminant")
+    out = np.array(_TWO_PART_SIGNS[two_part], dtype=np.int8)[p & 7]
+    for q in odd:
+        chi = pow_mod(p % q, (q - 1) // 2, q)  # 1, q - 1 or 0 (at p = q)
+        np.negative(out, out=out, where=chi == q - 1)
+        out[chi == 0] = 0
+    out[p == 2] = kronecker_prime(disc, 2)
+    return out
+
+
+# odd primes z with their non-squares mod z, the table behind _nonresidues;
+# for p < 2**30 the least non-residue is at most 83
+_NONSQUARES = tuple(
+    (z, np.array([pow(v, (z - 1) // 2, z) == z - 1 for v in range(z)]))
+    for z in range(3, 100, 2) if is_prime(z)
+)
+
+
+def _nonresidues(p: np.ndarray) -> np.ndarray:
+    """The least quadratic non-residue mod each prime p = 1 (mod 8).
+
+    2 is a residue there, and for an odd prime z reciprocity gives
+    (z / p) = (p / z), so z is a non-residue exactly when p mod z is a
+    non-square mod z: one lookup per table prime, on the lanes still open.
+    Lanes past the table fall back to Euler's criterion on the integers
+    after it.
+    """
+    z = np.zeros_like(p)
+    todo = np.arange(p.size)
+    candidate = 2
+    for candidate, nonsquare in _NONSQUARES:
+        if not todo.size:
+            return z
+        hit = nonsquare[p[todo] % candidate]
+        z[todo[hit]] = candidate
+        todo = todo[~hit]
+    while todo.size:
+        candidate += 1
+        pt = p[todo]
+        hit = pow_mod(np.full_like(pt, candidate), (pt - 1) // 2, pt) == pt - 1
+        z[todo[hit]] = candidate
+        todo = todo[~hit]
+    return z
+
+
+def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Square roots of the residues a modulo primes p = 1 (mod 8), each lane
+    leaving the loops once its own root is found."""
     # p - 1 = q * 2^s with q odd
     q, s = p - 1, np.zeros_like(p)
     even = (q & 1) == 0
@@ -165,16 +239,10 @@ def sqrt_mod_primes(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         q = np.where(even, q >> 1, q)
         s += even
         even = (q & 1) == 0
-    z = np.zeros_like(p)
-    todo = np.arange(p.size)
-    candidate = 2
-    while todo.size:
-        pt = p[todo]
-        nonresidue = pow_mod(np.full_like(pt, candidate), (pt - 1) // 2, pt) == pt - 1
-        z[todo[nonresidue]] = candidate
-        todo = todo[~nonresidue]
-        candidate += 1
-    m, c, t, r = s, pow_mod(z, q, p), pow_mod(a, q, p), pow_mod(a, (q + 1) // 2, p)
+    # one exponentiation gives both r = a^((q+1)/2) and t = a^q
+    u = pow_mod(a, (q - 1) >> 1, p)
+    r = u * a % p
+    m, c, t = s, pow_mod(_nonresidues(p), q, p), u * r % p
     active = np.flatnonzero(t != 1)
     while active.size:
         pa, ta = p[active], t[active]
@@ -197,5 +265,28 @@ def sqrt_mod_primes(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         t[active] = tn = ta * cc % pa
         r[active] = r[active] * b % pa
         active = active[tn != 1]
-    root[hard] = r
+    return r
+
+
+def sqrt_mod_primes(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A square root of each a modulo the odd prime p (int64 arrays).
+
+    Every a must be a nonzero quadratic residue.  Lanes split by p mod 8:
+    p = 3 (mod 4) takes a^((p+1)/4); p = 5 (mod 8) takes Atkin's root
+    a v (i - 1) with v = (2a)^((p-5)/8) and i = 2a v^2, a square root of -1;
+    p = 1 (mod 8) runs Tonelli-Shanks.
+    """
+    a = a % p
+    root = np.empty_like(a)
+    low = p & 7
+    lanes = np.flatnonzero((low & 3) == 3)
+    root[lanes] = pow_mod(a[lanes], (p[lanes] + 1) >> 2, p[lanes])
+    lanes = np.flatnonzero(low == 5)
+    al, pl = a[lanes], p[lanes]
+    a2 = 2 * al % pl
+    v = pow_mod(a2, (pl - 5) >> 3, pl)
+    i = a2 * v % pl * v % pl
+    root[lanes] = al * v % pl * (i - 1) % pl
+    lanes = np.flatnonzero(low == 1)
+    root[lanes] = _tonelli_shanks(a[lanes], p[lanes])
     return root

@@ -6,13 +6,15 @@ composition, principality of an ideal is decidable by form reduction, the
 unit group is finite, and the regulator is 1.
 
 The prime-site stream is built in one vectorized pass over an int64 prime
-array (Cohen, GTM 138, ch. 1 and 5): ``disc % p`` finds the ramified
-primes, Euler's criterion by masked modpow the split ones, masked
-Tonelli-Shanks their square roots, and a masked reduction loop the class of
-each site's form.  The result is a ``SiteColumns``, a column store that is
-also a lazy read-only sequence of ``PrimeSite``.  The scalar helpers
-(``splitting_type``, ``sqrt_mod_prime``, ``reduce_form``) stay as the
-per-prime reference the tests hold the columns to.
+array (Cohen, GTM 138, ch. 1 and 5): the Kronecker symbol as a product of
+genus characters finds the ramified and split primes, square roots mod p
+by p mod 8 (a^((p+1)/4), Atkin's root, or Tonelli-Shanks with a
+reciprocity-table non-residue) give the split primes' forms, and a masked
+reduction loop the class of each site's form.  The result is a
+``SiteColumns``, a column store that is also a lazy read-only sequence of
+``PrimeSite``.  The scalar helpers (``splitting_type``, ``sqrt_mod_prime``,
+``reduce_form``) stay as the per-prime reference the tests hold the
+columns to.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .abelian import ClassOrdering, GroupSpec, _factorize, canonical_ordering
 from .errors import DomainError, ResourceLimitError
-from .primes import is_prime, kronecker_prime, pow_mod, prime_array, sqrt_mod_primes
+from .primes import is_prime, kronecker_prime, kronecker_primes, prime_array, sqrt_mod_primes
 
 DEFAULT_MAX_DISCRIMINANT = 10**7
 DEFAULT_MAX_SITE_NORM = 10**8
@@ -508,30 +510,26 @@ def _form_classes(cg: ClassGroup, p, b) -> np.ndarray:
 def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     """The site columns of Q(sqrt(d)) up to norm ``limit``, sorted by (norm, b).
 
-    One pass over the prime array: p | disc marks the ramified primes,
-    Euler's criterion (or disc mod 8 at p = 2) the split ones, and a split
-    prime's two sites take the square roots b in [0, 2p) of disc mod 4p, the
-    smaller first.  Each site's class is that of the reduced form
+    One pass over the prime array: the Kronecker symbol (disc/p), a product
+    of genus characters, marks the ramified (0) and split (1) primes, and a
+    split prime's two sites take the square roots b in [0, 2p) of disc mod
+    4p, the smaller first.  Each site's class is that of the reduced form
     (p, b, (b^2 - disc) / 4p); an inert prime p <= sqrt(limit) gives one
     principal site of norm p^2.
     """
     disc = cg.field.discriminant
     p = prime_array(limit)
-    r = disc % p
-    ramified = r == 0
-    odd = ~ramified & (p > 2)
-    split = np.zeros(p.size, dtype=bool)
-    split[odd] = pow_mod(r[odd], (p[odd] - 1) // 2, p[odd]) == 1
-    if not ramified[0]:  # p[0] = 2: the Kronecker symbol (disc/2)
-        split[0] = disc % 8 in (1, 7)
-    inert = ~(ramified | split) & (p <= math.isqrt(limit))
+    kron = kronecker_primes(disc, p)
+    ramified = kron == 0
+    split = kron == 1
+    inert = (kron < 0) & (p <= math.isqrt(limit))
 
     p_ram = p[ramified]
     b_ram = np.where(p_ram == 2, 0 if disc % 8 == 0 else 2, p_ram if disc % 2 else 0)
     p_split = p[split]
     root = np.ones_like(p_split)  # 1 is the root at p = 2
     odd_split = p_split > 2
-    root[odd_split] = sqrt_mod_primes(r[split][odd_split], p_split[odd_split])
+    root[odd_split] = sqrt_mod_primes(disc % p_split[odd_split], p_split[odd_split])
     b1 = np.where((root - disc) % 2 == 0, root, root + p_split)
     b_lo, b_hi = np.minimum(b1, 2 * p_split - b1), np.maximum(b1, 2 * p_split - b1)
     p_inert = p[inert]

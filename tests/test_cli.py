@@ -127,6 +127,26 @@ def test_equidist_and_selftest_accept_x1(capsys):
     assert capsys.readouterr().out.count(": 1 principal ideals, ok") == len(cli.SELFTEST_FIELDS)
 
 
+@pytest.mark.parametrize("argv,minimum", [
+    (["census", "--field", "-5"], 1),
+    (["equidist", "--field", "-5", "--m", "2"], 1),
+    (["selftest"], 1),
+    (["ek", "--field", "-5"], 16),
+    (["ek", "--group", "2", "--seed", "1"], 16),
+    (["moments", "--field", "-5"], 3),
+    (["moments", "--group", "2,4", "--seed", "1"], 3),
+    (["check", "--field", "-5"], 3),
+])
+def test_x_minimum_per_subcommand(argv, minimum, capsys):
+    # below the minimum the parser names --x (exit 2); at it the run succeeds
+    assert cli.parse(argv + ["--x", str(minimum)]).x == minimum
+    with pytest.raises(cli.UsageError, match=f"--x must be >= {minimum}"):
+        cli.parse(argv + ["--x", str(minimum - 1)])
+    assert cli.main(argv + ["--x", str(minimum - 1)]) == 2
+    assert "--x" in capsys.readouterr().err
+    assert cli.main(argv + ["--x", str(minimum)]) == 0
+
+
 def test_equidist_counts_sum(capsys):
     assert cli.main(["equidist", "--field", "-5", "--x", "10000", "--m", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import math
 import random
@@ -6,9 +7,17 @@ import random
 import numpy as np
 import pytest
 
-from irrcensus import census
+from irrcensus import census, primes
 from irrcensus.errors import DomainError, ResourceLimitError
-from irrcensus.primes import is_prime, prime_array, primes_up_to, sqrt_mod_prime
+from irrcensus.primes import (
+    is_prime,
+    kronecker_prime,
+    kronecker_primes,
+    prime_array,
+    primes_up_to,
+    sqrt_mod_prime,
+    sqrt_mod_primes,
+)
 from irrcensus.quadratic import (
     PrimeSite,
     QuadForm,
@@ -295,8 +304,9 @@ def _scalar_sites(cg, primes, limit):
     return out
 
 
-# w = 4 and 6, 2 split/inert/ramified, non-cyclic groups (-30, -105, -1155)
-@pytest.mark.parametrize("d", [-1, -2, -3, -5, -7, -15, -23, -30, -105, -1155])
+# w = 4 and 6, 2 split/inert/ramified, non-cyclic groups (-30, -105, -1155),
+# and a large odd prime in the discriminant: Z/72 (-4001) and Z/105 (-1000003)
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -7, -15, -23, -30, -105, -1155, -4001, -1000003])
 def test_site_columns_match_scalar_oracle(d):
     limit = 2 * 10**4
     primes = [p for p in range(2, limit + 1) if is_prime(p)]
@@ -315,6 +325,84 @@ def test_site_columns_match_scalar_oracle(d):
     sites_to_csv(cols, a)
     sites_to_csv(iter(expected), b)
     assert a.getvalue() == b.getvalue()
+
+
+SITES_GOLDEN = {
+    # d: (limit, site count, SHA-256 of the sites_to_csv bytes)
+    -5: (10**6, 78367, "bb622aaf724c3b2378202ebcf5ad88296258e95cfe45ddcd05d9dbf9093cb7c5"),
+    -30: (2 * 10**5, 17943, "07794aee0d94138f564baa597c2c8ba87c1ad950ca38f31c259bce9c035a2710"),
+    -1155: (2 * 10**5, 17887, "473c2501d3c44423dfa62fd47c45d609460e7c417cec95995f672ecc85982ff6"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(SITES_GOLDEN))
+def test_sites_csv_golden_sha256(d):
+    limit, n_sites, digest = SITES_GOLDEN[d]
+    cols = prime_sites_up_to(class_group(d), limit)
+    assert len(cols) == n_sites
+    buf = io.StringIO()
+    sites_to_csv(cols, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def _odd_primes_with_residues(limit, seed):
+    p = prime_array(limit)[1:]
+    x = np.random.default_rng(seed).integers(1, p)
+    return p, x * x % p
+
+
+def _check_roots(a, p, roots):
+    assert ((roots >= 0) & (roots < p)).all()
+    assert (roots * roots % p == a).all()
+    for ai, pi, ri in zip(a.tolist(), p.tolist(), roots.tolist()):
+        assert ri in (sqrt_mod_prime(ai, pi), pi - sqrt_mod_prime(ai, pi))
+
+
+def test_sqrt_mod_primes_matches_scalar():
+    p, a = _odd_primes_with_residues(2 * 10**5, 7)
+    # p = 3 (mod 4), Atkin's p = 5 (mod 8) and Tonelli-Shanks' p = 1 (mod 8)
+    assert set((p % 8).tolist()) == {1, 3, 5, 7}
+    _check_roots(a, p, sqrt_mod_primes(a, p))
+    assert sqrt_mod_primes(a[:0], p[:0]).size == 0
+
+
+def _least_nonresidue(p):
+    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+
+
+def test_nonresidue_fallback_past_the_table(monkeypatch):
+    p, a = _odd_primes_with_residues(2 * 10**5, 11)
+    p, a = p[p % 8 == 1], a[p % 8 == 1]
+    expected = [_least_nonresidue(q) for q in p.tolist()]
+    assert primes._nonresidues(p).tolist() == expected
+    # with the table cut to z = 3 every lane where 3 is a residue takes
+    # Euler's criterion, which must find the same least non-residue
+    monkeypatch.setattr(primes, "_NONSQUARES", primes._NONSQUARES[:1])
+    assert sum(z > 3 for z in expected) > 1000
+    assert primes._nonresidues(p).tolist() == expected
+    _check_roots(a, p, sqrt_mod_primes(a, p))
+
+
+@pytest.mark.parametrize("disc", [
+    -3, -23, -1155, -1000003, 5,  # 2-part 1
+    -4, -20, -16004, 12,  # 2-part -4 (-16004 = -4 * 4001)
+    -24, -56, 8,  # 2-part 8 (-24 = 8 * -3)
+    -8, -40, -840, 24,  # 2-part -8 (24 = -8 * -3)
+])
+def test_kronecker_primes_match_scalar(disc):
+    # the ramified prime 1000003 lies past the sieve limit, so add it
+    large = [1000003] if disc % 1000003 == 0 else []
+    p = np.concatenate((prime_array(3 * 10**4), np.array(large, dtype=np.int64)))
+    got = kronecker_primes(disc, p)
+    assert got.dtype == np.int8
+    assert got.tolist() == [kronecker_prime(disc, q) for q in p.tolist()]
+    assert {-1, 1} <= set(got.tolist())
+
+
+@pytest.mark.parametrize("disc", [-12, -16, -36, 4, 0, -3 * 9 * 4])
+def test_kronecker_primes_need_a_fundamental_discriminant(disc):
+    with pytest.raises(DomainError, match="fundamental"):
+        kronecker_primes(disc, prime_array(20))
 
 
 def test_site_columns_are_read_only_sequences():
