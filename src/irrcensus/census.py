@@ -27,8 +27,11 @@ x = 1e7) are counted in bulk per class from per-class prefix tables.
 callers also get each principal ideal one by one, walked nodes and leaves
 alike; a principal leaf's row is its node's state with one more prime of
 the class inverse to the node's, so no non-principal leaf is ever touched.
-``census_rows`` (the census CSV, one walk and one sort) builds its rows
-from that state and ``harmonic_sums`` sums 1/N.  ``enumerate_principal``
+The census (``_census_columns``: one walk, one stable argsort) collects
+from that state each row's norm and the id of its columns after the norm,
+which the principal leaves of one range share, as two int64 columns;
+``write_census_csv`` formats them in chunks with ``quadratic.write_int_csv``
+and ``census_rows`` expands them to tuples.  ``harmonic_sums`` sums 1/N.  ``enumerate_principal``
 takes only the factorizations from the walk and computes each field with
 the oracle functions, as the reference for both.
 """
@@ -37,11 +40,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -56,12 +60,14 @@ from .abelian import (
 )
 from .errors import DomainError, ResourceLimitError
 from .quadratic import (
+    CSV_CHUNK,
     ClassGroup,
     FieldSpec,
     SiteColumns,
     as_site_columns,
     class_group,
     prime_sites_up_to,
+    write_int_csv,
 )
 from .synth import SynthModel, synth_sites
 
@@ -969,21 +975,28 @@ def census_header(h: int) -> str:
     return f"norm,class,{omega_cols},{Omega_cols},nu,delta,is_irreducible,squarefull_norm"
 
 
-def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:
-    """The census rows as int tuples in ``census_header`` column order,
-    norm-ascending with ties broken by the factorization.  Each row is built
-    from the walk's state as ``_walk`` passes its ideal on, whether a walked
-    node or a principal leaf of a bulk range."""
+def _census_columns(system: SiteSystem, x: int):
+    """The census as columns (norm, tail, tails), norm-ascending with ties
+    broken by the factorization.
+
+    Row i is (norm[i], *tails[tail[i]]) in ``census_header`` column order;
+    ``tails`` lists each distinct column tail after the norm once.  Each
+    row is taken from the walk's state as ``_walk`` passes its ideal on,
+    whether a walked node or a principal leaf of a bulk range, and collected
+    as two int64 columns.
+    """
     norms = system._norms
-    rows = []
-    append = rows.append
-    last = tail = None
+    norm_col = array("q")
+    tail_col = array("q")
+    tails = []
+    last = None
+    tid = -1
 
     def emit(n, sites, exps, depth, Omega, stats, delta):
         # the walk passes the principal leaves of one bulk range with one
         # shared stats tuple, and they share every column but the norm; a
         # walked node's stats tuple is its own
-        nonlocal last, tail
+        nonlocal last, tid
         if stats is not last:
             nu, (omega, _), irred, _ = stats
             squarefull = 1
@@ -991,23 +1004,33 @@ def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:
                 if exps[i] >= 2:
                     squarefull *= norms[sites[i]] ** exps[i]
             last = stats
-            tail = (1, *omega, *Omega, nu, delta, int(irred), squarefull)
-        append((n, *tail))
+            tails.append((1, *omega, *Omega, nu, delta, int(irred), squarefull))
+            tid += 1
+        norm_col.append(n)
+        tail_col.append(tid)
 
     _each_principal(system, x, emit)
+    norm = np.frombuffer(norm_col, dtype=np.int64)
     # the walk is lexicographic in the factorization, so a stable sort by
     # norm alone breaks ties by the factorization
-    rows.sort(key=itemgetter(0))
-    return rows
+    order = np.argsort(norm, kind="stable")
+    return norm[order], np.frombuffer(tail_col, dtype=np.int64)[order], tails
+
+
+def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:
+    """The census rows as int tuples in ``census_header`` column order,
+    norm-ascending with ties broken by the factorization."""
+    norm, tail, tails = _census_columns(system, x)
+    return [(n, *tails[t]) for n, t in zip(norm.tolist(), tail.tolist())]
 
 
 def write_census_csv(system: SiteSystem, x: int, out) -> int:
     """Write the principal-ideal census, one row per principal ideal, in
     ``census_rows`` order.  Returns the row count."""
-    rows = census_rows(system, x)
-    header = census_header(system.group.h)
-    out.write(header + "\n")
-    line = ",".join(["%d"] * (header.count(",") + 1)) + "\n"
-    for row in rows:
-        out.write(line % row)
-    return len(rows)
+    norm, tail, tails = _census_columns(system, x)
+    out.write(census_header(system.group.h) + "\n")
+    # one tail per column, so a chunk's tail rows gather as contiguous columns
+    table = np.array(tails, dtype=np.int64).T.copy()
+    for lo in range(0, norm.size, CSV_CHUNK):
+        write_int_csv(out, (norm[lo : lo + CSV_CHUNK], *table[:, tail[lo : lo + CSV_CHUNK]]))
+    return norm.size

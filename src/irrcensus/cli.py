@@ -133,6 +133,11 @@ def parse(argv) -> Command:
     min_x = _MIN_X.get(cmd.subcommand, 1)
     if cmd.x is not None and cmd.x < min_x:
         raise UsageError(f"--x must be >= {min_x} for {cmd.subcommand}")
+    # --m is a modulus and --k the highest moment; below 1 there is nothing
+    # to report
+    for flag in ("m", "k"):
+        if getattr(ns, flag, 1) < 1:
+            raise UsageError(f"--{flag} must be >= 1")
     needs_stream = cmd.subcommand in ("census", "ek", "equidist", "moments", "check")
     if needs_stream and cmd.group is not None and cmd.seed is None:
         raise UsageError("synthetic streams require an explicit --seed")

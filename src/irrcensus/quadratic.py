@@ -14,7 +14,8 @@ reduction loop the class of each site's form.  The result is a
 ``SiteColumns``, a column store that is also a lazy read-only sequence of
 ``PrimeSite``.  The scalar helpers (``splitting_type``, ``sqrt_mod_prime``,
 ``reduce_form``) stay as the per-prime reference the tests hold the
-columns to.
+columns to.  ``sites_to_csv`` formats the columns with ``write_int_csv``,
+which the census CSV shares.
 """
 
 from __future__ import annotations
@@ -599,10 +600,75 @@ def as_site_columns(sites) -> SiteColumns:
     return SiteColumns(cols[0], cols[1], cols[2].astype(np.int8), cols[3], cols[4])
 
 
+#: Rows per ``write_int_csv`` block; a block's bytes bound its extra memory.
+CSV_CHUNK = 1 << 13
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def write_int_csv(out, columns) -> None:
+    """Write CSV lines whose fields are ``columns``, with one ``out.write``
+    of at most CSV_CHUNK lines at a time.
+
+    Each column is an int64 array of values >= 0, written as ``"%d"``
+    would, or a pair (codes, labels) that writes ``labels[code]``.  A chunk
+    is one (width, rows) uint8 block: each field right-aligned in its
+    column's widest value, filled by repeated divmod, then a comma or
+    newline row.  Zero bytes pad the shorter values, found by their digit
+    counts (``searchsorted`` on the powers of 10), and are dropped after
+    the transpose to row-major order.
+    """
+    cols = []
+    for col in columns:
+        if isinstance(col, tuple):
+            codes, labels = col
+            # one row of ASCII bytes per label, zero-padded to the longest
+            table = np.array([s.encode("ascii") for s in labels])
+            cols.append((codes, table.view(np.uint8).reshape(table.size, -1)))
+        else:
+            if col.size and col.min() < 0:
+                raise DomainError(f"CSV column holds a negative value {int(col.min())}")
+            cols.append((col, None))
+    n = len(cols[0][0])
+    for lo in range(0, n, CSV_CHUNK):
+        chunk = [(v[lo : lo + CSV_CHUNK], table) for v, table in cols]
+        widths = [
+            len(str(int(v.max()))) if table is None else table.shape[1] for v, table in chunk
+        ]
+        block = np.zeros((sum(widths) + len(widths), chunk[0][0].size), dtype=np.uint8)
+        at = 0
+        for (v, table), w in zip(chunk, widths):
+            field = block[at : at + w]
+            if table is not None:
+                field[:] = table[v].T
+            else:
+                t = v
+                for k in range(w - 1, 0, -1):
+                    t, field[k] = np.divmod(t, 10)
+                field[0] = t
+                field += ord("0")
+                if w > 1:
+                    digits = np.searchsorted(_POW10, v, side="right") + 1
+                    field[np.arange(w)[:, None] < w - digits] = 0
+            block[at + w] = ord(",")
+            at += w + 1
+        block[-1] = ord("\n")
+        data = block.T.ravel()
+        out.write(data[data != 0].tobytes().decode("ascii"))
+
+
 def sites_to_csv(sites, out) -> None:
     """Write the site stream in the shared CSV schema; ``sites`` is a
     SiteColumns or an iterable of PrimeSite in stream order."""
+    cols = as_site_columns(sites)
     out.write("id,p,norm,splitting,class_index,conjugate_id\n")
-    out.writelines(
-        f"{i},{p},{n},{s},{c},{m}\n" for i, p, n, s, c, m in as_site_columns(sites).rows()
+    write_int_csv(
+        out,
+        (
+            np.arange(len(cols), dtype=np.int64),
+            cols.p,
+            cols.norm,
+            (cols.splitting, SPLITTINGS),
+            cols.class_index,
+            cols.conjugate_id,
+        ),
     )

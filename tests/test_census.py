@@ -521,6 +521,25 @@ def test_census_csv_golden_small(sys5):
     )
 
 
+@pytest.mark.parametrize("source,x", [
+    ((2, 4), 3 * 10**4),
+    ((3, 3), 3 * 10**4),
+    ((), 9000),  # trivial group (h = 1): every ideal is principal, 9000 > CSV_CHUNK rows
+    (-5, 1),  # the unit row alone
+])
+def test_census_csv_formats_census_rows(source, x):
+    if isinstance(source, int):
+        system = census.for_field(source, max(x, 2))
+    else:
+        system = census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
+    rows = census.census_rows(system, x)
+    buf = io.StringIO()
+    assert census.write_census_csv(system, x, buf) == len(rows)
+    line = ",".join(["%d"] * len(rows[0]))
+    header = census.census_header(system.group.h)
+    assert buf.getvalue().split("\n") == [header, *(line % row for row in rows), ""]
+
+
 CENSUS_GOLDEN = {
     # census CLI source, x, row count, SHA-256 of the write_census_csv bytes
     "-5": (("--field", "-5"), 2 * 10**4, 14046,

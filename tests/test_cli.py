@@ -147,6 +147,20 @@ def test_x_minimum_per_subcommand(argv, minimum, capsys):
     assert cli.main(argv + ["--x", str(minimum)]) == 0
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["moments", "--field", "-5", "--x", "100"], "--k"),
+    (["equidist", "--field", "-5", "--x", "100"], "--m"),
+    (["ek", "--field", "-5", "--x", "100"], "--m"),
+])
+def test_k_and_m_minimum(argv, flag, capsys):
+    # 0 is a usage error naming the flag (exit 2); 1 runs
+    with pytest.raises(cli.UsageError, match=f"{flag} must be >= 1"):
+        cli.parse(argv + [flag, "0"])
+    assert cli.main(argv + [flag, "0"]) == 2
+    assert flag in capsys.readouterr().err
+    assert cli.main(argv + [flag, "1"]) == 0
+
+
 def test_equidist_counts_sum(capsys):
     assert cli.main(["equidist", "--field", "-5", "--x", "10000", "--m", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

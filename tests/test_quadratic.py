@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irrcensus import census, primes
 from irrcensus.errors import DomainError, ResourceLimitError
@@ -19,6 +20,8 @@ from irrcensus.primes import (
     sqrt_mod_primes,
 )
 from irrcensus.quadratic import (
+    CSV_CHUNK,
+    SPLITTINGS,
     PrimeSite,
     QuadForm,
     SiteColumns,
@@ -31,6 +34,7 @@ from irrcensus.quadratic import (
     reduced_forms,
     sites_to_csv,
     splitting_type,
+    write_int_csv,
 )
 
 from helpers import kronecker
@@ -343,6 +347,77 @@ def test_sites_csv_golden_sha256(d):
     buf = io.StringIO()
     sites_to_csv(cols, buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_sites_csv_of_an_empty_stream_is_the_header():
+    buf = io.StringIO()
+    sites_to_csv([], buf)
+    assert buf.getvalue() == "id,p,norm,splitting,class_index,conjugate_id\n"
+
+
+# both sides of every digit-count boundary of an int64, and its largest value
+_DIGIT_BOUNDARIES = sorted({0, 2**63 - 1} | {10**k - 1 for k in range(19)} | {10**k for k in range(19)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda k: st.lists(
+            st.lists(
+                st.sampled_from(_DIGIT_BOUNDARIES) | st.integers(0, 2**63 - 1),
+                min_size=k,
+                max_size=k,
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+)
+def test_write_int_csv_matches_str_join(rows):
+    columns = np.array(rows, dtype=np.int64).T
+    buf = io.StringIO()
+    write_int_csv(buf, tuple(columns))
+    assert buf.getvalue() == "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+class _RecordingOut:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+def test_write_int_csv_writes_at_most_a_chunk_at_a_time(n):
+    # the values grow across the chunks, so the chunks differ in width
+    values = np.arange(n, dtype=np.int64) ** 3
+    codes = (np.arange(n) % len(SPLITTINGS)).astype(np.int8)
+    out = _RecordingOut()
+    write_int_csv(out, (values, (codes, SPLITTINGS), values[::-1].copy()))
+    want = [
+        f"{v},{SPLITTINGS[c]},{w}"
+        for v, c, w in zip(values.tolist(), codes.tolist(), values[::-1].tolist())
+    ]
+    # compared as lines: a failing diff of the joined text would take minutes
+    assert "".join(out.writes).split("\n") == want + [""]
+    assert len(out.writes) == -(-n // CSV_CHUNK)
+    assert all(text.count("\n") <= CSV_CHUNK for text in out.writes)
+
+
+def test_write_int_csv_labels_of_different_widths():
+    # split and inert (5 bytes), ramified (8) and synthetic (9) in one chunk
+    buf = io.StringIO()
+    codes = np.array([3, 0, 2, 1, 0], dtype=np.int8)
+    write_int_csv(buf, ((codes, SPLITTINGS), np.array([7, 0, 10, 99, 100], dtype=np.int64)))
+    assert buf.getvalue() == "synthetic,7\nsplit,0\nramified,10\ninert,99\nsplit,100\n"
+
+
+def test_write_int_csv_rejects_negative_values():
+    buf = io.StringIO()
+    with pytest.raises(DomainError, match="negative"):
+        write_int_csv(buf, (np.array([3, 4], dtype=np.int64), np.array([5, -1], dtype=np.int64)))
+    assert buf.getvalue() == ""
 
 
 def _odd_primes_with_residues(limit, seed):
