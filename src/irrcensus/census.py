@@ -6,34 +6,40 @@ columns (``quadratic.SiteColumns``); ``system.sites`` builds a
 below read the norms and classes from Python lists made once per system.
 
 Ideals of norm <= x are enumerated by depth-first search over the prime
-sites in increasing norm order.  The walk keeps each node's state on its
-stack and updates it in O(h) per site pushed or exponent raised: the class,
-omega/Omega, each class's subset-count polynomial truncated at the largest
-type component of that class, and (for the per-ideal callers below) the
-class distribution of the node's divisors, whose principal entry is delta.
-nu is a sum over the types of products of those polynomials' coefficients,
-so it depends only on the tuple of polynomials; there are few distinct
-tuples, and the walk memoizes nu on them.  The irreducible-divisor count nu is also
+sites in increasing norm order.  Each node carries its state as an int id
+(``_States``): per class, Omega and the counts of its sites by exponent,
+from which follow the class, omega, and each class's subset-count
+polynomial truncated at the largest type component of that class.  nu is a
+sum over the types of products of those polynomials' coefficients, so it
+depends only on the tuple of polynomials; there are few distinct tuples,
+and the walk memoizes nu on them.  For the per-ideal callers below, the
+walk also keeps on its stack the class distribution of the node's divisors,
+whose principal entry is delta.  The irreducible-divisor count nu is also
 computed three independent ways from a factorization (per-class subset-count
 products, exhaustive sub-multiset search, and a squarefull/squarefree
 split), which the tests hold to exact agreement with each other and with
 the walk.
 
 ``_walk`` is the one DFS over sites, and every caller runs the same walk.
-It visits one by one only the nodes that can have children; the leaves n*q
+It visits in Python only the nodes that can have children; the leaves n*q
 whose last prime q satisfies N(q)^2 > x // n (about 99% of all ideals at
 x = 1e7) are counted in bulk per class from per-class prefix tables.
-``sweep`` aggregates the report statistics from that pass.  The per-ideal
-callers also get each principal ideal one by one, walked nodes and leaves
-alike; a principal leaf's row is its node's state with one more prime of
-the class inverse to the node's, so no non-principal leaf is ever touched.
-The census (``_census_columns``: one walk, one stable argsort) collects
-from that state each row's norm and the id of its columns after the norm,
-which the principal leaves of one range share, as two int64 columns;
+``sweep`` aggregates the report statistics from that pass, and there the
+walk records rows instead of tallying: walked nodes, leaf ranges, and
+batches of penultimate sites, whose nodes n*q^e have only bulk leaves as
+children and are not walked at all (``Sweep.batched`` counts them).  A
+numpy pass tallies the rows a chunk at a time, and its float sums are
+exact, so no report float depends on the walk order.  The per-ideal
+callers get each principal ideal, in lexicographic order of its
+factorization: each walked one on its own, and the principal leaves of a
+bulk range together, since they share every field but the norm; no
+non-principal leaf is ever touched.  The census (``_census_columns``: one
+walk, one stable argsort) collects from that state each row's norm and the
+id of its columns after the norm as two int64 columns;
 ``write_census_csv`` formats them in chunks with ``quadratic.write_int_csv``
-and ``census_rows`` expands them to tuples.  ``harmonic_sums`` sums 1/N.  ``enumerate_principal``
-takes only the factorizations from the walk and computes each field with
-the oracle functions, as the reference for both.
+and ``census_rows`` expands them to tuples.  ``harmonic_sums`` sums 1/N.
+``enumerate_principal`` takes only the factorizations from the walk and
+computes each field with the oracle functions, as the reference for both.
 """
 
 from __future__ import annotations
@@ -137,20 +143,21 @@ class SiteSystem:
         return structural_constants(self.group)
 
     @cached_property
-    def _class_tables(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Per class: the stream positions of its sites, and compensated
-        prefix sums of 1/N over them (entry i sums the first i sites).
-        Built on first use by ``sweep`` or ``stats.landau_check``."""
+    def _class_tables(self) -> tuple[list[array], list[array]]:
+        """Per class: the stream positions of its sites (``array('q')``),
+        and compensated prefix sums of 1/N over them (``array('d')``; entry i
+        sums the first i sites).  numpy views both without a copy.  Built on
+        first use by ``sweep`` or ``stats.landau_check``."""
         cls0 = self.sites.class_index - 1
         order = np.argsort(cls0, kind="stable")
         cuts = np.cumsum(np.bincount(cls0, minlength=max(self.group.h, 1)))[:-1]
-        positions: list[list[int]] = []
-        prefix: list[list[float]] = []
+        positions: list[array] = []
+        prefix: list[array] = []
         for pos, inverse in zip(np.split(order, cuts), np.split(1.0 / self.sites.norm[order], cuts)):
-            positions.append(pos.tolist())
+            positions.append(array("q", pos.astype(np.int64).tobytes()))
             # _Kahan.add inlined (every term is positive), in stream order
             s = comp = 0.0
-            pre = [0.0]
+            pre = array("d", [0.0])
             for v in inverse.tolist():
                 t = s + v
                 comp += (s - t) + v if s >= v else (v - t) + s
@@ -428,8 +435,8 @@ def _check_bound(system: SiteSystem, x: int):
 
 
 def _each_principal(system: SiteSystem, x: int, emit):
-    """Run ``_walk`` to x, calling ``emit`` on each principal ideal of norm
-    <= x in lexicographic order of its factorization."""
+    """Run ``_walk`` to x, passing every principal ideal of norm <= x to
+    ``emit`` in lexicographic order of its factorization."""
     _check_bound(system, x)
     _walk(system, x, (x,), (), emit)
 
@@ -449,8 +456,14 @@ def enumerate_principal(
     cls0 = system._cls0
     walked = []
 
-    def emit(n, sites, exps, depth, Omega, stats, delta):
-        walked.append((n, tuple(sites[:depth]), tuple(exps[:depth])))
+    def emit(n, sites, exps, depth, stats, delta, leaf_sites):
+        node_sites = tuple(sites[:depth])
+        node_exps = tuple(exps[:depth])
+        if leaf_sites is None:
+            walked.append((n, node_sites, node_exps))
+        else:
+            for j in leaf_sites:
+                walked.append((n * norms[j], node_sites + (j,), node_exps + (1,)))
 
     _each_principal(system, x, emit)
     sc = system.constants
@@ -495,17 +508,21 @@ def harmonic_sums(system: SiteSystem, x: int, exact: bool = False) -> HarmonicSu
     ``sweep``.  ``exact=True`` accumulates Fractions (only sensible for
     small x).
     """
+    norms = system._norms
     one = Fraction(1) if exact else 1.0
-    principal, irreducible = (_Exact(), _Exact()) if exact else (_Kahan(), _Kahan())
+    principal, irreducible = (
+        (_FractionSum(), _FractionSum()) if exact else (_Kahan(), _Kahan())
+    )
     count = 0
 
-    def emit(n, sites, exps, depth, Omega, stats, delta):
+    def emit(n, sites, exps, depth, stats, delta, leaf_sites):
         nonlocal count
-        v = one / n
-        principal.add(v)
-        if stats[2]:
-            irreducible.add(v)
-            count += 1
+        irred = stats[2]
+        for v in [one / n] if leaf_sites is None else [one / (n * norms[j]) for j in leaf_sites]:
+            principal.add(v)
+            if irred:
+                irreducible.add(v)
+                count += 1
 
     _each_principal(system, x, emit)
     return HarmonicSums(principal.value, irreducible.value, count)
@@ -532,16 +549,12 @@ class _Kahan:
             self.c += (v - t) + self.s
         self.s = t
 
-    def merge(self, other: "_Kahan"):
-        self.add(other.s)
-        self.add(other.c)
-
     @property
     def value(self) -> float:
         return self.s + self.c
 
 
-class _Exact:
+class _FractionSum:
     """A Fraction sum with the ``add``/``value`` interface of ``_Kahan``."""
 
     __slots__ = ("value",)
@@ -551,6 +564,68 @@ class _Exact:
 
     def add(self, v: Fraction):
         self.value += v
+
+
+#: Every finite float times 2**1074 is an integer.
+_SCALE_BITS = 1074
+
+
+def _add_exact(accs: list, values: np.ndarray, labels: np.ndarray):
+    """Add each finite float64 of ``values`` exactly into the ``_ExactSum``
+    ``accs[label]``.
+
+    A float times 2**1074 is its 53-bit significand shifted left by
+    max(biased exponent - 1, 0).  The significands, signed, are cut into
+    26-bit halves and summed per (label, exponent) in int64, which cannot
+    overflow below 2**36 terms; only the few group sums become Python ints.
+    """
+    if not values.size:
+        return
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    key = bits >> 52
+    key &= 0x7FF
+    mant = bits & ((1 << 52) - 1)
+    mant[key > 0] += 1 << 52
+    np.negative(mant, out=mant, where=bits < 0)
+    key -= 1
+    np.maximum(key, 0, out=key)
+    key += labels * 2048
+    order = np.argsort(key)
+    key = key[order]
+    mant = mant[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    hi = np.add.reduceat(mant >> 26, starts)
+    mant &= (1 << 26) - 1
+    lo = np.add.reduceat(mant, starts)
+    for k, a, b in zip(key[starts].tolist(), hi.tolist(), lo.tolist()):
+        label, shift = divmod(k, 2048)
+        accs[label].total += ((a << 26) + b) << shift
+
+
+class _ExactSum:
+    """An exactly rounded float sum that does not depend on the order of
+    its terms: ``total`` holds the sum times 2**1074 as a Python int, and
+    ``value`` rounds it once."""
+
+    __slots__ = ("total",)
+
+    def __init__(self):
+        self.total = 0
+
+    def add(self, v: float):
+        num, den = v.as_integer_ratio()
+        self.total += num << (_SCALE_BITS + 1 - den.bit_length())
+
+    def add_array(self, values: np.ndarray):
+        _add_exact([self], values, np.zeros(values.size, dtype=np.int64))
+
+    def merge(self, other: "_ExactSum"):
+        self.total += other.total
+
+    @property
+    def value(self) -> float:
+        return self.total / (1 << _SCALE_BITS)
 
 
 class _Bucket:
@@ -570,9 +645,9 @@ class _Bucket:
         self.class_counts = [0] * h
         self.nu_counts: dict[int, int] = {}
         self.profile_counts: dict[tuple, int] = {}
-        self.g_sums = [_Kahan() for _ in range(n_desc)]
-        self.harm_principal = _Kahan()
-        self.harm_irred = _Kahan()
+        self.g_sums = [_ExactSum() for _ in range(n_desc)]
+        self.harm_principal = _ExactSum()
+        self.harm_irred = _ExactSum()
         self.irred_count = 0
 
     def merge(self, other: "_Bucket"):
@@ -616,12 +691,17 @@ class Totals:
 class Sweep:
     """Aggregated census statistics, one bucket per checkpoint band.
 
-    ``visited`` counts the ideals walked one by one and ``bulk`` the leaves
-    counted in bulk; they sum to ``at(x).n_ideals``.  ``nu_states`` counts
-    the distinct tuples of per-class subset-count polynomials the walk met,
-    which is how many times nu was summed over the types; every other
-    principal ideal or bulk-counted group of leaves read nu from the memo.
-    None of the three enters a report.
+    ``visited`` counts the ideals counted one by one: the nodes the walk
+    visits in Python and the ``batched`` nodes it leaves to the numpy
+    tally.  ``bulk`` counts the leaves counted in bulk, summed from the
+    lengths of the leaf ranges; ``visited + bulk`` equals
+    ``at(x).n_ideals``.  ``nu_states`` counts the distinct tuples of
+    per-class subset-count polynomials of the principal ideals, which is
+    how many times nu was summed over the types; every other principal
+    ideal or bulk-counted group of leaves read nu from the memo.  None of
+    the four enters a report.  Every float is the exactly rounded sum of
+    its terms, so it does not depend on the order of the walk or of the
+    tally.
     """
 
     system: SiteSystem
@@ -630,6 +710,7 @@ class Sweep:
     g_descriptors: tuple
     _buckets: list
     visited: int
+    batched: int
     bulk: int
     nu_states: int
 
@@ -676,228 +757,432 @@ def _add_shifted(poly: tuple, base: tuple, e: int) -> tuple:
     return poly[:e] + tuple(map(add, poly[e:], base))
 
 
-def _walk(system, x, cps, descs, emit=None):
-    """The one DFS over sites: returns (buckets, visited, bulk, nu_states).
+class _States:
+    """The node states of one walk, interned as int ids.
 
-    At a node of norm n, let lim = x // n.  Sites q with N(q)^2 <= lim may
-    have descendants and are walked one by one.  A site with
-    N(q)^2 > lim >= N(q) yields exactly one child, the leaf n*q of exponent
-    1, whose statistics follow from the node's state and the class of q
-    alone.  Those leaves are counted in bulk per class from the stream
-    positions and reciprocal-norm prefix sums of each class, the way pi(x/n)
-    counts the largest prime factor in Lagarias-Miller-Odlyzko.  Descriptor
-    sites are always walked, because the g-products depend on them.
-
-    The node's state is updated in O(h) as sites are pushed and popped:
-    omega/Omega, each class's subset-count polynomial truncated at
-    ``max_type_component`` (see ``_add_shifted``) and, given ``emit``, the
-    class distribution of the node's divisors, whose principal entry is
-    delta.  Each pushing frame saves what it replaces and restores it on
-    the way out.  nu depends only on the tuple of per-class polynomials, so
-    it is looked up in a memo local to this walk and summed over the types
-    only on a miss; ``nu_states`` is the number of distinct tuples met.  A
-    bulk-counted leaf's state is the node's, with its class's polynomial
-    times 1 + t.
-
-    Given ``emit``, each principal ideal is also passed on as ``emit(n,
-    sites, exps, depth, Omega, stats, delta)``: the first ``depth`` entries
-    of the walk's own stack lists ``sites``/``exps`` are its stream
-    positions and exponents, ascending, and ``stats`` is its
-    ``principal_stats`` tuple.  A walked node is passed on when visited.
-    The leaves of one bulk range that are principal (their site's class is
-    inverse to the node's) share every field but the norm: after the range
-    is counted, they are passed on one by one in ascending stream position,
-    each with its site pushed on the stack, all with one ``stats`` tuple,
-    and with delta = the node's divisors of the principal class plus those
-    of the node's class.  So ideals come in lexicographic order of their
-    factorization.
+    A state is packed into one int, 8 bits per field: per class i, Omega_i
+    and the number of its sites with exponent k for k = 1..m_i, where
+    m_i = ``max_type_component[i]`` and larger exponents count as m_i; and
+    above those, one bit per descriptor site dividing the node.  The class's
+    subset-count polynomial truncated at degree m_i is the product of
+    (1 + t + ... + t^k) over those sites, so it and omega_i follow from the
+    counts.  Pushing a site of class cj with exponent e adds ``inc[cj][e]``
+    (plus the site's descriptor bit), so a transition is one addition and
+    one lookup in ``ids``.  ``cls`` holds each state's class.  ``stats`` is
+    memoized per state; nu depends only on the polynomials and is memoized
+    on them in ``nu_memo``, which ``stats`` fills, so its size is the number
+    of nu states of the principal ideals met.
     """
-    norms = system._norms
-    cls0 = system._cls0
-    positions, inv_prefix = system._class_tables
-    cay = system.ordering.cayley()
-    inverse = [row.index(0) for row in cay]
-    h = max(system.group.h, 1)
-    sc = system.constants
-    types_set = {tv.t for tv in sc.types}
-    # per type, its nonzero components as (class, t_i)
-    type_terms = tuple(
-        tuple((i, ti) for i, ti in enumerate(tv.t) if ti) for tv in sc.sorted_types
-    )
-    maxt = sc.max_type_component
-    nsites = len(norms)
-    last = len(cps) - 1
-    buckets = [_Bucket(h, len(descs)) for _ in cps]
 
-    # per descriptor: (site index, g-value if it divides, g-value if not)
-    desc_info = tuple(
-        tuple(
-            (sid, (1.0 - 1.0 / norms[sid]) ** e, (-1.0 / norms[sid]) ** e)
-            for sid, e in desc
+    def __init__(self, system: SiteSystem, descs):
+        sc = system.constants
+        self.cay = system.ordering.cayley()
+        self.types_set = {tv.t for tv in sc.types}
+        # per type, its nonzero components as (class, t_i)
+        self.type_terms = tuple(
+            tuple((i, ti) for i, ti in enumerate(tv.t) if ti) for tv in sc.sorted_types
         )
-        for desc in descs
-    )
-    desc_sites = sorted({sid for desc in descs for sid, _ in desc})
-    desc_set = frozenset(desc_sites)
-    present: set[int] = set()  # descriptor sites dividing the current node
+        self.maxt = sc.max_type_component
+        self.offsets = [0]
+        for m in self.maxt:
+            self.offsets.append(self.offsets[-1] + 8 * (m + 1))
+        # every norm is >= 2, so exponents stay below 64
+        self.inc = [
+            [(e << off) + (1 << off + 8 * min(e, m)) if e else 0 for e in range(64)]
+            for off, m in zip(self.offsets, self.maxt)
+        ]
+        norms = system._norms
+        desc_sites = sorted({sid for desc in descs for sid, _ in desc})
+        self.desc_bit = {sid: 1 << self.offsets[-1] + i for i, sid in enumerate(desc_sites)}
+        # per descriptor: (bit of its site, g-value if it divides, if not)
+        self.desc_info = tuple(
+            tuple(
+                (self.desc_bit[sid], (1.0 - 1.0 / norms[sid]) ** e, (-1.0 / norms[sid]) ** e)
+                for sid, e in desc
+            )
+            for desc in descs
+        )
+        self.keys = [0]
+        self.cls = [0]
+        self.ids = {0: 0}
+        # per class: its packed site counts -> (polynomial, omega_i)
+        self.class_polys: list[dict] = [{} for _ in self.maxt]
+        self.nu_memo: dict[tuple, int] = {}
+        self.stats_memo: dict[int, tuple] = {}
 
-    omega = [0] * h
-    Omega = [0] * h
-    polys = [(1,) + (0,) * m for m in maxt]
-    divisor_classes = [1] + [0] * (h - 1)
-    nu_memo: dict[tuple, int] = {}
-    stack_site = [0] * 80
-    stack_exp = [0] * 80
-    visited = 0
-    bulk = 0
+    def add(self, key: int, c: int) -> int:
+        """The id of a state not in ``ids``, of class c."""
+        t = self.ids[key] = len(self.keys)
+        self.keys.append(key)
+        self.cls.append(c)
+        return t
 
-    def principal_stats():
-        """(nu, profile key, irreducible, g-products) of the node on the stack."""
-        key = tuple(polys)
-        nuv = nu_memo.get(key)
+    def push_many(self, s: np.ndarray, cj: np.ndarray, e: int) -> np.ndarray:
+        """The states of nodes of states s times q^e, for q non-descriptor
+        sites of classes cj, looked up once per distinct pair."""
+        h = len(self.cay)
+        pairs, inverse = np.unique(s * h + cj, return_inverse=True)
+        out = []
+        for sj, cc in map(divmod, pairs.tolist(), itertools.repeat(h)):
+            key = self.keys[sj] + self.inc[cc][e]
+            t = self.ids.get(key)
+            if t is None:
+                c = self.cls[sj]
+                for _ in range(e):
+                    c = self.cay[c][cc]
+                t = self.add(key, c)
+            out.append(t)
+        return np.array(out, dtype=np.int64)[inverse]
+
+    def stats(self, s: int) -> tuple:
+        """(nu, profile key, irreducible, g-products, Omega) of a principal
+        ideal of state s."""
+        st = self.stats_memo.get(s)
+        if st is not None:
+            return st
+        key = self.keys[s]
+        polys, omega, Omega = [], [], []
+        for off, m, memo in zip(self.offsets, self.maxt, self.class_polys):
+            Omega.append((key >> off) & 255)
+            field = (key >> off + 8) & ((1 << 8 * m) - 1)
+            entry = memo.get(field)
+            if entry is None:
+                # the class's sites of exponent k (k = m: or more)
+                counts = [(field >> 8 * (k - 1)) & 255 for k in range(1, m + 1)]
+                poly = (1,) + (0,) * m
+                for k, count in enumerate(counts, 1):
+                    for _ in range(count):
+                        base = poly
+                        for j in range(1, k + 1):
+                            poly = _add_shifted(poly, base, j)
+                entry = memo[field] = (poly, sum(counts))
+            polys.append(entry[0])
+            omega.append(entry[1])
+        polys = tuple(polys)
+        nuv = self.nu_memo.get(polys)
         if nuv is None:
             nuv = 0
-            for terms in type_terms:
+            for terms in self.type_terms:
                 prod = 1
                 for i, ti in terms:
-                    prod *= key[i][ti]
+                    prod *= polys[i][ti]
                     if not prod:
                         break
                 nuv += prod
-            nu_memo[key] = nuv
+            self.nu_memo[polys] = nuv
         m = 0
-        for i in range(h):
+        for i in range(len(omega)):
             dv = Omega[i] - omega[i]
             if dv > m:
                 m = dv
         gs = []
-        for entries in desc_info:
+        for entries in self.desc_info:
             prod = 1.0
-            for sid, g_in, g_out in entries:
-                prod *= g_in if sid in present else g_out
+            for bit, g_in, g_out in entries:
+                prod *= g_in if key & bit else g_out
             gs.append(prod)
-        return nuv, (tuple(omega), m), tuple(Omega) in types_set, gs
+        Omega = tuple(Omega)
+        st = (nuv, (tuple(omega), m), Omega in self.types_set, tuple(gs), Omega)
+        self.stats_memo[s] = st
+        return st
 
-    def tally(b: _Bucket, stats, k: int, inv_sum: float):
-        """Add k principal ideals sharing ``stats`` whose 1/N sum is inv_sum."""
-        nuv, key, irred, gs = stats
-        b.nu_counts[nuv] = b.nu_counts.get(nuv, 0) + k
-        b.profile_counts[key] = b.profile_counts.get(key, 0) + k
-        b.harm_principal.add(inv_sum)
-        if irred:
-            b.irred_count += k
-            b.harm_irred.add(inv_sum)
-        for acc, g in zip(b.g_sums, gs):
-            acc.add(g * k)
 
-    def visit(n: int, c: int, depth: int):
-        nonlocal visited
-        visited += 1
-        b = buckets[bisect_left(cps, n)]
-        b.class_counts[c] += 1
-        if not c:
-            stats = principal_stats()
-            tally(b, stats, 1, 1.0 / n)
-            if emit is not None:
-                emit(n, stack_site, stack_exp, depth, Omega, stats, divisor_classes[0])
+#: Leaf-range and batch rows a recording walk buffers before one chunked tally.
+TALLY_CHUNK = 8192
 
-    def leaves(a: int, z: int, n: int, c: int, depth: int):
-        """Bulk-count the leaves n*q for the sites q at stream positions
-        [a, z), none of them a descriptor site, split at every checkpoint;
-        then pass the principal ones to ``emit``, if given."""
-        nonlocal bulk
-        bulk += z - a
-        row = cay[c]
+
+class _Tally:
+    """The numpy tally of a recording walk's rows into checkpoint buckets.
+
+    The walk appends three kinds of row to ``array('q')`` buffers: walked
+    nodes (n, state), leaf ranges (n, state, a, z) for the leaves n*q with q
+    at stream positions [a, z), and penultimate batches (n, state, s3,
+    split).  ``flush`` expands each batch into its nodes n*q^e and their
+    leaf ranges, splits every range at the checkpoints, counts its leaves
+    per class with ``searchsorted`` on the per-class position arrays,
+    tallies the principal ideals per (bucket, state) with ``bincount`` and
+    reduces the chunk's float terms into the exact accumulators at once.
+    Each term is the float the walked tally would add: 1.0/n for a
+    principal node, (pre[ib] - pre[ia])/n for a group of principal leaves
+    of one range and band, and g*k for each group of k.
+    """
+
+    def __init__(self, system: SiteSystem, x: int, cps, n_desc: int, states: _States):
+        self.x = x
+        self.states = states
+        self.h = len(states.cay)
+        self.n_desc = n_desc
+        self.buckets = [_Bucket(self.h, n_desc) for _ in cps]
+        self.cps = np.array(cps, dtype=np.int64)
+        self.norms = system.sites.norm
+        self.cls0 = system.sites.class_index
+        positions, prefix = system._class_tables
+        self.positions = [np.frombuffer(p, dtype=np.int64) for p in positions]
+        self.prefix = [np.frombuffer(p, dtype=np.float64) for p in prefix]
+        self.cay = np.array(states.cay, dtype=np.int64)
+        self.inverse = np.array([row.index(0) for row in states.cay], dtype=np.int64)
+        self.nodes = array("q")
+        self.ranges = array("q")
+        self.batches = array("q")
+        self.walked = self.batched = self.bulk = 0
+
+    def flush(self):
+        nodes = np.array(self.nodes, dtype=np.int64).reshape(-1, 2).T
+        ranges = np.array(self.ranges, dtype=np.int64).reshape(-1, 4).T
+        batches = np.array(self.batches, dtype=np.int64).reshape(-1, 4)
+        del self.nodes[:], self.ranges[:], self.batches[:]
+        self.walked += nodes.shape[1]
+        # each stage's inputs are freed before the next, which keeps the
+        # chunk's peak memory down
+        batch_nodes, batch_ranges = self._expand(batches)
+        del batches
+        units = [self._count_nodes(*np.concatenate((nodes, batch_nodes), axis=1))]
+        del nodes, batch_nodes
+        ranges = np.concatenate((ranges, batch_ranges), axis=1)
+        del batch_ranges
+        self.bulk += int((ranges[3] - ranges[2]).sum())
+        units.extend(self._count_leaves(*self._pieces(*ranges[:, ranges[3] > ranges[2]])))
+        del ranges
+        self._tally_principal(*(np.concatenate(col) for col in zip(*units)))
+
+    def _expand(self, batches):
+        """The nodes (n, state) of the batch rows: for each site j in
+        [s3, split), the nodes n*q_j^e <= x, with their leaf ranges
+        (n, state, j + 1, end)."""
+        counts = batches[:, 3] - batches[:, 2]
+        row = np.repeat(np.arange(len(batches)), counts)
+        j = np.arange(row.size) + np.repeat(batches[:, 2] - np.cumsum(counts) + counts, counts)
+        n, parent = batches[row, 0], batches[row, 1]
+        q = self.norms[j]
+        cj = self.cls0[j] - 1
+        n = n * q
+        nodes = [np.empty((2, 0), dtype=np.int64)]
+        ranges = [np.empty((4, 0), dtype=np.int64)]
+        e = 1
+        while n.size:
+            s = self.states.push_many(parent, cj, e)
+            nodes.append((n, s))
+            ranges.append(
+                (n, s, j + 1, np.maximum(np.searchsorted(self.norms, self.x // n, "right"), j + 1))
+            )
+            more = n <= self.x // q
+            n, parent, j, q, cj = n[more] * q[more], parent[more], j[more], q[more], cj[more]
+            e += 1
+        nodes = np.concatenate(nodes, axis=1)
+        self.batched += nodes.shape[1]
+        return nodes, np.concatenate(ranges, axis=1)
+
+    def _count_nodes(self, n, s):
+        """Count the nodes n of states s by class, each one ideal; return the
+        principal ones as units of one ideal."""
+        b = np.searchsorted(self.cps, n, "left")
+        c = np.array(self.states.cls, dtype=np.int64)[s]
+        self._count_classes(b * self.h + c, None)
+        principal = c == 0
+        b, s, n = b[principal], s[principal], n[principal]
+        return b, s, np.ones(b.size, dtype=np.int64), 1.0 / n
+
+    def _pieces(self, n, s, a, z):
+        """The nonempty leaf ranges split at the checkpoints, as (bucket,
+        n, state, lo, hi)."""
+        pieces = []
+        last = len(self.cps) - 1
+        for b, cp in enumerate(self.cps.tolist()):
+            hi = z if b == last else np.clip(np.searchsorted(self.norms, cp // n, "right"), a, z)
+            keep = hi > a
+            pieces.append((np.full(np.count_nonzero(keep), b), n[keep], s[keep], a[keep], hi[keep]))
+            a = hi
+        return (np.concatenate(col) for col in zip(*pieces))
+
+    def _count_leaves(self, b, n, s, lo, hi):
+        """Count the leaves of each piece per class; return the groups of
+        principal leaves as units, one per piece and its principal class."""
+        node_c = np.array(self.states.cls, dtype=np.int64)[s]
+        leaf_pc = self.inverse[node_c]
+        units = []
+        for cc in range(self.h):
+            ia = np.searchsorted(self.positions[cc], lo)
+            k = np.searchsorted(self.positions[cc], hi)
+            k -= ia
+            self._count_classes(b * self.h + self.cay[node_c, cc], k)
+            # the leaves of the class inverse to their node's are principal
+            sel = (leaf_pc == cc) & (k > 0)
+            ia, k = ia[sel], k[sel]
+            pre = self.prefix[cc]
+            units.append((
+                b[sel],
+                self.states.push_many(s[sel], np.full(ia.size, cc), 1),
+                k,
+                (pre[ia + k] - pre[ia]) / n[sel],
+            ))
+        return units
+
+    def _count_classes(self, keys, weights):
+        # float64 bincount weights are exact: a chunk holds far fewer than
+        # 2**53 ideals
+        counts = np.bincount(keys, weights=weights, minlength=len(self.buckets) * self.h)
+        for b, bucket in enumerate(self.buckets):
+            for c, v in enumerate(counts[b * self.h : (b + 1) * self.h].tolist()):
+                bucket.class_counts[c] += int(v)
+
+    def _tally_principal(self, ub, us, uk, ut):
+        """Add the units: uk principal ideals of state us in bucket ub,
+        whose 1/N sum is ut."""
+        ustates, inv = np.unique(us, return_inverse=True)
+        stats = [self.states.stats(s) for s in ustates.tolist()]
+        nu = len(stats)
+        counts = np.bincount(ub * nu + inv, weights=uk)
+        for key in np.flatnonzero(counts).tolist():
+            b, u = divmod(key, nu)
+            k = int(counts[key])
+            nuv, prof, irred = stats[u][:3]
+            bucket = self.buckets[b]
+            bucket.nu_counts[nuv] = bucket.nu_counts.get(nuv, 0) + k
+            bucket.profile_counts[prof] = bucket.profile_counts.get(prof, 0) + k
+            if irred:
+                bucket.irred_count += k
+        buckets = self.buckets
+        _add_exact([b.harm_principal for b in buckets], ut, ub)
+        irred = np.array([st[2] for st in stats], dtype=bool)[inv]
+        _add_exact([b.harm_irred for b in buckets], ut[irred], ub[irred])
+        g = np.array([st[3] for st in stats], dtype=np.float64).reshape(nu, self.n_desc)
+        for d in range(self.n_desc):
+            _add_exact([b.g_sums[d] for b in buckets], g[inv, d] * uk, ub)
+
+
+def _walk(system, x, cps, descs, emit=None):
+    """The one DFS over sites.
+
+    At a node of norm n, let lim = x // n.  Sites q with N(q)^2 <= lim may
+    have descendants.  A site with N(q)^2 > lim >= N(q) yields exactly one
+    child, the leaf n*q of exponent 1, whose statistics follow from the
+    node's state and the class of q alone.  Those leaves are counted in
+    bulk per class from the stream positions and reciprocal-norm prefix
+    sums of each class, the way pi(x/n) counts the largest prime factor in
+    Lagarias-Miller-Odlyzko.  Descriptor sites are always walked, because
+    the g-products depend on them.
+
+    A node carries its state (see ``_States``) as an int id.  Without
+    ``emit`` the walk records rows and a ``_Tally`` counts them in chunks of
+    ``TALLY_CHUNK`` rows; it returns (buckets, walked, batched, bulk,
+    nu_states).  A site q below split is penultimate when the next site's
+    N^2 exceeds lim // N(q): then no node n*q^e has a walked child, only
+    bulk leaves.  The test is monotone in q, so the penultimate sites form
+    one range [s3, split), found by bisection on N(q_j) N(q_{j+1})^2, and
+    the walk records that range as one batch row instead of walking it (the
+    special leaves of Deleglise-Rivat).  Batches start past the last
+    descriptor site, so no descriptor site falls in a batch or in a
+    batched node's leaf range.
+
+    Given ``emit``, nothing is batched or tallied, and each principal ideal
+    is passed on in lexicographic order of its factorization as ``emit(n,
+    sites, exps, depth, stats, delta, leaf_sites)``, with ``stats`` its
+    ``_States.stats`` tuple.  The first ``depth`` entries of the walk's
+    stack lists ``sites``/``exps`` are the node's stream positions and
+    exponents, ascending.  If ``leaf_sites`` is None the ideal is the walked
+    node n.  Otherwise the ideals are the principal leaves n*q of one bulk
+    range (their site's class is inverse to the node's), for q at the
+    ascending stream positions ``leaf_sites``, each with q pushed on the
+    node's stack with exponent 1.  They share every field but the norm:
+    stats, and delta = the node's divisors of the principal class plus
+    those of the node's class, from the class distribution of the node's
+    divisors that the walk keeps on its stack for ``emit``.
+    """
+    norms = system._norms
+    cls0 = system._cls0
+    states = _States(system, descs)
+    cay = states.cay
+    inverse = [row.index(0) for row in cay]
+    keys = states.keys
+    ids = states.ids
+    inc = states.inc
+    desc_bit = states.desc_bit
+    nsites = len(norms)
+    desc_sites = sorted(desc_bit)
+    batch_lo = desc_sites[-1] + 1 if desc_sites else 0
+    # site j < split is penultimate at a node of norm n iff pen[j] > x // n
+    nsmall = bisect_right(norms, math.isqrt(x))
+    pen = [
+        norms[j] * norms[j + 1] ** 2 if j + 1 < nsites else math.inf for j in range(nsmall)
+    ]
+
+    if emit is None:
+        tally = _Tally(system, x, cps, len(descs), states)
+        add_node = tally.nodes.extend
+        add_range = tally.ranges.extend
+        add_batch = tally.batches.extend
+        pending = tally.ranges, tally.batches
+        flush = tally.flush
+        add_node((1, 0))
+    else:
+        positions = system._class_tables[0]
+        divisor_classes = [1] + [0] * (len(cay) - 1)
+        stack_site = [0] * 80
+        stack_exp = [0] * 80
+        emit(1, stack_site, stack_exp, 0, states.stats(0), 1, None)
+
+    def leaves(a: int, z: int, n: int, c: int, depth: int, s: int):
+        """The leaves n*q for the sites q at stream positions [a, z), none of
+        them a descriptor site: one range row, or, given ``emit``, the
+        principal ones passed on."""
+        if emit is None:
+            add_range((n, s, a, z))
+            if len(pending[0]) + len(pending[1]) >= 4 * TALLY_CHUNK:
+                flush()
+            return
         pc = inverse[c]
-        leaf_stats = None
-        lo = a
-        i = bisect_left(cps, n * norms[a])
-        while lo < z:
-            hi = z if i == last else bisect_right(norms, cps[i] // n, lo, z)
-            if hi > lo:
-                b = buckets[i]
-                for cc in range(h):
-                    pos = positions[cc]
-                    ia = bisect_left(pos, lo)
-                    ib = bisect_left(pos, hi, ia)
-                    k = ib - ia
-                    if not k:
-                        continue
-                    b.class_counts[row[cc]] += k
-                    if cc == pc:
-                        if leaf_stats is None:
-                            base = polys[pc]
-                            polys[pc] = _add_shifted(base, base, 1)
-                            omega[pc] += 1
-                            Omega[pc] += 1
-                            leaf_stats = principal_stats()
-                            omega[pc] -= 1
-                            Omega[pc] -= 1
-                            polys[pc] = base
-                        pre = inv_prefix[pc]
-                        tally(b, leaf_stats, k, (pre[ib] - pre[ia]) / n)
-                lo = hi
-            i += 1
-        if emit is not None and leaf_stats is not None:
-            pos = positions[pc]
+        pos = positions[pc]
+        ia = bisect_left(pos, a)
+        ib = bisect_left(pos, z, ia)
+        if ib > ia:
+            key = keys[s] + inc[pc][1]
+            ls = ids.get(key)
+            if ls is None:
+                ls = states.add(key, 0)
             delta = divisor_classes[0] + divisor_classes[c]
-            # emit reads omega from leaf_stats, and Omega from the list
-            Omega[pc] += 1
-            stack_exp[depth] = 1
-            ia = bisect_left(pos, a)
-            for j in pos[ia : bisect_left(pos, z, ia)]:
-                stack_site[depth] = j
-                emit(n * norms[j], stack_site, stack_exp, depth + 1, Omega, leaf_stats, delta)
-            Omega[pc] -= 1
+            emit(n, stack_site, stack_exp, depth, states.stats(ls), delta, pos[ia:ib])
 
-    def descend(j: int, n: int, c: int, depth: int):
+    def descend(j: int, n: int, c: int, depth: int, s: int):
         """Walk every node n*q^e (e >= 1) for site j, whose n*q <= x."""
         nonlocal divisor_classes
         q = norms[j]
         cj = cls0[j]
-        omega[cj] += 1
-        Omega[cj] += 1
-        stack_site[depth] = j
-        stack_exp[depth] = 1
-        tracked = j in desc_set
-        if tracked:
-            present.add(j)
-        base = polys[cj]
-        polys[cj] = _add_shifted(base, base, 1)
-        top = maxt[cj]
-        # divisors of n*q^e: those of n times q^k, k <= e; slot g gains the
-        # count of slot g - k*cj, read through the row of the class of q^-k.
-        # Only emit reads delta, and the sweep is cheaper without.
-        dbase = divisor_classes
+        key = keys[s] + desc_bit.get(j, 0)
+        inc_j = inc[cj]
         if emit is not None:
+            stack_site[depth] = j
+            # divisors of n*q^e: those of n times q^k, k <= e; slot g gains
+            # the count of slot g - k*cj, read through the row of the class
+            # of q^-k
+            dbase = divisor_classes
             back = neg = inverse[cj]
-            divisor_classes = [v + dbase[s] for v, s in zip(dbase, cay[back])]
+            divisor_classes = [v + dbase[t] for v, t in zip(dbase, cay[back])]
         e = 1
         n2 = n * q
         c2 = cay[c][cj]
         while True:
-            visit(n2, c2, depth + 1)
-            children(j + 1, n2, c2, depth + 1)
+            s2 = ids.get(key + inc_j[e])
+            if s2 is None:
+                s2 = states.add(key + inc_j[e], c2)
+            if emit is None:
+                add_node((n2, s2))
+            else:
+                stack_exp[depth] = e
+                if not c2:
+                    emit(n2, stack_site, stack_exp, depth + 1, states.stats(s2), divisor_classes[0], None)
+            children(j + 1, n2, c2, depth + 1, s2)
             n2 *= q
             if n2 > x:
                 break
             e += 1
-            stack_exp[depth] = e
-            Omega[cj] += 1
             c2 = cay[c2][cj]
-            if e <= top:
-                polys[cj] = _add_shifted(polys[cj], base, e)
             if emit is not None:
                 back = cay[back][neg]
-                divisor_classes = [v + dbase[s] for v, s in zip(divisor_classes, cay[back])]
-        Omega[cj] -= e
-        omega[cj] -= 1
-        polys[cj] = base
-        divisor_classes = dbase
-        if tracked:
-            present.discard(j)
+                divisor_classes = [v + dbase[t] for v, t in zip(divisor_classes, cay[back])]
+        if emit is not None:
+            divisor_classes = dbase
 
-    def children(start: int, n: int, c: int, depth: int):
+    def children(start: int, n: int, c: int, depth: int, s: int):
         """Every descendant of node n whose new sites lie at positions >= start."""
         if start >= nsites:
             return
@@ -906,33 +1191,41 @@ def _walk(system, x, cps, descs, emit=None):
             return
         end = bisect_right(norms, lim, start)
         split = bisect_right(norms, math.isqrt(lim), start, end)
-        for j in range(start, split):
-            descend(j, n, c, depth)
+        s3 = split
+        if emit is None:
+            lo = batch_lo if batch_lo > start else start
+            if lo < split:
+                s3 = bisect_right(pen, lim, lo, split)
+                if s3 < split:
+                    add_batch((n, s, s3, split))
+        for j in range(start, s3):
+            descend(j, n, c, depth, s)
         a = split
         for d in desc_sites[bisect_left(desc_sites, split) :]:
             if d >= end:
                 break
             if d > a:
-                leaves(a, d, n, c, depth)
-            descend(d, n, c, depth)
+                leaves(a, d, n, c, depth, s)
+            descend(d, n, c, depth, s)
             a = d + 1
         if end > a:
-            leaves(a, end, n, c, depth)
+            leaves(a, end, n, c, depth, s)
 
-    visit(1, 0, 0)
-    children(0, 1, 0, 0)
+    children(0, 1, 0, 0, 0)
     # descend and children call each other: break the cycle, so the walk's
     # frame and whatever emit holds are freed without the cyclic GC
     descend = children = None
-    return buckets, visited, bulk, len(nu_memo)
+    if emit is None:
+        flush()
+        return tally.buckets, tally.walked, tally.batched, tally.bulk, len(states.nu_memo)
 
 
 def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Sweep:
     """One pass over all ideals of norm <= x, aggregating every statistic the
     reports need, with cumulative snapshots at each checkpoint.
 
-    Float accumulators are summed in the fixed order of a single DFS, so the
-    result is deterministic.
+    Every float is the exactly rounded sum of its terms, so the result does
+    not depend on the order in which the walk records or the tally counts.
     """
     _check_bound(system, x)
     if checkpoints is None:
@@ -947,7 +1240,8 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
             if not 0 <= sid < len(system.sites):
                 raise DomainError(f"descriptor site id {sid} out of range")
 
-    buckets, visited, bulk, nu_states = _walk(system, x, cps, descs)
+    buckets, walked, batched, bulk, nu_states = _walk(system, x, cps, descs)
+    visited = walked + batched
     n_ideals = sum(sum(b.class_counts) for b in buckets)
     if visited + bulk != n_ideals:
         raise RuntimeError(
@@ -960,6 +1254,7 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
         g_descriptors=descs,
         _buckets=buckets,
         visited=visited,
+        batched=batched,
         bulk=bulk,
         nu_states=nu_states,
     )
@@ -980,34 +1275,28 @@ def _census_columns(system: SiteSystem, x: int):
     broken by the factorization.
 
     Row i is (norm[i], *tails[tail[i]]) in ``census_header`` column order;
-    ``tails`` lists each distinct column tail after the norm once.  Each
-    row is taken from the walk's state as ``_walk`` passes its ideal on,
-    whether a walked node or a principal leaf of a bulk range, and collected
-    as two int64 columns.
+    ``tails`` lists the column tail after the norm of each walked principal
+    node and of each range of principal leaves, which share every column
+    but the norm.  Each row is taken from the walk's state as ``_walk``
+    passes its ideal on, and collected as two int64 columns.
     """
     norms = system._norms
     norm_col = array("q")
     tail_col = array("q")
     tails = []
-    last = None
-    tid = -1
 
-    def emit(n, sites, exps, depth, Omega, stats, delta):
-        # the walk passes the principal leaves of one bulk range with one
-        # shared stats tuple, and they share every column but the norm; a
-        # walked node's stats tuple is its own
-        nonlocal last, tid
-        if stats is not last:
-            nu, (omega, _), irred, _ = stats
-            squarefull = 1
-            for i in range(depth):
-                if exps[i] >= 2:
-                    squarefull *= norms[sites[i]] ** exps[i]
-            last = stats
-            tails.append((1, *omega, *Omega, nu, delta, int(irred), squarefull))
-            tid += 1
-        norm_col.append(n)
-        tail_col.append(tid)
+    def emit(n, sites, exps, depth, stats, delta, leaf_sites):
+        nu, (omega, _), irred, _, Omega = stats
+        squarefull = 1
+        for i in range(depth):
+            if exps[i] >= 2:
+                squarefull *= norms[sites[i]] ** exps[i]
+        tail_col.extend(itertools.repeat(len(tails), 1 if leaf_sites is None else len(leaf_sites)))
+        tails.append((1, *omega, *Omega, nu, delta, int(irred), squarefull))
+        if leaf_sites is None:
+            norm_col.append(n)
+        else:
+            norm_col.extend([n * norms[j] for j in leaf_sites])
 
     _each_principal(system, x, emit)
     norm = np.frombuffer(norm_col, dtype=np.int64)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from io import StringIO
 from pathlib import Path
 
 from . import abelian, census, stats
@@ -211,12 +210,13 @@ def _run_census(cmd: Command) -> int:
             "schema": census.census_header(system.group.h).split(","),
             "rows": census.census_rows(system, cmd.x),
         }
-        text = stats.dumps(payload) + "\n"
+        _emit(stats.dumps(payload) + "\n", cmd.out)
+    elif cmd.out is None:
+        census.write_census_csv(system, cmd.x, sys.stdout)
     else:
-        buf = StringIO()
-        census.write_census_csv(system, cmd.x, buf)
-        text = buf.getvalue()
-    _emit(text, cmd.out)
+        # written a chunk at a time, never held whole
+        with open(cmd.out, "w", encoding="utf-8", newline="") as f:
+            census.write_census_csv(system, cmd.x, f)
     return 0
 
 

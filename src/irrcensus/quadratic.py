@@ -283,9 +283,6 @@ class ClassGroup:
     def identity_form(self) -> QuadForm:
         return principal_form(self.field.discriminant)
 
-    def class_of(self, form: QuadForm) -> int:
-        return self.class_index[form]
-
 
 def _validate_d(d: int):
     if d >= 0:

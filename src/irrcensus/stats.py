@@ -160,7 +160,8 @@ def landau_check(system: SiteSystem, x: int):
     if x < 3:
         raise DomainError("needs x >= 3")
     # the first k sites have norm <= x; each class's compensated sum over
-    # them is an entry of the per-class prefix tables the sweep uses
+    # them is an entry of the per-class prefix tables (typed arrays) the
+    # sweep uses
     positions, prefix = system._class_tables
     k = bisect_right(system._norms, x)
     center = loglog(x) / max(system.group.h, 1)
@@ -356,12 +357,14 @@ def build_report(
         sweep = census_sweep(system, x, g_descriptors=g_descriptors)
     totals = sweep.at(x)
     n = totals.n_principal
+    # exact integer and float sums, so no byte depends on the order in
+    # which the sweep met the nu values
     mean_nu = sum(nu * c for nu, c in totals.nu_counts.items()) / n
-    var_nu = sum((nu - mean_nu) ** 2 * c for nu, c in totals.nu_counts.items()) / n
+    var_nu = math.fsum((nu - mean_nu) ** 2 * c for nu, c in totals.nu_counts.items()) / n
     z_moments = {}
     for k in MOMENT_ORDERS:
         z_moments[k] = (
-            sum(standardize(nu, sc, x) ** k * c for nu, c in totals.nu_counts.items())
+            math.fsum(standardize(nu, sc, x) ** k * c for nu, c in totals.nu_counts.items())
             / n
         )
     eq = equidist(system, x, m, sweep=sweep)

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -319,6 +320,52 @@ def test_sweep_counters_anchor(sys5):
     assert (swp.visited, swp.bulk, swp.nu_states) == (1214, 12833, 32)
 
 
+_TERMS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, -1.0]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), terms=st.lists(_TERMS, max_size=60))
+def test_exact_sum_ignores_order_and_chunking(data, terms):
+    # the sum of any permutation of the terms, fed as any mix of single
+    # adds and array chunks, is the correctly rounded exact sum
+    want = float(sum(map(Fraction, terms)))
+    perm = data.draw(st.permutations(terms), label="order")
+    acc = census._ExactSum()
+    lo = 0
+    while lo < len(perm):
+        hi = data.draw(st.integers(lo + 1, len(perm)), label="chunk end")
+        if data.draw(st.booleans(), label="as array"):
+            acc.add_array(np.array(perm[lo:hi], dtype=np.float64))
+        else:
+            for v in perm[lo:hi]:
+                acc.add(v)
+        lo = hi
+    assert acc.value.hex() == want.hex()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    terms=st.lists(st.tuples(_TERMS, st.integers(0, 3)), max_size=80),
+    split=st.integers(0, 80),
+)
+def test_exact_sums_by_label_merge(terms, split):
+    # labelled terms go to their own accumulators; merging two partial
+    # accumulators gives the sum of all their terms
+    values = np.array([v for v, _ in terms], dtype=np.float64)
+    labels = np.array([k for _, k in terms], dtype=np.int64)
+    first = [census._ExactSum() for _ in range(4)]
+    second = [census._ExactSum() for _ in range(4)]
+    census._add_exact(first, values[:split], labels[:split])
+    census._add_exact(second, values[split:], labels[split:])
+    for k, (a, b) in enumerate(zip(first, second)):
+        a.merge(b)
+        want = float(sum(Fraction(v) for v, label in terms if label == k))
+        assert a.value.hex() == want.hex()
+
+
 def _g_product(system, fact, desc):
     dividing = {en.site_id for en in fact.entries}
     return math.prod(
@@ -380,6 +427,111 @@ def test_sweep_matches_reference_walk(reference_walks, data):
         for got, desc in zip(tot.g_sums, swp.g_descriptors):
             want = math.fsum(_g_product(system, fact, desc) for fact, _ in recs)
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _assert_sweep_matches(system, records, ideals, x, cps=(), descs=()):
+    """Every counter of the sweep against the reference census, and its
+    floats against per-ideal sums; returns the sweep."""
+    swp = census.sweep(system, x, checkpoints=cps, g_descriptors=descs)
+    h = swp.at(x).h
+    assert swp.visited + swp.bulk == swp.at(x).n_ideals
+    for cp in swp.checkpoints:
+        tot = swp.at(cp)
+        classes = Counter(c for n, c in ideals if n <= cp)
+        assert tot.class_counts == tuple(classes[i] for i in range(h))
+        recs = [(fact, rec) for fact, rec in records if rec.norm <= cp]
+        assert tot.nu_counts == Counter(rec.nu for _, rec in recs)
+        assert tot.profile_counts == Counter(
+            (rec.omega, max(b - a for a, b in zip(rec.omega, rec.Omega))) for _, rec in recs
+        )
+        assert tot.irreducible_count == sum(rec.is_irreducible for _, rec in recs)
+        want = math.fsum(1.0 / rec.norm for _, rec in recs)
+        assert math.isclose(tot.harmonic_principal, want, rel_tol=1e-12)
+        want = math.fsum(1.0 / rec.norm for _, rec in recs if rec.is_irreducible)
+        assert math.isclose(tot.harmonic_irreducible, want, rel_tol=1e-12)
+        for got, desc in zip(tot.g_sums, swp.g_descriptors):
+            want = math.fsum(_g_product(system, fact, desc) for fact, _ in recs)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+    return swp
+
+
+def _root_batch(norms, x):
+    """(s3, split) of the root node at bound x with no descriptor."""
+    split = bisect_right(norms, math.isqrt(x))
+    s3 = next(j for j in range(split) if j + 1 == len(norms) or norms[j] * norms[j + 1] ** 2 > x)
+    return s3, split
+
+
+@pytest.mark.parametrize("node", [0, 1])
+@pytest.mark.parametrize("below", [False, True])
+def test_penultimate_batch_stops_at_descriptor_site(reference_walks, node, below):
+    # a descriptor site just above (or just below) the split of the node of
+    # a small site: batches start past it, so the root still batches, and
+    # no batch or batched node's leaf range may hold it
+    system, records, ideals, _ = reference_walks["-5"]
+    norms = system._norms
+    x = REFERENCE_X
+    site = bisect_right(norms, math.isqrt(x // norms[node])) - below
+    swp = _assert_sweep_matches(
+        system, records, ideals, x, cps=(x // 2,), descs=(((site, 1),), ((0, 2), (site, 2)))
+    )
+    assert swp.batched
+
+
+def test_penultimate_batch_split_by_checkpoints(reference_walks):
+    # checkpoints among the root's batched nodes and their leaves
+    system, records, ideals, _ = reference_walks["-5"]
+    norms = system._norms
+    x = REFERENCE_X
+    s3, split = _root_batch(norms, x)
+    cps = (norms[(s3 + split) // 2], norms[(s3 + split) // 2] + 1, 3 * x // 4, x - 1)
+    swp = _assert_sweep_matches(system, records, ideals, x, cps=cps, descs=(((0, 1),),))
+    assert swp.batched
+
+
+def test_penultimate_batch_node_at_bound(reference_walks):
+    # x = N(q)^2 for a site q of the root's batch: the node q^2 is exactly x
+    system, records, ideals, _ = reference_walks["-5"]
+    norms = system._norms
+    s3, split = _root_batch(norms, REFERENCE_X)
+    q = norms[split - 1]
+    x = q * q
+    j = bisect_right(norms, q) - 1
+    assert j + 1 < len(norms) and q * norms[j + 1] ** 2 > x
+    assert any(rec.norm == x for _, rec in records) or any(n == x for n, _ in ideals)
+    swp = _assert_sweep_matches(system, records, ideals, x, cps=(x - 1,))
+    assert swp.batched
+
+
+def test_penultimate_rule_at_equality(reference_walks):
+    # x = N(q_j) N(q_{j+1})^2: at the root, site j is not penultimate (its
+    # node's bound x // N(q_j) is exactly N(q_{j+1})^2, so q_j q_{j+1}^2 = x
+    # is a walked grandchild), and site j + 1 is
+    system, records, ideals, _ = reference_walks["-5"]
+    norms = system._norms
+    for j in (3, 4, 5, 6):
+        x = norms[j] * norms[j + 1] ** 2
+        if x > REFERENCE_X:
+            break
+        s3, _ = _root_batch(norms, x)
+        assert s3 > j
+        for bound in (x - 1, x, x + 1):
+            _assert_sweep_matches(system, records, ideals, bound, cps=(bound // 2,))
+
+
+@pytest.mark.parametrize("key", ["-105", "-1155", "(2, 4)"])
+def test_penultimate_batches_on_order_8_groups(reference_walks, key):
+    # Z/2^3 fields and a synthetic Z/2xZ/4 stream, with checkpoints among
+    # the root's batched nodes, without and with descriptors
+    system, records, ideals, _ = reference_walks[key]
+    norms = system._norms
+    x = REFERENCE_X
+    s3, split = _root_batch(norms, x)
+    for descs in ((), (((0, 2),), ((1, 1), (3, 1)))):
+        swp = _assert_sweep_matches(
+            system, records, ideals, x, cps=(norms[(s3 + split) // 2], x // 3), descs=descs
+        )
+        assert swp.batched
 
 
 def _record_row(rec):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -131,14 +133,35 @@ def test_g_mean_rejects_site_out_of_range(sys5, sweep5):
 
 
 def test_report_ignores_walk_counters(sys5, sweep5):
-    # visited, bulk and nu_states describe the walk; no report byte reads them
+    # visited, batched, bulk and nu_states describe the walk; no report byte
+    # reads them
     report = stats.build_report(sys5, 10**4, m=2, sweep=sweep5)
-    scrambled = dataclasses.replace(sweep5, visited=-1, bulk=-1, nu_states=-1)
+    scrambled = dataclasses.replace(sweep5, visited=-1, batched=-1, bulk=-1, nu_states=-1)
     other = stats.build_report(sys5, 10**4, m=2, sweep=scrambled)
     assert other.to_json() == report.to_json()
     assert stats.histogram_csv(other.histogram_rows) == stats.histogram_csv(
         report.histogram_rows
     )
+
+
+@pytest.mark.parametrize("field", [-5, -23, -1155])
+def test_report_ignores_nu_counts_order(field):
+    # the order in which the sweep meets the nu values is the walk's and the
+    # tally's business: reversing or shuffling every bucket's nu_counts
+    # leaves every byte of the report
+    system = census.for_field(field, 10**5)
+    x = 10**5
+    swp = census.sweep(system, x, checkpoints=(10**3,), g_descriptors=stats.default_g_descriptors(system))
+    want = stats.build_report(system, x, sweep=swp).to_json()
+    rng = random.Random(field)
+    for _ in range(4):
+        buckets = copy.deepcopy(swp._buckets)
+        for b in buckets:
+            items = list(b.nu_counts.items())
+            rng.shuffle(items)
+            b.nu_counts = dict(items)
+        shuffled = dataclasses.replace(swp, _buckets=buckets)
+        assert stats.build_report(system, x, sweep=shuffled).to_json() == want
 
 
 def test_weber_small(sys5, sweep5):
