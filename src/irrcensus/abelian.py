@@ -215,11 +215,7 @@ def is_minimal_zero_sum(group: GroupSpec, ordering: ClassOrdering, tau) -> bool:
     return True
 
 
-def enumerate_types(
-    group: GroupSpec,
-    ordering: ClassOrdering | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> frozenset[TypeVector]:
+def enumerate_types(group: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> frozenset[TypeVector]:
     """All minimal zero-sum class distributions of the group.
 
     Every minimal zero-sum multiset is a zero-sum-free multiset S plus the
@@ -235,8 +231,7 @@ def enumerate_types(
         raise ResourceLimitError(
             f"group order {h} exceeds the enumeration bound {max_order}"
         )
-    if ordering is None:
-        ordering = canonical_ordering(group)
+    ordering = canonical_ordering(group)
     cay = ordering.cayley()
     neg = ordering.neg_table()
     found: set[tuple[int, ...]] = set()

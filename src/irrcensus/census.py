@@ -12,15 +12,15 @@ from which follow the class, omega, and each class's subset-count
 polynomial truncated at the largest type component of that class.  nu is a
 sum over the types of products of those polynomials' coefficients, so it
 depends only on the tuple of polynomials; there are few distinct tuples,
-and the walk memoizes nu on them.  For the per-ideal callers below, the
-walk also keeps on its stack the class distribution of the node's divisors,
-whose principal entry is delta.  The irreducible-divisor count nu is also
+and the walk memoizes nu on them.  For the census, the walk also keeps on
+its stack the class distribution of the node's divisors, whose principal
+entry is delta.  The irreducible-divisor count nu is also
 computed three independent ways from a factorization (per-class subset-count
 products, exhaustive sub-multiset search, and a squarefull/squarefree
 split), which the tests hold to exact agreement with each other and with
 the walk.
 
-``_walk`` is the one DFS over sites, and every caller runs the same walk.
+``_walk`` is the fast DFS over sites, and it serves the sweep and the census.
 It visits in Python only the nodes that can have children; the leaves n*q
 whose last prime q satisfies N(q)^2 > x // n (about 99% of all ideals at
 x = 1e7) are counted in bulk per class from per-class prefix tables.
@@ -29,17 +29,22 @@ walk records rows instead of tallying: walked nodes, leaf ranges, and
 batches of penultimate sites, whose nodes n*q^e have only bulk leaves as
 children and are not walked at all (``Sweep.batched`` counts them).  A
 numpy pass tallies the rows a chunk at a time, and its float sums are
-exact, so no report float depends on the walk order.  The per-ideal
-callers get each principal ideal, in lexicographic order of its
-factorization: each walked one on its own, and the principal leaves of a
-bulk range together, since they share every field but the norm; no
-non-principal leaf is ever touched.  The census (``_census_columns``: one
-walk, one stable argsort) collects from that state each row's norm and the
-id of its columns after the norm as two int64 columns;
-``write_census_csv`` formats them in chunks with ``quadratic.write_int_csv``
-and ``census_rows`` expands them to tuples.  ``harmonic_sums`` sums 1/N.
-``enumerate_principal`` takes only the factorizations from the walk and
-computes each field with the oracle functions, as the reference for both.
+exact, so no report float depends on the walk order.  The census
+(``_census_columns``: one walk, one stable argsort) gets each principal
+ideal in lexicographic order of its factorization: each walked one on its
+own, and the principal leaves of a bulk range together, since they share
+every field but the norm; no non-principal leaf is ever touched.  It
+collects from the walk's state each row's norm and the id of its columns
+after the norm as two int64 columns; ``write_census_csv`` formats them in
+chunks with ``quadratic.write_int_csv`` and ``census_rows`` expands them to
+tuples.
+
+The two references for those fast paths share none of that machinery.
+``_principal_factorizations`` is a plain recursive walk that visits every
+ideal, one at a time, and yields the principal ones' factorizations in the
+same lexicographic order.  ``enumerate_principal`` computes each record
+field from a factorization with the oracle functions, and
+``harmonic_sums`` sums the 1/N terms with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import add
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -77,7 +81,7 @@ from .quadratic import (
 )
 from .synth import SynthModel, synth_sites
 
-DEFAULT_BRUTE_OMEGA_BOUND = 24
+BRUTE_OMEGA_BOUND = 24
 DEFAULT_DIVISOR_BOUND = 10**6
 
 
@@ -155,7 +159,7 @@ class SiteSystem:
         prefix: list[array] = []
         for pos, inverse in zip(np.split(order, cuts), np.split(1.0 / self.sites.norm[order], cuts)):
             positions.append(array("q", pos.astype(np.int64).tobytes()))
-            # _Kahan.add inlined (every term is positive), in stream order
+            # Neumaier summation (every term is positive), in stream order
             s = comp = 0.0
             pre = array("d", [0.0])
             for v in inverse.tolist():
@@ -262,11 +266,7 @@ def nu_exact(fact: Factorization, sc: StructuralConstants):
     return total, by_type
 
 
-def nu_bruteforce(
-    fact: Factorization,
-    ordering: ClassOrdering,
-    max_multiplicity: int = DEFAULT_BRUTE_OMEGA_BOUND,
-) -> int:
+def nu_bruteforce(fact: Factorization, ordering: ClassOrdering) -> int:
     """Oracle: enumerate every sub-multiset, keep the principal ones with no
     principal proper nonempty sub-multiset, count them.
 
@@ -274,9 +274,9 @@ def nu_bruteforce(
     exact path).
     """
     big_omega = sum(en.exponent for en in fact.entries)
-    if big_omega > max_multiplicity:
+    if big_omega > BRUTE_OMEGA_BOUND:
         raise ResourceLimitError(
-            f"Omega={big_omega} exceeds the brute-force bound {max_multiplicity}"
+            f"Omega={big_omega} exceeds the brute-force bound {BRUTE_OMEGA_BOUND}"
         )
     mods = ordering.group.invariant_factors
     classes = [ordering.elements[en.class_index - 1] for en in fact.entries]
@@ -434,11 +434,32 @@ def _check_bound(system: SiteSystem, x: int):
         raise DomainError(f"x={x} exceeds the site stream limit {system.limit}")
 
 
-def _each_principal(system: SiteSystem, x: int, emit):
-    """Run ``_walk`` to x, passing every principal ideal of norm <= x to
-    ``emit`` in lexicographic order of its factorization."""
+def _principal_factorizations(system: SiteSystem, x: int) -> Iterator[Factorization]:
+    """Every principal ideal of norm <= x, in lexicographic order of its
+    factorization, from a plain walk that visits every ideal one at a time
+    (a reference for ``_walk``, which it shares no code with)."""
     _check_bound(system, x)
-    _walk(system, x, (x,), (), emit)
+    yield from _plain_walk(
+        system._norms, system._cls0, system.ordering.cayley(), x, 0, 1, 0, ()
+    )
+
+
+def _plain_walk(norms, cls0, cay, x, start, n, c, entries):
+    """The ideal n of class c with factorization ``entries``, then every
+    descendant whose new sites lie at stream positions >= start."""
+    if not c:
+        yield Factorization(entries=entries, norm=n, class_index=1)
+    for j in range(start, len(norms)):
+        q = norms[j]
+        if n * q > x:
+            break
+        m, cm, e = n, c, 0
+        while m * q <= x:
+            m *= q
+            e += 1
+            cm = cay[cm][cls0[j]]
+            entry = FactorEntry(j, q, cls0[j] + 1, e)
+            yield from _plain_walk(norms, cls0, cay, x, j + 1, m, cm, entries + (entry,))
 
 
 def enumerate_principal(
@@ -446,33 +467,14 @@ def enumerate_principal(
 ) -> Iterator[tuple[Factorization, CensusRecord]]:
     """Every principal ideal of norm <= x, DFS order, fully populated.
 
-    Only the factorizations come from the walk, the principal leaves among
-    them from its bulk leaf ranges; every record field is computed from the
-    factorization by the oracle functions, so this is an independent
-    reference for ``sweep`` and ``census_rows``.  The tests hold the
-    factorizations themselves to a plain recursive walk.
+    The factorizations come from the plain reference walk, and every record
+    field is computed from the factorization by the oracle functions, so
+    this is an independent reference for ``sweep`` and ``census_rows``.
+    Records stream: none is held once it is yielded.
     """
-    norms = system._norms
-    cls0 = system._cls0
-    walked = []
-
-    def emit(n, sites, exps, depth, stats, delta, leaf_sites):
-        node_sites = tuple(sites[:depth])
-        node_exps = tuple(exps[:depth])
-        if leaf_sites is None:
-            walked.append((n, node_sites, node_exps))
-        else:
-            for j in leaf_sites:
-                walked.append((n * norms[j], node_sites + (j,), node_exps + (1,)))
-
-    _each_principal(system, x, emit)
     sc = system.constants
     h = system.group.h
-    for n, sites, exps in walked:
-        entries = tuple(
-            FactorEntry(j, norms[j], cls0[j] + 1, e) for j, e in zip(sites, exps)
-        )
-        fact = Factorization(entries=entries, norm=n, class_index=1)
+    for fact in _principal_factorizations(system, x):
         omega = [0] * h
         Omega = [0] * h
         for en in fact.entries:
@@ -503,67 +505,25 @@ class HarmonicSums:
 def harmonic_sums(system: SiteSystem, x: int, exact: bool = False) -> HarmonicSums:
     """Reciprocal-norm sums over principal and over irreducible ideals.
 
-    Each principal ideal's 1/N is added on its own, in walk order, never
-    taken from the bulk prefix sums, so this stays a reference for
-    ``sweep``.  ``exact=True`` accumulates Fractions (only sensible for
-    small x).
+    The principal ideals come from the plain reference walk, and their 1/N
+    terms are summed with ``math.fsum``, correctly rounded, so this stays a
+    reference for ``sweep``.  ``exact=True`` sums Fractions instead (only
+    sensible for small x).
     """
-    norms = system._norms
+    sc = system.constants
     one = Fraction(1) if exact else 1.0
-    principal, irreducible = (
-        (_FractionSum(), _FractionSum()) if exact else (_Kahan(), _Kahan())
-    )
-    count = 0
-
-    def emit(n, sites, exps, depth, stats, delta, leaf_sites):
-        nonlocal count
-        irred = stats[2]
-        for v in [one / n] if leaf_sites is None else [one / (n * norms[j]) for j in leaf_sites]:
-            principal.add(v)
-            if irred:
-                irreducible.add(v)
-                count += 1
-
-    _each_principal(system, x, emit)
-    return HarmonicSums(principal.value, irreducible.value, count)
+    principal, irreducible = [], []
+    for fact in _principal_factorizations(system, x):
+        v = one / fact.norm
+        principal.append(v)
+        if fact.entries and is_irreducible(fact, sc):
+            irreducible.append(v)
+    total = (lambda terms: sum(terms, Fraction(0))) if exact else math.fsum
+    return HarmonicSums(total(principal), total(irreducible), len(irreducible))
 
 
 # ---------------------------------------------------------------------------
 # aggregated sweep
-
-
-class _Kahan:
-    """Neumaier compensated summation; merge order is fixed by the caller."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, v: float):
-        t = self.s + v
-        if abs(self.s) >= abs(v):
-            self.c += (self.s - t) + v
-        else:
-            self.c += (v - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
-
-
-class _FractionSum:
-    """A Fraction sum with the ``add``/``value`` interface of ``_Kahan``."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = Fraction(0)
-
-    def add(self, v: Fraction):
-        self.value += v
 
 
 #: Every finite float times 2**1074 is an integer.
@@ -746,17 +706,6 @@ def _normalize_descriptor(desc) -> tuple[tuple[int, int], ...]:
     return out
 
 
-def _add_shifted(poly: tuple, base: tuple, e: int) -> tuple:
-    """poly + t^e * base, truncated at the degree of poly.
-
-    A class's subset-count polynomial is the product over its sites of
-    1 + t + ... + t^e.  Pushing a site multiplies the saved polynomial
-    ``base`` by 1 + t, which is ``_add_shifted(base, base, 1)``; raising
-    that site's exponent to e adds ``base`` shifted by e.
-    """
-    return poly[:e] + tuple(map(add, poly[e:], base))
-
-
 class _States:
     """The node states of one walk, interned as int ids.
 
@@ -847,15 +796,11 @@ class _States:
             field = (key >> off + 8) & ((1 << 8 * m) - 1)
             entry = memo.get(field)
             if entry is None:
-                # the class's sites of exponent k (k = m: or more)
+                # the class's sites of exponent k (k = m: or more, which
+                # truncates at degree m the same way)
                 counts = [(field >> 8 * (k - 1)) & 255 for k in range(1, m + 1)]
-                poly = (1,) + (0,) * m
-                for k, count in enumerate(counts, 1):
-                    for _ in range(count):
-                        base = poly
-                        for j in range(1, k + 1):
-                            poly = _add_shifted(poly, base, j)
-                entry = memo[field] = (poly, sum(counts))
+                exps = [k for k, count in enumerate(counts, 1) for _ in range(count)]
+                entry = memo[field] = (tuple(_bounded_subset_counts(exps, m)), len(exps))
             polys.append(entry[0])
             omega.append(entry[1])
         polys = tuple(polys)
@@ -1051,7 +996,8 @@ class _Tally:
 
 
 def _walk(system, x, cps, descs, emit=None):
-    """The one DFS over sites.
+    """The fast DFS over sites, for ``sweep`` and the census; the plain
+    ``_principal_factorizations`` is its reference.
 
     At a node of norm n, let lim = x // n.  Sites q with N(q)^2 <= lim may
     have descendants.  A site with N(q)^2 > lim >= N(q) yields exactly one
@@ -1074,19 +1020,18 @@ def _walk(system, x, cps, descs, emit=None):
     descriptor site, so no descriptor site falls in a batch or in a
     batched node's leaf range.
 
-    Given ``emit``, nothing is batched or tallied, and each principal ideal
-    is passed on in lexicographic order of its factorization as ``emit(n,
-    sites, exps, depth, stats, delta, leaf_sites)``, with ``stats`` its
-    ``_States.stats`` tuple.  The first ``depth`` entries of the walk's
-    stack lists ``sites``/``exps`` are the node's stream positions and
-    exponents, ascending.  If ``leaf_sites`` is None the ideal is the walked
-    node n.  Otherwise the ideals are the principal leaves n*q of one bulk
-    range (their site's class is inverse to the node's), for q at the
-    ascending stream positions ``leaf_sites``, each with q pushed on the
-    node's stack with exponent 1.  They share every field but the norm:
-    stats, and delta = the node's divisors of the principal class plus
-    those of the node's class, from the class distribution of the node's
-    divisors that the walk keeps on its stack for ``emit``.
+    Given ``emit`` (the census's), nothing is batched or tallied, and each
+    principal ideal is passed on in lexicographic order of its
+    factorization as ``emit(n, stats, delta, squarefull, leaf_sites)``, with
+    ``stats`` its ``_States.stats`` tuple and ``squarefull`` the norm of its
+    squarefull part, which the recursion carries down.  If ``leaf_sites`` is
+    None the ideal is the walked node n.  Otherwise the ideals are the
+    principal leaves n*q of one bulk range (their site's class is inverse to
+    the node's), for q at the ascending stream positions ``leaf_sites``.
+    They share every field but the norm: stats, squarefull (q has exponent
+    1), and delta = the node's divisors of the principal class plus those
+    of the node's class, from the class distribution of the node's divisors
+    that the walk keeps on its stack for ``emit``.
     """
     norms = system._norms
     cls0 = system._cls0
@@ -1117,11 +1062,9 @@ def _walk(system, x, cps, descs, emit=None):
     else:
         positions = system._class_tables[0]
         divisor_classes = [1] + [0] * (len(cay) - 1)
-        stack_site = [0] * 80
-        stack_exp = [0] * 80
-        emit(1, stack_site, stack_exp, 0, states.stats(0), 1, None)
+        emit(1, states.stats(0), 1, 1, None)
 
-    def leaves(a: int, z: int, n: int, c: int, depth: int, s: int):
+    def leaves(a: int, z: int, n: int, c: int, sf: int, s: int):
         """The leaves n*q for the sites q at stream positions [a, z), none of
         them a descriptor site: one range row, or, given ``emit``, the
         principal ones passed on."""
@@ -1140,9 +1083,9 @@ def _walk(system, x, cps, descs, emit=None):
             if ls is None:
                 ls = states.add(key, 0)
             delta = divisor_classes[0] + divisor_classes[c]
-            emit(n, stack_site, stack_exp, depth, states.stats(ls), delta, pos[ia:ib])
+            emit(n, states.stats(ls), delta, sf, pos[ia:ib])
 
-    def descend(j: int, n: int, c: int, depth: int, s: int):
+    def descend(j: int, n: int, c: int, sf: int, s: int):
         """Walk every node n*q^e (e >= 1) for site j, whose n*q <= x."""
         nonlocal divisor_classes
         q = norms[j]
@@ -1150,7 +1093,6 @@ def _walk(system, x, cps, descs, emit=None):
         key = keys[s] + desc_bit.get(j, 0)
         inc_j = inc[cj]
         if emit is not None:
-            stack_site[depth] = j
             # divisors of n*q^e: those of n times q^k, k <= e; slot g gains
             # the count of slot g - k*cj, read through the row of the class
             # of q^-k
@@ -1164,13 +1106,12 @@ def _walk(system, x, cps, descs, emit=None):
             s2 = ids.get(key + inc_j[e])
             if s2 is None:
                 s2 = states.add(key + inc_j[e], c2)
+            sf2 = sf * q**e if e > 1 else sf
             if emit is None:
                 add_node((n2, s2))
-            else:
-                stack_exp[depth] = e
-                if not c2:
-                    emit(n2, stack_site, stack_exp, depth + 1, states.stats(s2), divisor_classes[0], None)
-            children(j + 1, n2, c2, depth + 1, s2)
+            elif not c2:
+                emit(n2, states.stats(s2), divisor_classes[0], sf2, None)
+            children(j + 1, n2, c2, sf2, s2)
             n2 *= q
             if n2 > x:
                 break
@@ -1182,7 +1123,7 @@ def _walk(system, x, cps, descs, emit=None):
         if emit is not None:
             divisor_classes = dbase
 
-    def children(start: int, n: int, c: int, depth: int, s: int):
+    def children(start: int, n: int, c: int, sf: int, s: int):
         """Every descendant of node n whose new sites lie at positions >= start."""
         if start >= nsites:
             return
@@ -1199,19 +1140,19 @@ def _walk(system, x, cps, descs, emit=None):
                 if s3 < split:
                     add_batch((n, s, s3, split))
         for j in range(start, s3):
-            descend(j, n, c, depth, s)
+            descend(j, n, c, sf, s)
         a = split
         for d in desc_sites[bisect_left(desc_sites, split) :]:
             if d >= end:
                 break
             if d > a:
-                leaves(a, d, n, c, depth, s)
-            descend(d, n, c, depth, s)
+                leaves(a, d, n, c, sf, s)
+            descend(d, n, c, sf, s)
             a = d + 1
         if end > a:
-            leaves(a, end, n, c, depth, s)
+            leaves(a, end, n, c, sf, s)
 
-    children(0, 1, 0, 0, 0)
+    children(0, 1, 0, 1, 0)
     # descend and children call each other: break the cycle, so the walk's
     # frame and whatever emit holds are freed without the cyclic GC
     descend = children = None
@@ -1285,12 +1226,8 @@ def _census_columns(system: SiteSystem, x: int):
     tail_col = array("q")
     tails = []
 
-    def emit(n, sites, exps, depth, stats, delta, leaf_sites):
+    def emit(n, stats, delta, squarefull, leaf_sites):
         nu, (omega, _), irred, _, Omega = stats
-        squarefull = 1
-        for i in range(depth):
-            if exps[i] >= 2:
-                squarefull *= norms[sites[i]] ** exps[i]
         tail_col.extend(itertools.repeat(len(tails), 1 if leaf_sites is None else len(leaf_sites)))
         tails.append((1, *omega, *Omega, nu, delta, int(irred), squarefull))
         if leaf_sites is None:
@@ -1298,7 +1235,8 @@ def _census_columns(system: SiteSystem, x: int):
         else:
             norm_col.extend([n * norms[j] for j in leaf_sites])
 
-    _each_principal(system, x, emit)
+    _check_bound(system, x)
+    _walk(system, x, (x,), (), emit)
     norm = np.frombuffer(norm_col, dtype=np.int64)
     # the walk is lexicographic in the factorization, so a stable sort by
     # norm alone breaks ties by the factorization

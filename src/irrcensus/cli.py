@@ -229,16 +229,7 @@ def _hist_path(out: str) -> str:
 
 def _run_ek(cmd: Command) -> int:
     system = _system(cmd)
-    report = stats.build_report(
-        system,
-        cmd.x,
-        m=cmd.m,
-        sweep=census.sweep(
-            system,
-            cmd.x,
-            g_descriptors=stats.default_g_descriptors(system) if system.field else (),
-        ),
-    )
+    report = stats.build_report(system, cmd.x, m=cmd.m)
     payload = report.as_dict()
     text = report.to_json() if cmd.fmt == "json" else _flat_csv(payload)
     _emit(text, cmd.out)

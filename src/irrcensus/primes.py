@@ -25,18 +25,18 @@ from .errors import DomainError
 SEGMENT_SIZE = 1 << 20
 
 
-def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE) -> Iterator[np.ndarray]:
+def prime_segments(limit: int) -> Iterator[np.ndarray]:
     """Primes <= limit as ascending int64 arrays, one per sieve segment.
 
-    Each segment of ``segment_size`` integers is crossed off by the base
+    Each segment of ``SEGMENT_SIZE`` integers is crossed off by the base
     primes <= isqrt(limit), which come from this same sieve one level down,
-    so memory stays O(segment_size + sqrt(limit)).
+    so memory stays O(SEGMENT_SIZE + sqrt(limit)).
     """
     if limit < 2:
         return
     base = prime_array(math.isqrt(limit)).tolist()
-    for low in range(0, limit + 1, segment_size):
-        high = min(low + segment_size - 1, limit)
+    for low in range(0, limit + 1, SEGMENT_SIZE):
+        high = min(low + SEGMENT_SIZE - 1, limit)
         mask = np.ones(high - low + 1, dtype=bool)
         if low == 0:
             mask[:2] = False
@@ -54,9 +54,9 @@ def prime_array(limit: int) -> np.ndarray:
     return np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
 
 
-def primes_up_to(limit: int, segment_size: int = SEGMENT_SIZE) -> Iterator[int]:
+def primes_up_to(limit: int) -> Iterator[int]:
     """Stream primes <= limit from the segmented sieve (memory stays O(segment))."""
-    for segment in prime_segments(limit, segment_size):
+    for segment in prime_segments(limit):
         yield from segment.tolist()
 
 

@@ -34,8 +34,8 @@ from .abelian import ClassOrdering, GroupSpec, _factorize, canonical_ordering
 from .errors import DomainError, ResourceLimitError
 from .primes import is_prime, kronecker_prime, kronecker_primes, prime_array, sqrt_mod_primes
 
-DEFAULT_MAX_DISCRIMINANT = 10**7
-DEFAULT_MAX_SITE_NORM = 10**8
+MAX_DISCRIMINANT = 10**7
+MAX_SITE_NORM = 10**8
 # b < 2p and p^2 stay below 2**63 in the int64 site columns
 _INT64_MAX_NORM = 2**30
 
@@ -426,7 +426,7 @@ def _group_structure(forms, identity):
     return group, coordinates
 
 
-def class_group(d: int, max_discriminant: int = DEFAULT_MAX_DISCRIMINANT) -> ClassGroup:
+def class_group(d: int) -> ClassGroup:
     """Build the class group of Q(sqrt(d)) for squarefree d < 0.
 
     Enumerates reduced forms, extracts invariant factors from the
@@ -435,9 +435,9 @@ def class_group(d: int, max_discriminant: int = DEFAULT_MAX_DISCRIMINANT) -> Cla
     """
     _validate_d(d)
     disc = d if d % 4 == 1 else 4 * d
-    if -disc > max_discriminant:
+    if -disc > MAX_DISCRIMINANT:
         raise ResourceLimitError(
-            f"|discriminant| {-disc} exceeds the configured bound {max_discriminant}"
+            f"|discriminant| {-disc} exceeds the configured bound {MAX_DISCRIMINANT}"
         )
     forms = reduced_forms(disc)
     identity = principal_form(disc)
@@ -557,8 +557,7 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     return SiteColumns(primes, norm, splitting, cls, conjugate)
 
 
-def prime_sites_up_to(cg: ClassGroup, limit: int,
-                      max_norm: int = DEFAULT_MAX_SITE_NORM) -> SiteColumns:
+def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     """Every prime ideal of norm <= limit, exactly once, ordered by (norm, id).
 
     Returns the stream as columns; iterating or indexing it yields
@@ -569,9 +568,9 @@ def prime_sites_up_to(cg: ClassGroup, limit: int,
     """
     if limit < 2:
         raise DomainError("site stream needs limit >= 2")
-    if limit > max_norm:
+    if limit > MAX_SITE_NORM:
         raise ResourceLimitError(
-            f"site norm bound {limit} exceeds the memory budget {max_norm}"
+            f"site norm bound {limit} exceeds the memory budget {MAX_SITE_NORM}"
         )
     if limit > _INT64_MAX_NORM:
         raise ResourceLimitError(

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .abelian import StructuralConstants
-from .census import SiteSystem, Sweep, Totals, sweep as census_sweep
+from .census import SiteSystem, Sweep, Totals, _check_bound, sweep as census_sweep
 from .errors import DomainError
 
 HIST_LO = -6.0
@@ -159,6 +159,7 @@ def landau_check(system: SiteSystem, x: int):
     """Per-class reciprocal-norm sums over prime sites, minus L/h."""
     if x < 3:
         raise DomainError("needs x >= 3")
+    _check_bound(system, x)
     # the first k sites have norm <= x; each class's compensated sum over
     # them is an entry of the per-class prefix tables (typed arrays) the
     # sweep uses
@@ -347,14 +348,14 @@ def build_report(
     system: SiteSystem,
     x: int,
     m: int = 2,
-    g_descriptors=None,
     sweep: Sweep | None = None,
 ) -> StatReport:
+    """The report of ``sweep`` at x; without one, of a sweep that tracks the
+    default descriptors on a field and none on a synthetic stream."""
     sc = system.constants
-    if g_descriptors is None:
-        g_descriptors = default_g_descriptors(system) if system.field else ()
     if sweep is None:
-        sweep = census_sweep(system, x, g_descriptors=g_descriptors)
+        descs = default_g_descriptors(system) if system.field else ()
+        sweep = census_sweep(system, x, g_descriptors=descs)
     totals = sweep.at(x)
     n = totals.n_principal
     # exact integer and float sums, so no byte depends on the order in

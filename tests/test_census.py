@@ -1,8 +1,10 @@
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -275,32 +277,14 @@ def reference_walks():
 
 
 def test_enumerate_principal_matches_plain_walk(reference_walks):
-    # enumerate_principal takes its principal leaves from the same bulk
-    # ranges as sweep and census_rows; the plain walk visits every ideal
+    # enumerate_principal's walk against this file's own plain walk, which
+    # visits every ideal
     for system, records, _, principal in reference_walks.values():
         got = [
             (fact.norm, tuple((en.site_id, en.exponent) for en in fact.entries))
             for fact, _ in records
         ]
         assert got == principal
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    exponents=st.lists(st.integers(1, 9), max_size=6),
-    max_degree=st.integers(0, 7),
-)
-def test_stack_polynomial_updates_match_subset_counts(exponents, max_degree):
-    # the walk pushes each site with exponent 1, then raises it one at a time
-    poly = (1,) + (0,) * max_degree
-    for i, e in enumerate(exponents):
-        base = poly
-        poly = census._add_shifted(base, base, 1)
-        for k in range(1, e + 1):
-            if k > 1:
-                poly = census._add_shifted(poly, base, k)
-            want = census._bounded_subset_counts(exponents[:i] + [k], max_degree)
-            assert list(poly) == want
 
 
 def test_sweeps_of_different_groups_keep_their_own_memo(reference_walks):
@@ -560,27 +544,21 @@ def test_census_rows_match_enumeration(reference_walks, x):
 
 @pytest.mark.parametrize("x", [1, 300, REFERENCE_X])
 def test_harmonic_sums_walk_every_ideal(reference_walks, x):
-    # bit-equal to a sum in walk order: a bulk-counted sum differs in the
-    # last bit on some of these systems
+    # bit-equal to the correctly rounded sum of the per-ideal terms
     for system, records, _, _ in reference_walks.values():
-        principal, irreducible = census._Kahan(), census._Kahan()
-        count = 0
-        for _, rec in records:
-            if rec.norm <= x:
-                principal.add(1.0 / rec.norm)
-                if rec.is_irreducible:
-                    irreducible.add(1.0 / rec.norm)
-                    count += 1
+        principal = [1.0 / rec.norm for _, rec in records if rec.norm <= x]
+        irreducible = [1.0 / rec.norm for _, rec in records if rec.norm <= x and rec.is_irreducible]
         hs = census.harmonic_sums(system, x)
-        assert hs.principal.hex() == principal.value.hex()
-        assert hs.irreducible.hex() == irreducible.value.hex()
-        assert hs.irreducible_count == count
+        assert hs.principal.hex() == math.fsum(principal).hex()
+        assert hs.irreducible.hex() == math.fsum(irreducible).hex()
+        assert hs.irreducible_count == len(irreducible)
 
 
 def test_small_x_principal_rows_and_harmonic_sums(sys5):
     # x = 1..300, where the bulk leaf ranges are shortest or empty: the row
-    # count against the norm form, the harmonic sums bit-equal to a sum in
-    # plain-walk order, and the irreducible count against the oracle
+    # count against the norm form, the harmonic sums bit-equal to the
+    # correctly rounded sum of the plain walk's terms, and the irreducible
+    # count against the oracle
     _, principal = _ideal_norms_and_classes(sys5, 300)
     sc = sys5.constants
     irreducible = [
@@ -589,18 +567,12 @@ def test_small_x_principal_rows_and_harmonic_sums(sys5):
     ]
     for x in range(1, 301):
         assert len(census.census_rows(sys5, x)) == principal_count_by_norm_form(-5, x, 2)
-        want_p, want_i = census._Kahan(), census._Kahan()
-        count = 0
-        for (n, _), irred in zip(principal, irreducible):
-            if n <= x:
-                want_p.add(1.0 / n)
-                if irred:
-                    want_i.add(1.0 / n)
-                    count += 1
+        want_p = [1.0 / n for n, _ in principal if n <= x]
+        want_i = [1.0 / n for (n, _), irred in zip(principal, irreducible) if n <= x and irred]
         hs = census.harmonic_sums(sys5, x)
-        assert hs.principal.hex() == want_p.value.hex()
-        assert hs.irreducible.hex() == want_i.value.hex()
-        assert hs.irreducible_count == count
+        assert hs.principal.hex() == math.fsum(want_p).hex()
+        assert hs.irreducible.hex() == math.fsum(want_i).hex()
+        assert hs.irreducible_count == len(want_i)
 
 
 def test_harmonic_sums_rejects_empty_bound(sys5):
@@ -628,6 +600,21 @@ def test_walks_leave_no_garbage(sys5):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_enumerate_principal_streams():
+    # the first records arrive before the walk has gone far: nothing is
+    # buffered ahead of them
+    system = census.for_field(-5, 2 * 10**5)
+    system.constants  # built once per group, outside the measurement
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(census.enumerate_principal(system, 2 * 10**5), 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [rec.norm for _, rec in first] == [1, 6, 630, 101430, 101430]
+    assert peak < 10**6
 
 
 def test_harmonic_sums_minus1_by_hand():

@@ -186,6 +186,14 @@ def test_landau_small(sys5):
     assert devs[1] > devs[0]
 
 
+def test_landau_rejects_x_beyond_stream_limit():
+    # the sites above the limit are missing, so the sums would be short
+    system = census.for_field(-5, 100)
+    with pytest.raises(DomainError, match="exceeds the site stream limit"):
+        stats.landau_check(system, 10**4)
+    assert len(stats.landau_check(system, 100)) == 2
+
+
 def test_landau_drift_between_decades():
     system = census.for_field(-5, 10**6)
     devs = [stats.landau_check(system, 10**k) for k in (4, 5, 6)]
