@@ -1,54 +1,42 @@
 """Census of principal ideals: exact irreducible-divisor and divisor counts.
 
 A ``SiteSystem`` holds the class group and the prime-site stream as
-columns (``quadratic.SiteColumns``); ``system.sites`` builds a
-``PrimeSite`` only for a site that is indexed or iterated over.  The walks
-below read the norms and classes from Python lists made once per system.
+columns (``quadratic.SiteColumns``); the walks read the norms and classes
+from Python lists made once per system.
 
 Ideals of norm <= x are enumerated by depth-first search over the prime
 sites in increasing norm order.  Each node carries its state as an int id
 (``_States``): per class, Omega and the counts of its sites by exponent,
-from which follow the class, omega, and each class's subset-count
-polynomial truncated at the largest type component of that class.  nu is a
-sum over the types of products of those polynomials' coefficients, so it
-depends only on the tuple of polynomials; there are few distinct tuples,
-and the walk memoizes nu on them.  For the census, the walk also keeps on
-its stack the class distribution of the node's divisors, whose principal
-entry is delta.  The irreducible-divisor count nu is also
-computed three independent ways from a factorization (per-class subset-count
-products, exhaustive sub-multiset search, and a squarefull/squarefree
-split), which the tests hold to exact agreement with each other and with
-the walk.
+which fix the class, omega and each class's subset-count polynomial.  nu
+is a sum over the types of products of those polynomials' coefficients.
+``_States.stats_many`` resolves a list of states at once with numpy, once
+per tally chunk in the sweep and once per walk in the census.  nu is also
+computed three independent ways from a factorization (per-class
+subset-count products, exhaustive sub-multiset search, and a
+squarefull/squarefree split), which the tests hold to exact agreement.
 
-``_walk`` is the fast DFS over sites, and it serves the sweep and the census.
-It visits in Python only the nodes that can have children; the leaves n*q
-whose last prime q satisfies N(q)^2 > x // n (about 99% of all ideals at
-x = 1e7) are counted in bulk per class from per-class prefix tables.
-``sweep`` aggregates the report statistics from that pass, and there the
-walk records rows instead of tallying: walked nodes, leaf ranges, and
-batches of penultimate sites, whose nodes n*q^e have only bulk leaves as
-children and are not walked at all (``Sweep.batched`` counts them).  A
-numpy pass tallies the rows a chunk at a time, and its float sums are
-exact, so no report float depends on the walk order.  The census
-(``_census_columns``: one walk, one stable argsort) gets each principal
-ideal in lexicographic order of its factorization: each walked one on its
-own, and the principal leaves of a bulk range together, since they share
-every field but the norm; no non-principal leaf is ever touched.  It
-collects from the walk's state each row's norm and the id of its columns
-after the norm as two int64 columns; ``write_census_csv`` formats them in
-chunks with ``quadratic.write_int_csv`` and ``census_rows`` expands them to
-tuples.
+``_walk`` is the fast DFS, for the sweep and the census.  It visits in
+Python only the nodes that can have children; the leaves n*q with
+N(q)^2 > x // n (about 99% of all ideals at x = 1e7) are counted in bulk
+per class from per-class prefix tables.  ``sweep`` records rows (walked
+nodes, leaf ranges, batches of penultimate sites) and tallies them in
+numpy a chunk at a time, with exact float sums, so no report float
+depends on the walk order.  The census (``_census_columns``: one walk, one
+stable argsort) gets each principal ideal in lexicographic order of its
+factorization, the principal leaves of a bulk range together, as a norm
+column and a column of ids into a table of the other columns;
+``write_census_csv`` and ``write_census_json`` format them a chunk of rows
+at a time with ``quadratic.write_int_csv``.
 
-The two references for those fast paths share none of that machinery.
-``_principal_factorizations`` is a plain recursive walk that visits every
-ideal, one at a time, and yields the principal ones' factorizations in the
-same lexicographic order.  ``enumerate_principal`` computes each record
-field from a factorization with the oracle functions, and
+The references share none of that machinery: ``_principal_factorizations``
+is a plain recursive walk over every ideal, ``enumerate_principal``
+computes each record field with the oracle functions, and
 ``harmonic_sums`` sums the 1/N terms with ``math.fsum``.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from array import array
@@ -149,26 +137,28 @@ class SiteSystem:
     @cached_property
     def _class_tables(self) -> tuple[list[array], list[array]]:
         """Per class: the stream positions of its sites (``array('q')``),
-        and compensated prefix sums of 1/N over them (``array('d')``; entry i
-        sums the first i sites).  numpy views both without a copy.  Built on
-        first use by ``sweep`` or ``stats.landau_check``."""
+        and ``_neumaier_prefix`` sums of 1/N over them (``array('d')``).
+        numpy views both without a copy.  Built on first use by ``sweep``
+        or ``stats.landau_check``."""
         cls0 = self.sites.class_index - 1
         order = np.argsort(cls0, kind="stable")
         cuts = np.cumsum(np.bincount(cls0, minlength=max(self.group.h, 1)))[:-1]
-        positions: list[array] = []
-        prefix: list[array] = []
-        for pos, inverse in zip(np.split(order, cuts), np.split(1.0 / self.sites.norm[order], cuts)):
-            positions.append(array("q", pos.astype(np.int64).tobytes()))
-            # Neumaier summation (every term is positive), in stream order
-            s = comp = 0.0
-            pre = array("d", [0.0])
-            for v in inverse.tolist():
-                t = s + v
-                comp += (s - t) + v if s >= v else (v - t) + s
-                s = t
-                pre.append(s + comp)
-            prefix.append(pre)
+        positions = [array("q", pos.astype(np.int64).tobytes()) for pos in np.split(order, cuts)]
+        prefix = [
+            array("d", _neumaier_prefix(inverse).tobytes())
+            for inverse in np.split(1.0 / self.sites.norm[order], cuts)
+        ]
         return positions, prefix
+
+
+def _neumaier_prefix(terms: np.ndarray) -> np.ndarray:
+    """Neumaier-compensated prefix sums of positive terms (entry i sums the
+    first i), bit-equal to the loop over them: ``add.accumulate`` is
+    strictly sequential, so ``s`` is its running sum and ``err`` its steps."""
+    s = np.cumsum(terms)
+    prev = np.concatenate(([0.0], s))[:-1]
+    err = np.where(prev >= terms, (prev - s) + terms, (terms - s) + prev)
+    return np.concatenate(([0.0], s + np.cumsum(err)))
 
 
 def for_field(field, limit: int) -> SiteSystem:
@@ -717,24 +707,19 @@ class _States:
     (1 + t + ... + t^k) over those sites, so it and omega_i follow from the
     counts.  Pushing a site of class cj with exponent e adds ``inc[cj][e]``
     (plus the site's descriptor bit), so a transition is one addition and
-    one lookup in ``ids``.  ``cls`` holds each state's class.  ``stats`` is
-    memoized per state; nu depends only on the polynomials and is memoized
-    on them in ``nu_memo``, which ``stats`` fills, so its size is the number
-    of nu states of the principal ideals met.
+    one lookup in ``ids``.  ``cls`` holds each state's class.  nu depends
+    only on the tuple of polynomials; ``nu_keys`` holds those met by
+    ``stats_many``, so its size is the number of nu states met.
     """
 
     def __init__(self, system: SiteSystem, descs):
         sc = system.constants
         self.cay = system.ordering.cayley()
-        self.types_set = {tv.t for tv in sc.types}
-        # per type, its nonzero components as (class, t_i)
-        self.type_terms = tuple(
-            tuple((i, ti) for i, ti in enumerate(tv.t) if ti) for tv in sc.sorted_types
-        )
+        # one row per type, in sorted order, and each type's bytes
+        self.types = np.array([tv.t for tv in sc.sorted_types], dtype=np.intp)
+        self.type_bytes = set(_byte_rows(self.types.astype(np.uint8)).tolist())
         self.maxt = sc.max_type_component
-        self.offsets = [0]
-        for m in self.maxt:
-            self.offsets.append(self.offsets[-1] + 8 * (m + 1))
+        self.offsets = [0, *itertools.accumulate(8 * (m + 1) for m in self.maxt)]
         # every norm is >= 2, so exponents stay below 64
         self.inc = [
             [(e << off) + (1 << off + 8 * min(e, m)) if e else 0 for e in range(64)]
@@ -743,6 +728,7 @@ class _States:
         norms = system._norms
         desc_sites = sorted({sid for desc in descs for sid, _ in desc})
         self.desc_bit = {sid: 1 << self.offsets[-1] + i for i, sid in enumerate(desc_sites)}
+        self.nbytes = self.offsets[-1] // 8 + (len(desc_sites) + 7) // 8
         # per descriptor: (bit of its site, g-value if it divides, if not)
         self.desc_info = tuple(
             tuple(
@@ -754,10 +740,10 @@ class _States:
         self.keys = [0]
         self.cls = [0]
         self.ids = {0: 0}
-        # per class: its packed site counts -> (polynomial, omega_i)
+        # per class: its site counts -> polynomial id; polynomial -> its id
         self.class_polys: list[dict] = [{} for _ in self.maxt]
-        self.nu_memo: dict[tuple, int] = {}
-        self.stats_memo: dict[int, tuple] = {}
+        self.polys: list[dict] = [{} for _ in self.maxt]
+        self.nu_keys: set = set()
 
     def add(self, key: int, c: int) -> int:
         """The id of a state not in ``ids``, of class c."""
@@ -783,53 +769,57 @@ class _States:
             out.append(t)
         return np.array(out, dtype=np.int64)[inverse]
 
-    def stats(self, s: int) -> tuple:
-        """(nu, profile key, irreducible, g-products, Omega) of a principal
-        ideal of state s."""
-        st = self.stats_memo.get(s)
-        if st is not None:
-            return st
-        key = self.keys[s]
-        polys, omega, Omega = [], [], []
-        for off, m, memo in zip(self.offsets, self.maxt, self.class_polys):
-            Omega.append((key >> off) & 255)
-            field = (key >> off + 8) & ((1 << 8 * m) - 1)
-            entry = memo.get(field)
-            if entry is None:
-                # the class's sites of exponent k (k = m: or more, which
-                # truncates at degree m the same way)
-                counts = [(field >> 8 * (k - 1)) & 255 for k in range(1, m + 1)]
-                exps = [k for k, count in enumerate(counts, 1) for _ in range(count)]
-                entry = memo[field] = (tuple(_bounded_subset_counts(exps, m)), len(exps))
-            polys.append(entry[0])
-            omega.append(entry[1])
-        polys = tuple(polys)
-        nuv = self.nu_memo.get(polys)
-        if nuv is None:
-            nuv = 0
-            for terms in self.type_terms:
-                prod = 1
-                for i, ti in terms:
-                    prod *= polys[i][ti]
-                    if not prod:
-                        break
-                nuv += prod
-            self.nu_memo[polys] = nuv
-        m = 0
-        for i in range(len(omega)):
-            dv = Omega[i] - omega[i]
-            if dv > m:
-                m = dv
-        gs = []
-        for entries in self.desc_info:
-            prod = 1.0
+    def stats_many(self, ids: list[int]) -> tuple[np.ndarray, ...]:
+        """(nu, omega, Omega, m, irreducible, g) of a principal ideal of
+        each state in ``ids`` from its key's bytes, a row each; m = max(0,
+        Omega_i - omega_i), g has a column per descriptor.  nu sums int64
+        terms, one per type, which the product of the state's polynomials'
+        coefficient sums bounds; that product must stay below 2**62."""
+        n, h = len(ids), len(self.maxt)
+        raw = b"".join([self.keys[s].to_bytes(self.nbytes, "little") for s in ids])
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, self.nbytes)
+        starts = [off // 8 for off in self.offsets[:-1]]
+        wide = rows[:, : self.offsets[-1] // 8].astype(np.int64)
+        Omega = wide[:, starts]
+        omega = np.add.reduceat(wide, starts, axis=1) - Omega
+        poly = np.empty((n, h), dtype=np.intp)
+        bound = np.ones(n)
+        for i, (off, m) in enumerate(zip(self.offsets, self.maxt)):
+            counts = _byte_rows(rows[:, off // 8 + 1 : off // 8 + 1 + m])
+            fields, inverse = np.unique(counts, return_inverse=True)
+            memo, polys = self.class_polys[i], self.polys[i]
+            for field in fields.tolist():
+                if field not in memo:
+                    # the class's sites of exponent k (k = m: or more, which
+                    # truncates at degree m the same way)
+                    exps = [k for k, count in enumerate(field, 1) for _ in range(count)]
+                    coeffs = tuple(_bounded_subset_counts(exps, m))
+                    memo[field] = polys.setdefault(coeffs, len(polys))
+            poly[:, i] = np.array([memo[f] for f in fields.tolist()], dtype=np.intp)[inverse]
+            bound *= np.array([float(sum(c)) for c in polys])[poly[:, i]]
+        self.nu_keys.update(map(tuple, poly.tolist()))
+        if np.any(bound >= 2.0**62):
+            raise ResourceLimitError("nu of a state may pass the int64 bound 2**62")
+        # a row per type: gathering rows is far faster than a 2-D fancy index
+        terms = np.ones((len(self.types), n), dtype=np.int64)
+        for i, polys in enumerate(self.polys):
+            terms *= np.array(list(polys), dtype=np.int64)[poly[:, i]].T[self.types[:, i]]
+        Omega_bytes = _byte_rows(rows[:, starts]).tolist()
+        irreducible = np.array([b in self.type_bytes for b in Omega_bytes], dtype=bool)
+        g = np.ones((n, len(self.desc_info)))
+        for d, entries in enumerate(self.desc_info):
+            # multiplied in descriptor order from 1.0, as a scalar loop would
             for bit, g_in, g_out in entries:
-                prod *= g_in if key & bit else g_out
-            gs.append(prod)
-        Omega = tuple(Omega)
-        st = (nuv, (tuple(omega), m), Omega in self.types_set, tuple(gs), Omega)
-        self.stats_memo[s] = st
-        return st
+                byte, k = divmod(bit.bit_length() - 1, 8)
+                g[:, d] *= np.where(rows[:, byte] >> k & 1, g_in, g_out)
+        m = np.maximum((Omega - omega).max(axis=1), 0)
+        return terms.sum(axis=0), omega, Omega, m, irreducible, g
+
+
+def _byte_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 array as one bytes value each, so that
+    ``np.unique`` compares whole rows, far faster than with ``axis=0``."""
+    return np.ascontiguousarray(a).view(f"V{a.shape[1]}").ravel()
 
 
 #: Leaf-range and batch rows a recording walk buffers before one chunked tally.
@@ -974,23 +964,23 @@ class _Tally:
         """Add the units: uk principal ideals of state us in bucket ub,
         whose 1/N sum is ut."""
         ustates, inv = np.unique(us, return_inverse=True)
-        stats = [self.states.stats(s) for s in ustates.tolist()]
-        nu = len(stats)
-        counts = np.bincount(ub * nu + inv, weights=uk)
+        nu, omega, _, m, irreducible, g = self.states.stats_many(ustates.tolist())
+        nus = nu.tolist()
+        profiles = list(zip(map(tuple, omega.tolist()), m.tolist()))
+        irreds = irreducible.tolist()
+        counts = np.bincount(ub * len(nus) + inv, weights=uk)
         for key in np.flatnonzero(counts).tolist():
-            b, u = divmod(key, nu)
+            b, u = divmod(key, len(nus))
             k = int(counts[key])
-            nuv, prof, irred = stats[u][:3]
             bucket = self.buckets[b]
-            bucket.nu_counts[nuv] = bucket.nu_counts.get(nuv, 0) + k
-            bucket.profile_counts[prof] = bucket.profile_counts.get(prof, 0) + k
-            if irred:
+            bucket.nu_counts[nus[u]] = bucket.nu_counts.get(nus[u], 0) + k
+            bucket.profile_counts[profiles[u]] = bucket.profile_counts.get(profiles[u], 0) + k
+            if irreds[u]:
                 bucket.irred_count += k
         buckets = self.buckets
         _add_exact([b.harm_principal for b in buckets], ut, ub)
-        irred = np.array([st[2] for st in stats], dtype=bool)[inv]
+        irred = irreducible[inv]
         _add_exact([b.harm_irred for b in buckets], ut[irred], ub[irred])
-        g = np.array([st[3] for st in stats], dtype=np.float64).reshape(nu, self.n_desc)
         for d in range(self.n_desc):
             _add_exact([b.g_sums[d] for b in buckets], g[inv, d] * uk, ub)
 
@@ -1020,18 +1010,16 @@ def _walk(system, x, cps, descs, emit=None):
     descriptor site, so no descriptor site falls in a batch or in a
     batched node's leaf range.
 
-    Given ``emit`` (the census's), nothing is batched or tallied, and each
+    Given ``emit`` (the census's), nothing is batched or tallied, each
     principal ideal is passed on in lexicographic order of its
-    factorization as ``emit(n, stats, delta, squarefull, leaf_sites)``, with
-    ``stats`` its ``_States.stats`` tuple and ``squarefull`` the norm of its
-    squarefull part, which the recursion carries down.  If ``leaf_sites`` is
-    None the ideal is the walked node n.  Otherwise the ideals are the
-    principal leaves n*q of one bulk range (their site's class is inverse to
-    the node's), for q at the ascending stream positions ``leaf_sites``.
-    They share every field but the norm: stats, squarefull (q has exponent
-    1), and delta = the node's divisors of the principal class plus those
-    of the node's class, from the class distribution of the node's divisors
-    that the walk keeps on its stack for ``emit``.
+    factorization as ``emit(n, state, delta, squarefull, leaf_sites)``, and
+    the walk returns its ``_States``, which resolves the state ids.  If
+    ``leaf_sites`` is None the ideal is the walked node n; otherwise they
+    are the principal leaves n*q of one bulk range, for q at the ascending
+    stream positions ``leaf_sites``, which share every field but the norm.
+    Their delta is the node's divisors of the principal class plus those of
+    its class, from the class distribution of the node's divisors that the
+    walk keeps on its stack; the squarefull norm is carried down.
     """
     norms = system._norms
     cls0 = system._cls0
@@ -1062,7 +1050,7 @@ def _walk(system, x, cps, descs, emit=None):
     else:
         positions = system._class_tables[0]
         divisor_classes = [1] + [0] * (len(cay) - 1)
-        emit(1, states.stats(0), 1, 1, None)
+        emit(1, 0, 1, 1, None)
 
     def leaves(a: int, z: int, n: int, c: int, sf: int, s: int):
         """The leaves n*q for the sites q at stream positions [a, z), none of
@@ -1083,7 +1071,7 @@ def _walk(system, x, cps, descs, emit=None):
             if ls is None:
                 ls = states.add(key, 0)
             delta = divisor_classes[0] + divisor_classes[c]
-            emit(n, states.stats(ls), delta, sf, pos[ia:ib])
+            emit(n, ls, delta, sf, pos[ia:ib])
 
     def descend(j: int, n: int, c: int, sf: int, s: int):
         """Walk every node n*q^e (e >= 1) for site j, whose n*q <= x."""
@@ -1110,7 +1098,7 @@ def _walk(system, x, cps, descs, emit=None):
             if emit is None:
                 add_node((n2, s2))
             elif not c2:
-                emit(n2, states.stats(s2), divisor_classes[0], sf2, None)
+                emit(n2, s2, divisor_classes[0], sf2, None)
             children(j + 1, n2, c2, sf2, s2)
             n2 *= q
             if n2 > x:
@@ -1158,7 +1146,8 @@ def _walk(system, x, cps, descs, emit=None):
     descend = children = None
     if emit is None:
         flush()
-        return tally.buckets, tally.walked, tally.batched, tally.bulk, len(states.nu_memo)
+        return tally.buckets, tally.walked, tally.batched, tally.bulk, len(states.nu_keys)
+    return states
 
 
 def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Sweep:
@@ -1212,52 +1201,67 @@ def census_header(h: int) -> str:
 
 
 def _census_columns(system: SiteSystem, x: int):
-    """The census as columns (norm, tail, tails), norm-ascending with ties
-    broken by the factorization.
-
-    Row i is (norm[i], *tails[tail[i]]) in ``census_header`` column order;
-    ``tails`` lists the column tail after the norm of each walked principal
-    node and of each range of principal leaves, which share every column
-    but the norm.  Each row is taken from the walk's state as ``_walk``
-    passes its ideal on, and collected as two int64 columns.
-    """
+    """The census as int64 columns (norm, tail, table), norm-ascending with
+    ties broken by the factorization: row i is (norm[i], *table[:,
+    tail[i]]) in ``census_header`` order.  ``table`` has a column per walked
+    principal node and per range of principal leaves, which share all but
+    the norm; one ``stats_many`` call resolves their states at the end."""
     norms = system._norms
     norm_col = array("q")
     tail_col = array("q")
-    tails = []
+    tails = array("q")
 
-    def emit(n, stats, delta, squarefull, leaf_sites):
-        nu, (omega, _), irred, _, Omega = stats
-        tail_col.extend(itertools.repeat(len(tails), 1 if leaf_sites is None else len(leaf_sites)))
-        tails.append((1, *omega, *Omega, nu, delta, int(irred), squarefull))
+    def emit(n, state, delta, squarefull, leaf_sites):
+        tail_col.extend([len(tails) // 3] * (1 if leaf_sites is None else len(leaf_sites)))
+        tails.extend((state, delta, squarefull))
         if leaf_sites is None:
             norm_col.append(n)
         else:
             norm_col.extend([n * norms[j] for j in leaf_sites])
 
     _check_bound(system, x)
-    _walk(system, x, (x,), (), emit)
+    states = _walk(system, x, (x,), (), emit)
+    state, delta, squarefull = np.frombuffer(tails, dtype=np.int64).reshape(-1, 3).T
+    ustates, inv = np.unique(state, return_inverse=True)
+    nu, omega, Omega, _, irreducible, _ = states.stats_many(ustates.tolist())
+    per_state = np.column_stack((np.ones_like(nu), omega, Omega, nu))[inv].T
+    table = np.vstack((per_state, delta, irreducible[inv].astype(np.int64), squarefull))
     norm = np.frombuffer(norm_col, dtype=np.int64)
     # the walk is lexicographic in the factorization, so a stable sort by
     # norm alone breaks ties by the factorization
     order = np.argsort(norm, kind="stable")
-    return norm[order], np.frombuffer(tail_col, dtype=np.int64)[order], tails
+    return norm[order], np.frombuffer(tail_col, dtype=np.int64)[order], table
 
 
 def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:
     """The census rows as int tuples in ``census_header`` column order,
     norm-ascending with ties broken by the factorization."""
-    norm, tail, tails = _census_columns(system, x)
+    norm, tail, table = _census_columns(system, x)
+    tails = table.T.tolist()
     return [(n, *tails[t]) for n, t in zip(norm.tolist(), tail.tolist())]
 
 
 def write_census_csv(system: SiteSystem, x: int, out) -> int:
     """Write the principal-ideal census, one row per principal ideal, in
     ``census_rows`` order.  Returns the row count."""
-    norm, tail, tails = _census_columns(system, x)
+    norm, tail, table = _census_columns(system, x)
     out.write(census_header(system.group.h) + "\n")
-    # one tail per column, so a chunk's tail rows gather as contiguous columns
-    table = np.array(tails, dtype=np.int64).T.copy()
     for lo in range(0, norm.size, CSV_CHUNK):
         write_int_csv(out, (norm[lo : lo + CSV_CHUNK], *table[:, tail[lo : lo + CSV_CHUNK]]))
+    return norm.size
+
+
+def write_census_json(system: SiteSystem, x: int, out) -> int:
+    """Write ``stats.dumps({"rows": census_rows(system, x), "schema":
+    census_header(h).split(",")}) + "\\n"`` a chunk of rows at a time.
+    Returns the row count."""
+    norm, tail, table = _census_columns(system, x)
+    out.write('{"rows":[')
+    for lo in range(0, norm.size, CSV_CHUNK):
+        buf = io.StringIO()
+        write_int_csv(buf, (norm[lo : lo + CSV_CHUNK], *table[:, tail[lo : lo + CSV_CHUNK]]))
+        # each CSV line a,b,c is the JSON list [a,b,c]
+        out.write(("," if lo else "") + "[" + buf.getvalue()[:-1].replace("\n", "],[") + "]")
+    header = census_header(system.group.h).replace(",", '","')
+    out.write(f'],"schema":["{header}"]}}\n')
     return norm.size

@@ -205,18 +205,13 @@ def _run_constants(cmd: Command) -> int:
 
 def _run_census(cmd: Command) -> int:
     system = _system(cmd)
-    if cmd.fmt == "json":
-        payload = {
-            "schema": census.census_header(system.group.h).split(","),
-            "rows": census.census_rows(system, cmd.x),
-        }
-        _emit(stats.dumps(payload) + "\n", cmd.out)
-    elif cmd.out is None:
-        census.write_census_csv(system, cmd.x, sys.stdout)
+    write = census.write_census_json if cmd.fmt == "json" else census.write_census_csv
+    if cmd.out is None:
+        write(system, cmd.x, sys.stdout)
     else:
         # written a chunk at a time, never held whole
         with open(cmd.out, "w", encoding="utf-8", newline="") as f:
-            census.write_census_csv(system, cmd.x, f)
+            write(system, cmd.x, f)
     return 0
 
 

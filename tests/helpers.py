@@ -148,3 +148,16 @@ def omega_sieve(x: int):
         if omega[p] == 0:
             omega[p::p] += 1
     return omega
+
+
+def neumaier_prefix(terms) -> list[float]:
+    """Neumaier-compensated prefix sums of positive floats, one term at a
+    time: entry i sums the first i terms."""
+    s = comp = 0.0
+    pre = [0.0]
+    for v in terms:
+        t = s + v
+        comp += (s - t) + v if s >= v else (v - t) + s
+        s = t
+        pre.append(s + comp)
+    return pre

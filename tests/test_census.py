@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+from array import array
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -14,13 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irrcensus import census, cli
+from irrcensus import census, cli, stats
 from irrcensus.abelian import TypeVector
 from irrcensus.errors import DomainError, ResourceLimitError
 from irrcensus.synth import SynthModel
 from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
 
-from helpers import ideal_count_by_character, principal_count_by_norm_form
+from helpers import ideal_count_by_character, neumaier_prefix, principal_count_by_norm_form
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +351,34 @@ def test_exact_sums_by_label_merge(terms, split):
         assert a.value.hex() == want.hex()
 
 
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(head=st.lists(_POSITIVE, min_size=1, max_size=60))
+def test_neumaier_prefix_matches_scalar_loop(head):
+    # the first term meets prev = 0 < v, and the appended smallest term
+    # meets prev >= v, so every example takes both branches
+    terms = head + [min(head)]
+    want = array("d", neumaier_prefix(terms)).tobytes()
+    assert census._neumaier_prefix(np.array(terms, dtype=np.float64)).tobytes() == want
+
+
+@pytest.mark.parametrize("source", [-5, (2, 4)])
+def test_class_tables_match_scalar_loop(source):
+    x = 10**5
+    if isinstance(source, int):
+        system = census.for_field(source, x)
+    else:
+        system = census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
+    positions, prefix = system._class_tables
+    for c, (pos, pre) in enumerate(zip(positions, prefix)):
+        sites = [s for s in system.sites if s.class_index == c + 1]
+        assert list(pos) == [s.id for s in sites]
+        want = array("d", neumaier_prefix([1.0 / s.norm for s in sites]))
+        assert pre.tobytes() == want.tobytes()
+
+
 def _g_product(system, fact, desc):
     dividing = {en.site_id for en in fact.entries}
     return math.prod(
@@ -518,6 +547,71 @@ def test_penultimate_batches_on_order_8_groups(reference_walks, key):
         assert swp.batched
 
 
+def _walked_states(system, x, descs):
+    """A census walk's ``_States`` and the ids of its principal states."""
+    seen = set()
+    states = census._walk(system, x, (x,), descs, lambda n, s, *_: seen.add(s))
+    return states, sorted(seen)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_stats_many_ignores_order_and_chunking(reference_walks, data):
+    key = data.draw(st.sampled_from(["-1155", "(2, 4)", "(3, 3)", "-47"]), label="system")
+    system = reference_walks[key][0]
+    descs = (((0, 2),), ((1, 1), (3, 1)))
+    states, ids = _walked_states(system, REFERENCE_X, descs)
+    whole = states.stats_many(ids)
+    rnd = data.draw(st.randoms(use_true_random=False), label="order and chunks")
+    perm = list(range(len(ids)))
+    rnd.shuffle(perm)
+    cuts = sorted(rnd.sample(range(1, len(ids)), rnd.randint(0, 6)))
+    again, _ = _walked_states(system, REFERENCE_X, descs)
+    parts = [
+        again.stats_many([ids[i] for i in perm[lo:hi]])
+        for lo, hi in zip([0, *cuts], [*cuts, len(ids)])
+    ]
+    back = np.argsort(perm)
+    for k, want in enumerate(whole):
+        assert np.array_equal(np.concatenate([p[k] for p in parts])[back], want)
+    # polynomial ids follow the order polynomials are met in, so compare
+    # the tuples of polynomials themselves
+    assert _nu_polys(again) == _nu_polys(states)
+
+
+def _nu_polys(states):
+    polys = [list(p) for p in states.polys]
+    return {tuple(polys[i][p] for i, p in enumerate(key)) for key in states.nu_keys}
+
+
+def test_stats_many_guards_int64():
+    # a planted state whose every class holds 255 sites of exponent 1: the
+    # product of the coefficient sums passes 2**62, so nu could wrap
+    system = census.for_synth(SynthModel(group=group_from_orders((2, 4)), seed=29), 100)
+    states = census._States(system, ())
+    planted = states.add(sum(255 << off + 8 for off in states.offsets[:-1]), 0)
+    states.stats_many([0])
+    with pytest.raises(ResourceLimitError, match=r"2\*\*62"):
+        states.stats_many([0, planted])
+
+
+@pytest.mark.parametrize("key", ["(3, 3)", "-1155"])
+def test_census_stats_match_sweep(reference_walks, key):
+    # the census resolves its states once per walk, the sweep once per
+    # flush: the two agree on every principal ideal's statistics
+    system = reference_walks[key][0]
+    h = system.group.h
+    rows = census.census_rows(system, REFERENCE_X)
+    tot = census.sweep(system, REFERENCE_X).at(REFERENCE_X)
+    omega = [row[2 : 2 + h] for row in rows]
+    Omega = [row[2 + h : 2 + 2 * h] for row in rows]
+    assert tot.nu_counts == Counter(row[2 + 2 * h] for row in rows)
+    assert tot.profile_counts == Counter(
+        (w, max(b - a for a, b in zip(w, W))) for w, W in zip(omega, Omega)
+    )
+    assert tot.irreducible_count == sum(row[-2] for row in rows)
+
+
 def _record_row(rec):
     return (
         rec.norm,
@@ -677,6 +771,26 @@ def test_census_csv_formats_census_rows(source, x):
     line = ",".join(["%d"] * len(rows[0]))
     header = census.census_header(system.group.h)
     assert buf.getvalue().split("\n") == [header, *(line % row for row in rows), ""]
+
+
+@pytest.mark.parametrize("source,x", [
+    ((2, 4), 3 * 10**4),
+    ((), 9000),  # trivial group, past one chunk
+    (-5, 1),
+    (-5, 2 * 10**4),
+])
+def test_census_json_matches_dumps(source, x):
+    if isinstance(source, int):
+        system = census.for_field(source, max(x, 2))
+    else:
+        system = census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
+    payload = {
+        "schema": census.census_header(system.group.h).split(","),
+        "rows": census.census_rows(system, x),
+    }
+    buf = io.StringIO()
+    assert census.write_census_json(system, x, buf) == len(payload["rows"])
+    assert buf.getvalue() == stats.dumps(payload) + "\n"
 
 
 CENSUS_GOLDEN = {
