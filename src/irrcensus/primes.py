@@ -7,9 +7,10 @@ array counterparts (``kronecker_primes``, ``sqrt_mod_primes``, both on
 at most one exponentiation per prime: ``kronecker_primes`` factors the
 symbol into genus characters, each a power on a fixed small modulus, and
 ``sqrt_mod_primes`` splits the primes by p mod 8 into a^((p+1)/4), Atkin's
-root and Tonelli-Shanks with its non-residue read off a reciprocity table.
-They work in int64 and need every modulus below 2**31, so that products of
-two residues stay below 2**62.
+root and Tonelli-Shanks, whose non-residue is read off a reciprocity table
+and whose loops have a fixed shape on lanes sorted by the 2-adic valuation
+of p - 1, with no per-lane exit test.  They work in int64 and need every
+modulus below 2**31, so that products of two residues stay below 2**62.
 """
 
 from __future__ import annotations
@@ -230,42 +231,38 @@ def _nonresidues(p: np.ndarray) -> np.ndarray:
 
 
 def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Square roots of the residues a modulo primes p = 1 (mod 8), each lane
-    leaving the loops once its own root is found."""
-    # p - 1 = q * 2^s with q odd
-    q, s = p - 1, np.zeros_like(p)
-    even = (q & 1) == 0
-    while even.any():
-        q = np.where(even, q >> 1, q)
-        s += even
-        even = (q & 1) == 0
+    """Square roots of the residues a modulo primes p = 1 (mod 8).
+
+    Tonelli-Shanks in its fixed-structure form.  With p - 1 = q 2^s, q odd,
+    it starts from r = a^((q+1)/2) and t = a^q, so r^2 = a t and t has
+    order dividing 2^(s-1), and from c = z^q of order 2^s for a non-residue
+    z.  For k = s down to 2, t^(2^(k-2)) is 1 or -1; where it is -1, r
+    takes a factor c and t a factor c^2, which makes it 1; then c becomes
+    c^2.  Each step keeps r^2 = a t and halves the order bound of t, so t
+    ends at 1 and r at a root.  The lanes are sorted by s, largest first,
+    so step k runs on the prefix of lanes with s >= k: about s_max^2 / 2
+    array operations, on prefixes that shrink as k grows.
+    """
+    low = (p - 1) & (1 - p)  # 2^s, the lowest set bit of p - 1
+    order = np.argsort(-low, kind="stable")
+    a, p, low = a[order], p[order], low[order]
+    q = (p - 1) // low
     # one exponentiation gives both r = a^((q+1)/2) and t = a^q
     u = pow_mod(a, (q - 1) >> 1, p)
     r = u * a % p
-    m, c, t = s, pow_mod(_nonresidues(p), q, p), u * r % p
-    active = np.flatnonzero(t != 1)
-    while active.size:
-        pa, ta = p[active], t[active]
-        # least i with ta^(2^i) = 1
-        i = np.zeros_like(ta)
-        t2 = ta
-        pending = t2 != 1
-        while pending.any():
-            t2 = np.where(pending, t2 * t2 % pa, t2)
-            i += pending
-            pending = t2 != 1
-        # b = c^(2^(m-i-1))
-        b = c[active]
-        k = m[active] - i - 1
-        while (k > 0).any():
-            b = np.where(k > 0, b * b % pa, b)
-            k -= 1
-        m[active] = i
-        c[active] = cc = b * b % pa
-        t[active] = tn = ta * cc % pa
-        r[active] = r[active] * b % pa
-        active = active[tn != 1]
-    return r
+    c, t = pow_mod(_nonresidues(p), q, p), u * r % p
+    for k in range(int(low.max(initial=4)).bit_length() - 1, 1, -1):
+        n = np.count_nonzero(low >= 1 << k)
+        pk, ck, tk = p[:n], c[:n], t[:n]
+        for _ in range(k - 2):
+            tk = tk * tk % pk
+        flip = tk != 1
+        r[:n] = np.where(flip, r[:n] * ck % pk, r[:n])
+        c[:n] = ck = ck * ck % pk
+        t[:n] = np.where(flip, t[:n] * ck % pk, t[:n])
+    out = np.empty_like(r)
+    out[order] = r
+    return out
 
 
 def sqrt_mod_primes(a: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -511,39 +511,41 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     One pass over the prime array: the Kronecker symbol (disc/p), a product
     of genus characters, marks the ramified (0) and split (1) primes, and a
     split prime's two sites take the square roots b in [0, 2p) of disc mod
-    4p, the smaller first.  Each site's class is that of the reduced form
-    (p, b, (b^2 - disc) / 4p); an inert prime p <= sqrt(limit) gives one
-    principal site of norm p^2.
+    4p.  Each site's class is that of the reduced form (p, b, (b^2 - disc) /
+    4p); an inert prime p <= sqrt(limit) gives one principal site of norm
+    p^2.  The columns are filled in place, each split prime's two sites side
+    by side with the smaller b first, then the ramified and the inert sites,
+    and one stable sort by norm orders them.  Norms tie only within a split
+    pair, since a ramified prime is not split and an inert p^2 is no prime,
+    so the stable sort gives the (norm, b) order.
     """
     disc = cg.field.discriminant
     p = prime_array(limit)
     kron = kronecker_primes(disc, p)
-    ramified = kron == 0
-    split = kron == 1
-    inert = (kron < 0) & (p <= math.isqrt(limit))
-
-    p_ram = p[ramified]
-    b_ram = np.where(p_ram == 2, 0 if disc % 8 == 0 else 2, p_ram if disc % 2 else 0)
-    p_split = p[split]
+    p_split, p_ram = p[kron == 1], p[kron == 0]
+    p_inert = p[(kron < 0) & (p <= math.isqrt(limit))]
+    del p, kron
+    n2 = 2 * p_split.size
+    n_forms = n2 + p_ram.size
+    primes = np.empty(n_forms + p_inert.size, dtype=np.int64)
+    primes[0:n2:2] = primes[1:n2:2] = p_split
+    primes[n2:n_forms], primes[n_forms:] = p_ram, p_inert
     root = np.ones_like(p_split)  # 1 is the root at p = 2
-    odd_split = p_split > 2
-    root[odd_split] = sqrt_mod_primes(disc % p_split[odd_split], p_split[odd_split])
-    b1 = np.where((root - disc) % 2 == 0, root, root + p_split)
-    b_lo, b_hi = np.minimum(b1, 2 * p_split - b1), np.maximum(b1, 2 * p_split - b1)
-    p_inert = p[inert]
-
-    primes = np.concatenate((p_ram, p_split, p_split, p_inert))
-    norm = np.concatenate((p_ram, p_split, p_split, p_inert * p_inert))
-    b = np.concatenate((b_ram, b_lo, b_hi, np.zeros_like(p_inert)))
-    splitting = np.repeat(
-        np.array([RAMIFIED, SPLIT, SPLIT, INERT], dtype=np.int8),
-        (p_ram.size, p_split.size, p_split.size, p_inert.size),
-    )
-    n_forms = primes.size - p_inert.size
+    odd = p_split > 2
+    root[odd] = sqrt_mod_primes(disc % p_split[odd], p_split[odd])
+    root += np.where((root - disc) % 2 == 0, 0, p_split)
+    mate = 2 * p_split - root
+    b = np.empty(n_forms, dtype=np.int64)
+    b[0:n2:2], b[1:n2:2] = np.minimum(root, mate), np.maximum(root, mate)
+    b[n2:] = np.where(p_ram == 2, 0 if disc % 8 == 0 else 2, p_ram if disc % 2 else 0)
+    del root, mate, odd
     cls = np.ones_like(primes)
-    cls[:n_forms] = _form_classes(cg, primes[:n_forms], b[:n_forms])
-
-    order = np.lexsort((b, norm))
+    cls[:n_forms] = _form_classes(cg, primes[:n_forms], b)
+    norm = np.concatenate((primes[:n_forms], p_inert * p_inert))
+    splitting = np.repeat(
+        np.array([SPLIT, RAMIFIED, INERT], dtype=np.int8), (n2, p_ram.size, p_inert.size)
+    )
+    order = np.argsort(norm, kind="stable")
     primes, norm, splitting, cls = primes[order], norm[order], splitting[order], cls[order]
     # the two sites above a split prime are adjacent after the (norm, b) sort
     first = np.flatnonzero(splitting == SPLIT)[::2]

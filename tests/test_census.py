@@ -254,6 +254,21 @@ def _ideal_norms_and_classes(system, x):
     return ideals, principal
 
 
+class _ReferenceWalks(dict):
+    """The reference censuses by system, with a one-line repr.  Hypothesis
+    reprs a failing test's arguments before it replays the example, and the
+    full censuses make that repr megabytes long: its large-repr warning,
+    an error under the suite's ``filterwarnings``, would end the replay
+    before the first draw, and hypothesis would then report a flaky
+    strategy in place of the shrunk example."""
+
+    def __repr__(self):
+        return f"<reference censuses of {', '.join(self)}>"
+
+    def _repr_pretty_(self, printer, cycle):
+        printer.text(repr(self))
+
+
 @pytest.fixture(scope="module")
 def reference_walks():
     """Cyclic (-5, -23, -39, -47: Z/2 to Z/5), Z/2xZ/2 (-21, -30) and Z/2^3
@@ -267,14 +282,17 @@ def reference_walks():
     for orders in ((2, 4), (3, 3)):
         model = SynthModel(group=group_from_orders(orders), seed=29)
         systems[orders] = census.for_synth(model, REFERENCE_X)
-    return {
-        str(key): (
-            system,
-            list(census.enumerate_principal(system, REFERENCE_X)),
-            *_ideal_norms_and_classes(system, REFERENCE_X),
+    return _ReferenceWalks(
+        (
+            str(key),
+            (
+                system,
+                list(census.enumerate_principal(system, REFERENCE_X)),
+                *_ideal_norms_and_classes(system, REFERENCE_X),
+            ),
         )
         for key, system in systems.items()
-    }
+    )
 
 
 def test_enumerate_principal_matches_plain_walk(reference_walks):

@@ -334,6 +334,30 @@ def test_site_columns_match_scalar_oracle(d, monkeypatch):
     assert a.getvalue() == b.getvalue()
 
 
+@pytest.mark.parametrize("d", [-5, -23, -7])
+def test_site_columns_at_merge_boundaries(d):
+    # limits that end the stream exactly on a ramified prime, on a split
+    # prime, on an inert square p^2 and on p = 2 (ramified for -5, split for
+    # -23 and -7), and one below each: the sites of the few ramified and
+    # inert primes meet the split pairs there, and the stable sort by norm
+    # must still give the (norm, b) order
+    cg = class_group(d)
+    primes = [p for p in range(2, 2000) if is_prime(p)]
+    kind = {p: splitting_type(cg.field, p) for p in primes}
+    ends = [
+        ("ramified", max(p for p in primes if kind[p] == "ramified")),
+        ("split", next(p for p in primes if p > 1000 and kind[p] == "split")),
+        ("inert", next(p for p in primes if p > 30 and kind[p] == "inert") ** 2),
+        (kind[2], 2),
+    ]
+    for tag, limit in ends:
+        cols = prime_sites_up_to(cg, limit)
+        assert (cols[-1].splitting, cols[-1].norm) == (tag, limit)
+        for lim in {limit, max(limit - 1, 2)}:
+            expected = _scalar_sites(cg, [p for p in primes if p <= lim], lim)
+            assert list(prime_sites_up_to(cg, lim)) == expected
+
+
 SITES_GOLDEN = {
     # d: (limit, site count, SHA-256 of the sites_to_csv bytes)
     -5: (10**6, 78367, "bb622aaf724c3b2378202ebcf5ad88296258e95cfe45ddcd05d9dbf9093cb7c5"),
@@ -442,6 +466,27 @@ def test_sqrt_mod_primes_matches_scalar():
     assert set((p % 8).tolist()) == {1, 3, 5, 7}
     _check_roots(a, p, sqrt_mod_primes(a, p))
     assert sqrt_mod_primes(a[:0], p[:0]).size == 0
+
+
+# NTT primes c 2^s + 1, from s = 16 (65537) to s = 27 (2013265921)
+_DEEP_PRIMES = [65537, 786433, 7340033, 104857601, 167772161, 469762049, 998244353, 2013265921]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sqrt_mod_primes_on_deep_tonelli_shanks_lanes(seed):
+    # the deep lanes among many shallow p = 1 (mod 8) ones, each deep prime
+    # several times, so that every step k from 27 down to 2 acts on a
+    # prefix of mixed depths
+    rng = np.random.default_rng(seed)
+    small = prime_array(3000)
+    small = small[small % 8 == 1]
+    p = rng.permutation(np.concatenate((np.repeat(_DEEP_PRIMES, 6), small)))
+    depths = {((q - 1) & (1 - q)).bit_length() - 1 for q in _DEEP_PRIMES}
+    assert depths == {16, 18, 20, 22, 23, 25, 26, 27}
+    a = rng.integers(1, p) ** 2 % p
+    # 1, where t = 1 from the start, and -1
+    a[:2] = 1, p[1] - 1
+    _check_roots(a, p, sqrt_mod_primes(a, p))
 
 
 def _least_nonresidue(p):
