@@ -19,10 +19,10 @@ from functools import cached_property, lru_cache
 
 from .errors import DomainError, ResourceLimitError
 
-#: Largest group order enumerated by default.  The type search is a DFS over
+#: Largest group order enumerated.  The type search is a DFS over
 #: zero-sum-free multisets and degrades badly past this; larger groups are
 #: rejected loudly instead of running for hours.
-DEFAULT_MAX_ORDER = 64
+MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def is_minimal_zero_sum(group: GroupSpec, ordering: ClassOrdering, tau) -> bool:
     return True
 
 
-def enumerate_types(group: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> frozenset[TypeVector]:
+def enumerate_types(group: GroupSpec) -> frozenset[TypeVector]:
     """All minimal zero-sum class distributions of the group.
 
     Every minimal zero-sum multiset is a zero-sum-free multiset S plus the
@@ -227,10 +227,8 @@ def enumerate_types(group: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> fro
     the depth.
     """
     h = group.h
-    if h > max_order:
-        raise ResourceLimitError(
-            f"group order {h} exceeds the enumeration bound {max_order}"
-        )
+    if h > MAX_ORDER:
+        raise ResourceLimitError(f"group order {h} exceeds the enumeration bound {MAX_ORDER}")
     ordering = canonical_ordering(group)
     cay = ordering.cayley()
     neg = ordering.neg_table()
@@ -257,10 +255,10 @@ def enumerate_types(group: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> fro
     return frozenset(TypeVector(t) for t in found)
 
 
-def davenport_constant(group: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> int:
+def davenport_constant(group: GroupSpec) -> int:
     """Least D such that every length-D class sequence has a nonempty zero-sum
     subsequence; equals the maximal type length."""
-    return max(tv.length for tv in enumerate_types(group, max_order=max_order))
+    return max(tv.length for tv in enumerate_types(group))
 
 
 @dataclass(frozen=True)

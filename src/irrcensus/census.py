@@ -20,13 +20,16 @@ Python only the nodes that can have children; the leaves n*q with
 N(q)^2 > x // n (about 99% of all ideals at x = 1e7) are counted in bulk
 per class from per-class prefix tables.  ``sweep`` records rows (walked
 nodes, leaf ranges, batches of penultimate sites) and tallies them in
-numpy a chunk at a time, with exact float sums, so no report float
-depends on the walk order.  The census (``_census_columns``: one walk, one
-stable argsort) gets each principal ideal in lexicographic order of its
-factorization, the principal leaves of a bulk range together, as a norm
-column and a column of ids into a table of the other columns;
-``write_census_csv`` and ``write_census_json`` format them a chunk of rows
-at a time with ``quadratic.write_int_csv``.
+numpy a chunk at a time into one band per checkpoint, with exact integer
+float sums.  When the walk ends it adds the bands up once into a
+``Totals`` per checkpoint, each float rounded once, so no report float
+depends on the walk order; ``Sweep.at`` looks one up.  The census
+(``_census_columns``: one walk, one stable argsort) gets each principal
+ideal in lexicographic order of its factorization, the principal leaves
+of a bulk range together, as a norm column and a column of ids into a
+table of the other columns; ``write_census_csv`` and
+``write_census_json`` format them a chunk of rows at a time with
+``quadratic.write_int_csv``.
 
 The references share none of that machinery: ``_principal_factorizations``
 is a plain recursive walk over every ideal, ``enumerate_principal``
@@ -41,6 +44,7 @@ import itertools
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -70,7 +74,7 @@ from .quadratic import (
 from .synth import SynthModel, synth_sites
 
 BRUTE_OMEGA_BOUND = 24
-DEFAULT_DIVISOR_BOUND = 10**6
+DIVISOR_BOUND = 10**6
 
 
 class FactorEntry(NamedTuple):
@@ -142,7 +146,7 @@ class SiteSystem:
         or ``stats.landau_check``."""
         cls0 = self.sites.class_index - 1
         order = np.argsort(cls0, kind="stable")
-        cuts = np.cumsum(np.bincount(cls0, minlength=max(self.group.h, 1)))[:-1]
+        cuts = np.cumsum(np.bincount(cls0, minlength=self.group.h))[:-1]
         positions = [array("q", pos.astype(np.int64).tobytes()) for pos in np.split(order, cuts)]
         prefix = [
             array("d", _neumaier_prefix(inverse).tobytes())
@@ -340,18 +344,12 @@ def nu_squarefull_formula(fact: Factorization, sc: StructuralConstants) -> int:
     return total
 
 
-def delta_exact(
-    fact: Factorization,
-    ordering: ClassOrdering,
-    max_divisors: int = DEFAULT_DIVISOR_BOUND,
-) -> int:
+def delta_exact(fact: Factorization, ordering: ClassOrdering) -> int:
     """Number of principal ideal divisors, by dynamic programming over the
     class distribution of divisors (never enumerates them individually)."""
     ndiv = math.prod(en.exponent + 1 for en in fact.entries)
-    if ndiv > max_divisors:
-        raise ResourceLimitError(
-            f"{ndiv} divisors exceed the configured bound {max_divisors}"
-        )
+    if ndiv > DIVISOR_BOUND:
+        raise ResourceLimitError(f"{ndiv} divisors exceed the bound {DIVISOR_BOUND}")
     cay = ordering.cayley()
     h = len(cay)
     vec = [0] * h
@@ -520,14 +518,16 @@ def harmonic_sums(system: SiteSystem, x: int, exact: bool = False) -> HarmonicSu
 _SCALE_BITS = 1074
 
 
-def _add_exact(accs: list, values: np.ndarray, labels: np.ndarray):
-    """Add each finite float64 of ``values`` exactly into the ``_ExactSum``
-    ``accs[label]``.
+def _add_exact(sums: list, values: np.ndarray, labels: np.ndarray):
+    """Add each finite float64 of ``values`` exactly into ``sums[label]``, a
+    Python int that holds a float sum times 2**1074.
 
     A float times 2**1074 is its 53-bit significand shifted left by
     max(biased exponent - 1, 0).  The significands, signed, are cut into
     26-bit halves and summed per (label, exponent) in int64, which cannot
     overflow below 2**36 terms; only the few group sums become Python ints.
+    The int is the exact sum whatever the order of the terms, and
+    ``int / (1 << _SCALE_BITS)`` rounds it once.
     """
     if not values.size:
         return
@@ -550,68 +550,7 @@ def _add_exact(accs: list, values: np.ndarray, labels: np.ndarray):
     lo = np.add.reduceat(mant, starts)
     for k, a, b in zip(key[starts].tolist(), hi.tolist(), lo.tolist()):
         label, shift = divmod(k, 2048)
-        accs[label].total += ((a << 26) + b) << shift
-
-
-class _ExactSum:
-    """An exactly rounded float sum that does not depend on the order of
-    its terms: ``total`` holds the sum times 2**1074 as a Python int, and
-    ``value`` rounds it once."""
-
-    __slots__ = ("total",)
-
-    def __init__(self):
-        self.total = 0
-
-    def add(self, v: float):
-        num, den = v.as_integer_ratio()
-        self.total += num << (_SCALE_BITS + 1 - den.bit_length())
-
-    def add_array(self, values: np.ndarray):
-        _add_exact([self], values, np.zeros(values.size, dtype=np.int64))
-
-    def merge(self, other: "_ExactSum"):
-        self.total += other.total
-
-    @property
-    def value(self) -> float:
-        return self.total / (1 << _SCALE_BITS)
-
-
-class _Bucket:
-    """Counters for ideals whose norm falls in one checkpoint band."""
-
-    __slots__ = (
-        "class_counts",
-        "nu_counts",
-        "profile_counts",
-        "g_sums",
-        "harm_principal",
-        "harm_irred",
-        "irred_count",
-    )
-
-    def __init__(self, h: int, n_desc: int):
-        self.class_counts = [0] * h
-        self.nu_counts: dict[int, int] = {}
-        self.profile_counts: dict[tuple, int] = {}
-        self.g_sums = [_ExactSum() for _ in range(n_desc)]
-        self.harm_principal = _ExactSum()
-        self.harm_irred = _ExactSum()
-        self.irred_count = 0
-
-    def merge(self, other: "_Bucket"):
-        for i, v in enumerate(other.class_counts):
-            self.class_counts[i] += v
-        for k, v in other.nu_counts.items():
-            self.nu_counts[k] = self.nu_counts.get(k, 0) + v
-        for k, v in other.profile_counts.items():
-            self.profile_counts[k] = self.profile_counts.get(k, 0) + v
-        for a, b in zip(self.g_sums, other.g_sums):
-            a.merge(b)
-        self.harm_principal.merge(other.harm_principal)
-        self.harm_irred.merge(other.harm_irred)
-        self.irred_count += other.irred_count
+        sums[label] += ((a << 26) + b) << shift
 
 
 @dataclass(frozen=True)
@@ -639,7 +578,8 @@ class Totals:
 
 @dataclass(eq=False)
 class Sweep:
-    """Aggregated census statistics, one bucket per checkpoint band.
+    """Aggregated census statistics: one ``Totals`` per checkpoint, built
+    once when the walk ends.
 
     ``visited`` counts the ideals counted one by one: the nodes the walk
     visits in Python and the ``batched`` nodes it leaves to the numpy
@@ -658,32 +598,18 @@ class Sweep:
     x: int
     checkpoints: tuple[int, ...]
     g_descriptors: tuple
-    _buckets: list
+    totals: tuple[Totals, ...]
     visited: int
     batched: int
     bulk: int
     nu_states: int
 
     def at(self, x: int) -> Totals:
+        """The stored ``Totals`` of checkpoint x, not a copy: callers read
+        its dicts and must not change them."""
         if x not in self.checkpoints:
             raise DomainError(f"{x} is not a sweep checkpoint {self.checkpoints}")
-        h = max(self.system.group.h, 1)
-        acc = _Bucket(h, len(self.g_descriptors))
-        for cp, bucket in zip(self.checkpoints, self._buckets):
-            if cp > x:
-                break
-            acc.merge(bucket)
-        return Totals(
-            x=x,
-            h=h,
-            class_counts=tuple(acc.class_counts),
-            nu_counts=dict(acc.nu_counts),
-            profile_counts=dict(acc.profile_counts),
-            g_sums=tuple(k.value for k in acc.g_sums),
-            harmonic_principal=acc.harm_principal.value,
-            harmonic_irreducible=acc.harm_irred.value,
-            irreducible_count=acc.irred_count,
-        )
+        return self.totals[self.checkpoints.index(x)]
 
 
 def _normalize_descriptor(desc) -> tuple[tuple[int, int], ...]:
@@ -827,7 +753,7 @@ TALLY_CHUNK = 8192
 
 
 class _Tally:
-    """The numpy tally of a recording walk's rows into checkpoint buckets.
+    """The numpy tally of a recording walk's rows into checkpoint bands.
 
     The walk appends three kinds of row to ``array('q')`` buffers: walked
     nodes (n, state), leaf ranges (n, state, a, z) for the leaves n*q with q
@@ -835,19 +761,29 @@ class _Tally:
     split).  ``flush`` expands each batch into its nodes n*q^e and their
     leaf ranges, splits every range at the checkpoints, counts its leaves
     per class with ``searchsorted`` on the per-class position arrays,
-    tallies the principal ideals per (bucket, state) with ``bincount`` and
-    reduces the chunk's float terms into the exact accumulators at once.
-    Each term is the float the walked tally would add: 1.0/n for a
-    principal node, (pre[ib] - pre[ia])/n for a group of principal leaves
-    of one range and band, and g*k for each group of k.
+    tallies the principal ideals per (band, state) with ``bincount`` and
+    adds the chunk's float terms into the exact sums at once.  Each term is
+    the float the walked tally would add: 1.0/n for a principal node,
+    (pre[ib] - pre[ia])/n for a group of principal leaves of one range and
+    band, and g*k for each group of k.
+
+    Band b holds the ideals of norm in (cps[b - 1], cps[b]]: its ideals per
+    class in row b of ``class_counts``, a ``Counter`` each of nu values and
+    of (omega, m) profiles, its irreducible count, and in ``sums`` its float
+    sums times 2**1074 as Python ints, one list per quantity (principal
+    1/N, irreducible 1/N, then each g-descriptor).  ``totals`` adds the
+    bands up once the walk ends.
     """
 
     def __init__(self, system: SiteSystem, x: int, cps, n_desc: int, states: _States):
         self.x = x
         self.states = states
         self.h = len(states.cay)
-        self.n_desc = n_desc
-        self.buckets = [_Bucket(self.h, n_desc) for _ in cps]
+        self.class_counts = np.zeros((len(cps), self.h), dtype=np.int64)
+        self.nu_counts = [Counter() for _ in cps]
+        self.profile_counts = [Counter() for _ in cps]
+        self.irred_counts = [0] * len(cps)
+        self.sums = [[0] * len(cps) for _ in range(2 + n_desc)]
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
         self.cls0 = system.sites.class_index
@@ -860,6 +796,32 @@ class _Tally:
         self.ranges = array("q")
         self.batches = array("q")
         self.walked = self.batched = self.bulk = 0
+
+    def totals(self) -> tuple[Totals, ...]:
+        """The cumulative ``Totals`` at each checkpoint: running sums over
+        the bands in checkpoint order, each float rounded once."""
+        class_counts = np.cumsum(self.class_counts, axis=0).tolist()
+        sums = [list(itertools.accumulate(band_sums)) for band_sums in self.sums]
+        irred_counts = list(itertools.accumulate(self.irred_counts))
+        nu_counts, profile_counts = Counter(), Counter()
+        scale = 1 << _SCALE_BITS
+        out = []
+        for b, cp in enumerate(self.cps.tolist()):
+            nu_counts.update(self.nu_counts[b])
+            profile_counts.update(self.profile_counts[b])
+            principal, irreducible, *g_sums = (v[b] / scale for v in sums)
+            out.append(Totals(
+                x=cp,
+                h=self.h,
+                class_counts=tuple(class_counts[b]),
+                nu_counts=dict(nu_counts),
+                profile_counts=dict(profile_counts),
+                g_sums=tuple(g_sums),
+                harmonic_principal=principal,
+                harmonic_irreducible=irreducible,
+                irreducible_count=irred_counts[b],
+            ))
+        return tuple(out)
 
     def flush(self):
         nodes = np.array(self.nodes, dtype=np.int64).reshape(-1, 2).T
@@ -918,7 +880,7 @@ class _Tally:
         return b, s, np.ones(b.size, dtype=np.int64), 1.0 / n
 
     def _pieces(self, n, s, a, z):
-        """The nonempty leaf ranges split at the checkpoints, as (bucket,
+        """The nonempty leaf ranges split at the checkpoints, as (band,
         n, state, lo, hi)."""
         pieces = []
         last = len(self.cps) - 1
@@ -955,13 +917,11 @@ class _Tally:
     def _count_classes(self, keys, weights):
         # float64 bincount weights are exact: a chunk holds far fewer than
         # 2**53 ideals
-        counts = np.bincount(keys, weights=weights, minlength=len(self.buckets) * self.h)
-        for b, bucket in enumerate(self.buckets):
-            for c, v in enumerate(counts[b * self.h : (b + 1) * self.h].tolist()):
-                bucket.class_counts[c] += int(v)
+        counts = np.bincount(keys, weights=weights, minlength=self.class_counts.size)
+        self.class_counts += counts.reshape(self.class_counts.shape).astype(np.int64)
 
     def _tally_principal(self, ub, us, uk, ut):
-        """Add the units: uk principal ideals of state us in bucket ub,
+        """Add the units: uk principal ideals of state us in band ub,
         whose 1/N sum is ut."""
         ustates, inv = np.unique(us, return_inverse=True)
         nu, omega, _, m, irreducible, g = self.states.stats_many(ustates.tolist())
@@ -972,17 +932,16 @@ class _Tally:
         for key in np.flatnonzero(counts).tolist():
             b, u = divmod(key, len(nus))
             k = int(counts[key])
-            bucket = self.buckets[b]
-            bucket.nu_counts[nus[u]] = bucket.nu_counts.get(nus[u], 0) + k
-            bucket.profile_counts[profiles[u]] = bucket.profile_counts.get(profiles[u], 0) + k
+            self.nu_counts[b][nus[u]] += k
+            self.profile_counts[b][profiles[u]] += k
             if irreds[u]:
-                bucket.irred_count += k
-        buckets = self.buckets
-        _add_exact([b.harm_principal for b in buckets], ut, ub)
+                self.irred_counts[b] += k
+        harm_principal, harm_irred, *g_sums = self.sums
+        _add_exact(harm_principal, ut, ub)
         irred = irreducible[inv]
-        _add_exact([b.harm_irred for b in buckets], ut[irred], ub[irred])
-        for d in range(self.n_desc):
-            _add_exact([b.g_sums[d] for b in buckets], g[inv, d] * uk, ub)
+        _add_exact(harm_irred, ut[irred], ub[irred])
+        for d, band_sums in enumerate(g_sums):
+            _add_exact(band_sums, g[inv, d] * uk, ub)
 
 
 def _walk(system, x, cps, descs, emit=None):
@@ -1000,7 +959,7 @@ def _walk(system, x, cps, descs, emit=None):
 
     A node carries its state (see ``_States``) as an int id.  Without
     ``emit`` the walk records rows and a ``_Tally`` counts them in chunks of
-    ``TALLY_CHUNK`` rows; it returns (buckets, walked, batched, bulk,
+    ``TALLY_CHUNK`` rows; it returns (totals, walked, batched, bulk,
     nu_states).  A site q below split is penultimate when the next site's
     N^2 exceeds lim // N(q): then no node n*q^e has a walked child, only
     bulk leaves.  The test is monotone in q, so the penultimate sites form
@@ -1146,7 +1105,7 @@ def _walk(system, x, cps, descs, emit=None):
     descend = children = None
     if emit is None:
         flush()
-        return tally.buckets, tally.walked, tally.batched, tally.bulk, len(states.nu_keys)
+        return tally.totals(), tally.walked, tally.batched, tally.bulk, len(states.nu_keys)
     return states
 
 
@@ -1170,9 +1129,9 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
             if not 0 <= sid < len(system.sites):
                 raise DomainError(f"descriptor site id {sid} out of range")
 
-    buckets, walked, batched, bulk, nu_states = _walk(system, x, cps, descs)
+    totals, walked, batched, bulk, nu_states = _walk(system, x, cps, descs)
     visited = walked + batched
-    n_ideals = sum(sum(b.class_counts) for b in buckets)
+    n_ideals = totals[-1].n_ideals
     if visited + bulk != n_ideals:
         raise RuntimeError(
             f"sweep lost ideals: {visited} visited + {bulk} bulk != {n_ideals} counted"
@@ -1182,7 +1141,7 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
         x=x,
         checkpoints=cps,
         g_descriptors=descs,
-        _buckets=buckets,
+        totals=totals,
         visited=visited,
         batched=batched,
         bulk=bulk,

@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 domain error, 2 usage error.  Identical commands
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,15 +155,15 @@ def _emit(text: str, out: str | None):
 
 
 def _flat_csv(payload: dict) -> str:
-    lines = ["key,value"]
+    """Two columns, key and value: a string value as it is, any other as
+    ``stats.dumps`` writes it in the JSON output."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("key", "value"))
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, (list, tuple)):
-            value = ";".join(str(v) for v in value)
-        elif isinstance(value, dict):
-            value = ";".join(f"{k}={v}" for k, v in sorted(value.items(), key=str))
-        lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+        writer.writerow((key, value if isinstance(value, str) else stats.dumps(value)))
+    return buf.getvalue()
 
 
 def _payload_text(payload: dict, fmt: str) -> str:
@@ -257,7 +259,7 @@ def _run_moments(cmd: Command) -> int:
     system = _system(cmd)
     sc = system.constants
     kappa = cmd.kappa if cmd.kappa is not None else tuple(float(v) for v in sc.kappa)
-    h = max(system.group.h, 1)
+    h = system.group.h
     sigma2 = sum(float(v) ** 2 for v in kappa) / h
     big_l = stats.loglog(cmd.x)
     swp = census.sweep(system, cmd.x)

@@ -82,7 +82,7 @@ def f_central_moment(
     system: SiteSystem, x: int, kappa, k: int, sweep: Sweep | None = None
 ) -> float:
     """(1/n) sum over principal ideals of (f - (sum kappa_j / h) L)^k."""
-    h = max(system.group.h, 1)
+    h = system.group.h
     kap = _validate_kappa(kappa, h)
     totals = _totals(system, x, sweep)
     center = (sum(kap) / h) * loglog(x)
@@ -165,7 +165,7 @@ def landau_check(system: SiteSystem, x: int):
     # sweep uses
     positions, prefix = system._class_tables
     k = bisect_right(system._norms, x)
-    center = loglog(x) / max(system.group.h, 1)
+    center = loglog(x) / system.group.h
     return tuple(pre[bisect_left(pos, k)] - center for pos, pre in zip(positions, prefix))
 
 

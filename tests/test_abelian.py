@@ -265,5 +265,5 @@ def test_enumeration_bound_is_loud():
     with pytest.raises(ResourceLimitError):
         enumerate_types(cyclic_group(100))
     with pytest.raises(ResourceLimitError):
-        davenport_constant(cyclic_group(10), max_order=5)
-    assert davenport_constant(cyclic_group(10), max_order=10) == 10
+        davenport_constant(cyclic_group(65))
+    assert davenport_constant(cyclic_group(10)) == 10

@@ -122,9 +122,12 @@ def test_delta_lower_bound_examples(sys5):
 
 
 def test_delta_divisor_bound(sys5):
-    big = _fact(sys5, [(0, 30), (1, 30), (2, 30), (3, 30), (4, 30), (5, 30)])
+    # 20 distinct sites have 2**20 > DIVISOR_BOUND divisors, 19 have fewer
+    assert 2**19 <= census.DIVISOR_BOUND < 2**20
     with pytest.raises(ResourceLimitError):
-        census.delta_exact(big, sys5.ordering, max_divisors=100)
+        census.delta_exact(_fact(sys5, [(j, 1) for j in range(20)]), sys5.ordering)
+    delta = census.delta_exact(_fact(sys5, [(j, 1) for j in range(19)]), sys5.ordering)
+    assert 1 <= delta <= 2**19
 
 
 def test_is_irreducible_anchors(sys5):
@@ -332,21 +335,23 @@ _TERMS = st.one_of(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data(), terms=st.lists(_TERMS, max_size=60))
 def test_exact_sum_ignores_order_and_chunking(data, terms):
-    # the sum of any permutation of the terms, fed as any mix of single
-    # adds and array chunks, is the correctly rounded exact sum
+    # the sum of any permutation of the terms, fed to _add_exact as any mix
+    # of one-term calls and longer chunks, rounds to the exact sum
     want = float(sum(map(Fraction, terms)))
     perm = data.draw(st.permutations(terms), label="order")
-    acc = census._ExactSum()
+    sums = [0]
     lo = 0
     while lo < len(perm):
         hi = data.draw(st.integers(lo + 1, len(perm)), label="chunk end")
-        if data.draw(st.booleans(), label="as array"):
-            acc.add_array(np.array(perm[lo:hi], dtype=np.float64))
+        if data.draw(st.booleans(), label="as one chunk"):
+            chunks = [perm[lo:hi]]
         else:
-            for v in perm[lo:hi]:
-                acc.add(v)
+            chunks = [[v] for v in perm[lo:hi]]
+        for chunk in chunks:
+            labels = np.zeros(len(chunk), dtype=np.int64)
+            census._add_exact(sums, np.array(chunk, dtype=np.float64), labels)
         lo = hi
-    assert acc.value.hex() == want.hex()
+    assert (sums[0] / (1 << census._SCALE_BITS)).hex() == want.hex()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -355,18 +360,17 @@ def test_exact_sum_ignores_order_and_chunking(data, terms):
     split=st.integers(0, 80),
 )
 def test_exact_sums_by_label_merge(terms, split):
-    # labelled terms go to their own accumulators; merging two partial
-    # accumulators gives the sum of all their terms
+    # labelled terms go to their own sums; adding up two partial sums gives
+    # the sum of all their terms
     values = np.array([v for v, _ in terms], dtype=np.float64)
     labels = np.array([k for _, k in terms], dtype=np.int64)
-    first = [census._ExactSum() for _ in range(4)]
-    second = [census._ExactSum() for _ in range(4)]
+    first = [0] * 4
+    second = [0] * 4
     census._add_exact(first, values[:split], labels[:split])
     census._add_exact(second, values[split:], labels[split:])
     for k, (a, b) in enumerate(zip(first, second)):
-        a.merge(b)
         want = float(sum(Fraction(v) for v, label in terms if label == k))
-        assert a.value.hex() == want.hex()
+        assert ((a + b) / (1 << census._SCALE_BITS)).hex() == want.hex()
 
 
 _POSITIVE = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False)
@@ -839,6 +843,30 @@ def test_census_csv_golden_sha256(key, capsys):
     lines = text.splitlines()
     assert payload["schema"] == lines[0].split(",")
     assert payload["rows"] == [[int(v) for v in line.split(",")] for line in lines[1:]]
+
+
+REPORT_GOLDEN = {
+    # ek CLI arguments, SHA-256 of the --out JSON and of its .hist.csv
+    "-5": (("--field", "-5", "--x", "100000"),
+           "2cee15cc18f65c19cdb5472b72b80964dcc54fcbc2af616394855e78acca766a",
+           "c2374ce2d8496aebc43a8a8d1a312f21fecea471780f61323747d1f3b1830e49"),
+    "-1155": (("--field", "-1155", "--x", "30000"),
+              "802f4554447920b7bcebf15dfe6dde89d4281039f577fa61b5802bc953e56383",
+              "0b5d87677c582009e149022e2a683604d8ab6c3fd5f3f64173899db5dce7f75b"),
+    "2,4": (("--group", "2,4", "--seed", "29", "--x", "100000"),
+            "2a90beac21c6a74efbe8d62c78b33c5ba1a5f40d3b694332ed0a6491539f08d6",
+            "9c022c734306b96b269353116d90bf668001cbfa8eed24f04a5ae212aa335387"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_GOLDEN))
+def test_report_golden_sha256(key, tmp_path):
+    args, report_digest, hist_digest = REPORT_GOLDEN[key]
+    out = tmp_path / "report.json"
+    assert cli.main(["ek", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == report_digest
+    hist = tmp_path / "report.hist.csv"
+    assert hashlib.sha256(hist.read_bytes()).hexdigest() == hist_digest
 
 
 def test_make_factorization_validation(sys5):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -174,6 +176,28 @@ def test_equidist_csv(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "residue,count"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--group", "2,2"],
+    ["constants", "--field", "-5"],
+    ["ek", "--field", "-5", "--x", "1000"],
+    ["moments", "--field", "-5", "--x", "1000", "--k", "3"],
+    ["check", "--field", "-5", "--x", "1000"],
+])
+def test_flat_csv_matches_json(argv, capsys):
+    # every CSV row reads back as one key and one value; a string value is
+    # the JSON's string, any other value parses to the JSON's value
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(row) for row in rows] == [2] * len(rows)
+    assert rows[0] == ["key", "value"]
+    assert [key for key, _ in rows[1:]] == sorted(payload)
+    for key, value in rows[1:]:
+        want = payload[key]
+        assert (value if isinstance(want, str) else json.loads(value)) == want
 
 
 def test_ek_writes_report_and_histogram(tmp_path):

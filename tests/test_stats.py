@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import random
@@ -147,20 +146,20 @@ def test_report_ignores_walk_counters(sys5, sweep5):
 @pytest.mark.parametrize("field", [-5, -23, -1155])
 def test_report_ignores_nu_counts_order(field):
     # the order in which the sweep meets the nu values is the walk's and the
-    # tally's business: reversing or shuffling every bucket's nu_counts
-    # leaves every byte of the report
+    # tally's business: shuffling every checkpoint's nu_counts leaves every
+    # byte of the report
     system = census.for_field(field, 10**5)
     x = 10**5
     swp = census.sweep(system, x, checkpoints=(10**3,), g_descriptors=stats.default_g_descriptors(system))
     want = stats.build_report(system, x, sweep=swp).to_json()
     rng = random.Random(field)
     for _ in range(4):
-        buckets = copy.deepcopy(swp._buckets)
-        for b in buckets:
-            items = list(b.nu_counts.items())
+        totals = []
+        for t in swp.totals:
+            items = list(t.nu_counts.items())
             rng.shuffle(items)
-            b.nu_counts = dict(items)
-        shuffled = dataclasses.replace(swp, _buckets=buckets)
+            totals.append(dataclasses.replace(t, nu_counts=dict(items)))
+        shuffled = dataclasses.replace(swp, totals=tuple(totals))
         assert stats.build_report(system, x, sweep=shuffled).to_json() == want
 
 
@@ -254,7 +253,7 @@ def test_report_roundtrip(sys5, sweep5):
 
 
 def test_report_merge_associative(sys5):
-    # same totals at x whether they merge from several checkpoint buckets or one
+    # same totals at x whether they add up several checkpoint bands or one
     a = census.sweep(sys5, 10**4, checkpoints=(10, 100, 1000))
     b = census.sweep(sys5, 10**4)
     ta, tb = a.at(10**4), b.at(10**4)

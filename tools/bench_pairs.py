@@ -16,6 +16,18 @@ with the seeds, the run length, and the passes each side attempted and
 failed.  A run that failed a pass reports no metrics; its pair is left out
 of the medians and counted in ``pairs_without_metrics``.
 
+Each metric also gets a ``verdict``, printed on its summary line, with the
+metric's ``bound`` from ``BENCHMARK.json`` taken as a share of the parent
+median; the first that applies is given:
+
+- ``regression``: the change median is worse than the parent's by more
+  than the bound;
+- ``unresolved``: the parent IQR exceeds the bound, and not every change
+  run beats every parent run;
+- ``gain``: the change wins at least 9/10 of the pairs, and its median is
+  better than the parent's by more than the parent IQR;
+- ``no regression`` otherwise.
+
 With ``--layers`` it also reads the ``bench/run.py --trace 1`` records,
 ``result-seed<seed>-trace1.json``, and writes under ``layers`` each side's
 median of every per-layer metric of ``BENCHMARK.json`` over those runs,
@@ -43,6 +55,22 @@ def load_runs(root: Path, trace: int = 0) -> dict:
 def spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(statistics.median(values), 6), "iqr": round(q3 - q1, 6)}
+
+
+def verdict(p_vals: list[float], c_vals: list[float], better: str, bound: float) -> str:
+    """The verdict on one metric from its paired per-run values (see the
+    module docstring)."""
+    sign = 1 if better == "lower" else -1
+    p, c = spread(p_vals), spread(c_vals)
+    if sign * (c["median"] - p["median"]) > bound * abs(p["median"]):
+        return "regression"
+    separated = max(sign * v for v in c_vals) < min(sign * v for v in p_vals)
+    if p["iqr"] > bound * abs(p["median"]) and not separated:
+        return "unresolved"
+    wins = sum(sign * (pv - cv) > 0 for pv, cv in zip(p_vals, c_vals))
+    if 10 * wins >= 9 * len(p_vals) and sign * (p["median"] - c["median"]) > p["iqr"]:
+        return "gain"
+    return "no regression"
 
 
 def paired(parent: dict, change: dict) -> dict:
@@ -79,7 +107,7 @@ def condense(parent: dict, change: dict, metrics: dict) -> dict:
             "pairs_without_metrics": len(pairs) - len(full),
             "metrics": {},
         }
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             if len(full) < 2:
                 break
             p_vals = [p["metrics"][name]["value"] for p, _ in full]
@@ -91,6 +119,8 @@ def condense(parent: dict, change: dict, metrics: dict) -> dict:
                 "change": spread(c_vals),
                 "better": better,
                 "change_better_in_pairs": f"{wins}/{len(full)}",
+                "bound": bound,
+                "verdict": verdict(p_vals, c_vals, better, bound),
             }
         out[workload] = entry
     return out
@@ -127,7 +157,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     parent, change = load_runs(args.parent), load_runs(args.change)
     if not change:
         raise SystemExit(f"no run records under {args.change / '.bench_out'}")
@@ -157,7 +187,8 @@ def main(argv=None) -> int:
     for workload, entry in summary["workloads"].items():
         for name, m in entry["metrics"].items():
             print(f"{workload:>17} {name:>12}: parent {m['parent']['median']:.6g} "
-                  f"change {m['change']['median']:.6g} better in {m['change_better_in_pairs']}")
+                  f"change {m['change']['median']:.6g} better in {m['change_better_in_pairs']}: "
+                  f"{m['verdict']}")
     for workload, entry in summary.get("layers", {}).items():
         for name in ("census.for_field_s", "census.site_system_s"):
             if name in entry["metrics"]:
