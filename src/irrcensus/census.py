@@ -2,7 +2,7 @@
 
 A ``SiteSystem`` holds the class group and the prime-site stream as
 columns (``quadratic.SiteColumns``); the walks read the norms and classes
-from Python lists made once per system.
+through ``memoryview``s of numpy columns, with no per-site copy.
 
 Ideals of norm <= x are enumerated by depth-first search over the prime
 sites in increasing norm order.  Each node carries its state as an int id
@@ -66,7 +66,6 @@ from .quadratic import (
     ClassGroup,
     FieldSpec,
     SiteColumns,
-    as_site_columns,
     class_group,
     prime_sites_up_to,
     write_int_csv,
@@ -113,11 +112,11 @@ class SiteSystem:
 
     ``sites`` is a ``SiteColumns``: numpy columns p, norm, splitting,
     class_index and conjugate_id, where a site's id is its stream position.
-    Indexing or iterating it builds ``PrimeSite`` views lazily; any other
-    sequence of ``PrimeSite`` passed in is converted to columns.  The
-    walkers read ``_norms`` and ``_cls0`` (0-based classes), Python lists
-    built once from the columns: indexing a numpy array, or running
-    ``bisect`` on one, costs far more per node than a list does.
+    Indexing or iterating it builds ``PrimeSite`` views lazily.  The walkers
+    read ``_norms`` and ``_cls0`` (0-based classes, one byte per site for
+    h <= 255), zero-copy ``memoryview``s of numpy columns: indexing one, or
+    running ``bisect`` on one, gives Python ints at about a list's speed,
+    where a numpy array would build a scalar per access.
     """
 
     group: GroupSpec
@@ -127,32 +126,32 @@ class SiteSystem:
     field: FieldSpec | None = None
 
     def __post_init__(self):
-        sites = as_site_columns(self.sites)
-        object.__setattr__(self, "sites", sites)
+        sites = self.sites
+        if not isinstance(sites, SiteColumns):
+            raise DomainError(f"sites must be a SiteColumns, not {type(sites).__name__}")
         if np.any(sites.norm[1:] < sites.norm[:-1]):
             raise DomainError("sites must be sorted by norm")
-        object.__setattr__(self, "_norms", sites.norm.tolist())
-        object.__setattr__(self, "_cls0", (sites.class_index - 1).tolist())
+        # unsigned, so classes 1..h fit before the shift to 0..h-1
+        cls0 = sites.class_index.astype(np.min_scalar_type(self.group.h))
+        cls0 -= 1
+        object.__setattr__(self, "_norms", memoryview(sites.norm))
+        object.__setattr__(self, "_cls0", memoryview(cls0))
 
     @property
     def constants(self) -> StructuralConstants:
         return structural_constants(self.group)
 
     @cached_property
-    def _class_tables(self) -> tuple[list[array], list[array]]:
-        """Per class: the stream positions of its sites (``array('q')``),
-        and ``_neumaier_prefix`` sums of 1/N over them (``array('d')``).
-        numpy views both without a copy.  Built on first use by ``sweep``
-        or ``stats.landau_check``."""
-        cls0 = self.sites.class_index - 1
+    def _class_tables(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per class: the stream positions of its sites, and
+        ``_neumaier_prefix`` sums of 1/N over them, as numpy arrays (Python
+        readers bisect ``memoryview``s of them).  Built on first use by
+        ``sweep``, the census or ``stats.landau_check``."""
+        cls0 = np.asarray(self._cls0)
         order = np.argsort(cls0, kind="stable")
         cuts = np.cumsum(np.bincount(cls0, minlength=self.group.h))[:-1]
-        positions = [array("q", pos.astype(np.int64).tobytes()) for pos in np.split(order, cuts)]
-        prefix = [
-            array("d", _neumaier_prefix(inverse).tobytes())
-            for inverse in np.split(1.0 / self.sites.norm[order], cuts)
-        ]
-        return positions, prefix
+        prefix = [_neumaier_prefix(t) for t in np.split(1.0 / self.sites.norm[order], cuts)]
+        return np.split(order, cuts), prefix
 
 
 def _neumaier_prefix(terms: np.ndarray) -> np.ndarray:
@@ -787,9 +786,7 @@ class _Tally:
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
         self.cls0 = system.sites.class_index
-        positions, prefix = system._class_tables
-        self.positions = [np.frombuffer(p, dtype=np.int64) for p in positions]
-        self.prefix = [np.frombuffer(p, dtype=np.float64) for p in prefix]
+        self.positions, self.prefix = system._class_tables
         self.cay = np.array(states.cay, dtype=np.int64)
         self.inverse = np.array([row.index(0) for row in states.cay], dtype=np.int64)
         self.nodes = array("q")
@@ -975,7 +972,8 @@ def _walk(system, x, cps, descs, emit=None):
     the walk returns its ``_States``, which resolves the state ids.  If
     ``leaf_sites`` is None the ideal is the walked node n; otherwise they
     are the principal leaves n*q of one bulk range, for q at the ascending
-    stream positions ``leaf_sites``, which share every field but the norm.
+    stream positions ``leaf_sites`` (a memoryview of int64 positions), which
+    share every field but the norm.
     Their delta is the node's divisors of the principal class plus those of
     its class, from the class distribution of the node's divisors that the
     walk keeps on its stack; the squarefull norm is carried down.
@@ -1007,7 +1005,7 @@ def _walk(system, x, cps, descs, emit=None):
         flush = tally.flush
         add_node((1, 0))
     else:
-        positions = system._class_tables[0]
+        positions = [memoryview(pos) for pos in system._class_tables[0]]
         divisor_classes = [1] + [0] * (len(cay) - 1)
         emit(1, 0, 1, 1, None)
 

@@ -208,11 +208,13 @@ _ROWS_CHUNK = 1 << 16
 class SiteColumns(Sequence):
     """A prime-site stream held as columns: int64 arrays ``p``, ``norm``,
     ``class_index`` and ``conjugate_id``, and int8 ``splitting`` codes into
-    ``SPLITTINGS``.  A site's id is its position in the stream.
+    ``SPLITTINGS``.  A site's id is its position in the stream.  It is the
+    one form of a stream that ``census.SiteSystem`` and ``sites_to_csv``
+    take.
 
     As a sequence it is read-only and lazy: indexing or iterating builds a
     ``PrimeSite`` only for the sites asked for.  Bulk readers use the
-    columns or ``rows`` instead.
+    columns, read-only numpy arrays, or ``rows`` instead.
     """
 
     __slots__ = ("p", "norm", "splitting", "class_index", "conjugate_id")
@@ -581,23 +583,6 @@ def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     return _field_columns(cg, limit)
 
 
-def as_site_columns(sites) -> SiteColumns:
-    """``sites`` as columns: a SiteColumns passes through, and any other
-    iterable of PrimeSite, whose ids must be its stream positions, is
-    transposed."""
-    if isinstance(sites, SiteColumns):
-        return sites
-    rows = []
-    for i, s in enumerate(sites):
-        if s.id != i:
-            raise DomainError("site ids must be sequential stream positions")
-        if s.splitting not in SPLITTINGS:
-            raise DomainError(f"unknown splitting tag {s.splitting!r}")
-        rows.append((s.p, s.norm, SPLITTINGS.index(s.splitting), s.class_index, s.conjugate_id))
-    cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
-    return SiteColumns(cols[0], cols[1], cols[2].astype(np.int8), cols[3], cols[4])
-
-
 #: Rows per ``write_int_csv`` block; a block's bytes bound its extra memory.
 CSV_CHUNK = 1 << 13
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
@@ -654,19 +639,18 @@ def write_int_csv(out, columns) -> None:
         out.write(data[data != 0].tobytes().decode("ascii"))
 
 
-def sites_to_csv(sites, out) -> None:
-    """Write the site stream in the shared CSV schema; ``sites`` is a
-    SiteColumns or an iterable of PrimeSite in stream order."""
-    cols = as_site_columns(sites)
+def sites_to_csv(sites: SiteColumns, out) -> None:
+    """Write the site stream, a ``SiteColumns``, in the shared CSV schema,
+    one row per site in stream order, straight from its columns."""
     out.write("id,p,norm,splitting,class_index,conjugate_id\n")
     write_int_csv(
         out,
         (
-            np.arange(len(cols), dtype=np.int64),
-            cols.p,
-            cols.norm,
-            (cols.splitting, SPLITTINGS),
-            cols.class_index,
-            cols.conjugate_id,
+            np.arange(len(sites), dtype=np.int64),
+            sites.p,
+            sites.norm,
+            (sites.splitting, SPLITTINGS),
+            sites.class_index,
+            sites.conjugate_id,
         ),
     )

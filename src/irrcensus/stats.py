@@ -161,12 +161,15 @@ def landau_check(system: SiteSystem, x: int):
         raise DomainError("needs x >= 3")
     _check_bound(system, x)
     # the first k sites have norm <= x; each class's compensated sum over
-    # them is an entry of the per-class prefix tables (typed arrays) the
-    # sweep uses
+    # them is an entry of the per-class prefix tables the sweep uses, read
+    # through memoryviews as Python floats
     positions, prefix = system._class_tables
     k = bisect_right(system._norms, x)
     center = loglog(x) / system.group.h
-    return tuple(pre[bisect_left(pos, k)] - center for pos, pre in zip(positions, prefix))
+    return tuple(
+        memoryview(pre)[bisect_left(memoryview(pos), k)] - center
+        for pos, pre in zip(positions, prefix)
+    )
 
 
 def exceptional_fraction(
@@ -255,7 +258,7 @@ def histogram(totals: Totals, sc: StructuralConstants, x: int):
             bins[int((z - HIST_LO) / HIST_WIDTH)] += cnt
     rows = [("-inf", HIST_LO, lo_tail)]
     for i, cnt in enumerate(bins):
-        rows.append(((i - 24) / 4.0, (i - 23) / 4.0, cnt))
+        rows.append((HIST_LO + i * HIST_WIDTH, HIST_LO + (i + 1) * HIST_WIDTH, cnt))
     rows.append((HIST_HI, "inf", hi_tail))
     return rows
 

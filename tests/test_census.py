@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import io
@@ -731,6 +732,31 @@ def test_enumerate_principal_streams():
         tracemalloc.stop()
     assert [rec.norm for _, rec in first] == [1, 6, 630, 101430, 101430]
     assert peak < 10**6
+
+
+def test_site_system_keeps_no_per_site_copies():
+    # a system over existing columns adds only its one-byte class column:
+    # the walkers read the columns through memoryviews, not Python lists
+    system = census.for_field(-5, 10**6)
+    n = len(system.sites)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        again = dataclasses.replace(system)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert again._norms == system._norms and again._cls0 == system._cls0
+    assert n == 78367 and kept <= 2 * n + 10**4
+
+
+@pytest.mark.parametrize("h,itemsize", [(128, 1), (255, 1), (256, 2)])
+def test_class_column_widens_past_one_byte(h, itemsize):
+    # 0-based classes 0..h-1 take one byte up to h = 256, then the column widens
+    system = census.for_synth(SynthModel(group=cyclic_group(h), seed=3), 2 * 10**4)
+    assert list(system._cls0) == (system.sites.class_index - 1).tolist()
+    assert max(system._cls0) == h - 1
+    assert system._cls0.itemsize == itemsize
 
 
 def test_harmonic_sums_minus1_by_hand():

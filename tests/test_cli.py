@@ -111,7 +111,14 @@ def test_census_json_format(capsys):
 
 
 @pytest.mark.parametrize(
-    "source", [["--field", "-5"], ["--group", "2,4", "--seed", "3"]]
+    "source",
+    [
+        ["--field", "-5"],
+        ["--group", "2,4", "--seed", "3"],
+        # 2 is inert here, so the site stream to 2 is empty
+        ["--field", "-3"],
+        ["--field", "-19"],
+    ],
 )
 def test_census_x1_is_the_unit_row(source, capsys):
     # the site stream is built to 2 at least; x = 1 has only the unit ideal

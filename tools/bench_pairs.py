@@ -2,8 +2,12 @@
 
 Run ``bench/run.py --trace 0`` for each workload and seed in two checkouts,
 the parent commit's and the change's, alternating which side runs first.
-Each run leaves ``.bench_out/<workload>/result-seed<seed>-trace0.json`` in
-its checkout.  Then
+Make both checkouts fresh, each with ``git archive <commit> | tar -x -C
+DIR`` into a new directory, and never compare a working tree or a copy of
+one against an archive: field-files ``peak_rss_mb`` moves by about 0.5 MB
+with the checkout directory alone, with the same source.  Each run leaves
+``.bench_out/<workload>/result-seed<seed>-trace0.json`` in its checkout.
+Then
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         --description "what changed" --out BENCH_13.json
