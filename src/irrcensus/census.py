@@ -16,18 +16,17 @@ subset-count products, exhaustive sub-multiset search, and a
 squarefull/squarefree split), which the tests hold to exact agreement.
 
 ``_walk`` is the fast DFS, for the sweep and the census.  It visits in
-Python only the nodes that can have children; the leaves n*q with
-N(q)^2 > x // n (about 99% of all ideals at x = 1e7) are counted in bulk
-per class from per-class prefix tables.  ``sweep`` records rows (walked
-nodes, leaf ranges, batches of penultimate sites) and tallies them in
-numpy a chunk at a time into one band per checkpoint, with exact integer
-float sums.  When the walk ends it adds the bands up once into a
-``Totals`` per checkpoint, each float rounded once, so no report float
-depends on the walk order; ``Sweep.at`` looks one up.  The census
-(``_census_columns``: one walk, one stable argsort) gets each principal
-ideal in lexicographic order of its factorization, the principal leaves
-of a bulk range together, as a norm column and a column of ids into a
-table of the other columns; ``write_census_csv`` and
+Python only the nodes that can have children and records rows: walked
+nodes, ranges of leaves n*q with N(q)^2 > x // n (about 99% of all ideals
+at x = 1e7), and batches of penultimate sites.  ``sweep`` tallies them in
+numpy a chunk at a time into one band per checkpoint, counting the leaves
+per class from per-class prefix tables, with exact integer float sums.
+When the walk ends it adds the bands up once into a ``Totals`` per
+checkpoint, each float rounded once, so no report float depends on the
+walk order; ``Sweep.at`` looks one up.  The census (``_census_columns``)
+expands the same rows into a norm column and a column of ids into a table
+of the other columns, ordered by one sort on (norm, the row's place in
+the lexicographic order of the factorization); ``write_census_csv`` and
 ``write_census_json`` format them a chunk of rows at a time with
 ``quadratic.write_int_csv``.
 
@@ -146,7 +145,7 @@ class SiteSystem:
         """Per class: the stream positions of its sites, and
         ``_neumaier_prefix`` sums of 1/N over them, as numpy arrays (Python
         readers bisect ``memoryview``s of them).  Built on first use by
-        ``sweep``, the census or ``stats.landau_check``."""
+        ``sweep`` or ``stats.landau_check``."""
         cls0 = np.asarray(self._cls0)
         order = np.argsort(cls0, kind="stable")
         cuts = np.cumsum(np.bincount(cls0, minlength=self.group.h))[:-1]
@@ -640,6 +639,7 @@ class _States:
     def __init__(self, system: SiteSystem, descs):
         sc = system.constants
         self.cay = system.ordering.cayley()
+        self.inverse = np.array([row.index(0) for row in self.cay], dtype=np.int64)
         # one row per type, in sorted order, and each type's bytes
         self.types = np.array([tv.t for tv in sc.sorted_types], dtype=np.intp)
         self.type_bytes = set(_byte_rows(self.types.astype(np.uint8)).tolist())
@@ -747,22 +747,20 @@ def _byte_rows(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(f"V{a.shape[1]}").ravel()
 
 
-#: Leaf-range and batch rows a recording walk buffers before one chunked tally.
+#: Rows a recording walk buffers before one chunked tally.
 TALLY_CHUNK = 8192
 
 
 class _Tally:
     """The numpy tally of a recording walk's rows into checkpoint bands.
 
-    The walk appends three kinds of row to ``array('q')`` buffers: walked
-    nodes (n, state), leaf ranges (n, state, a, z) for the leaves n*q with q
-    at stream positions [a, z), and penultimate batches (n, state, s3,
-    split).  ``flush`` expands each batch into its nodes n*q^e and their
-    leaf ranges, splits every range at the checkpoints, counts its leaves
-    per class with ``searchsorted`` on the per-class position arrays,
-    tallies the principal ideals per (band, state) with ``bincount`` and
-    adds the chunk's float terms into the exact sums at once.  Each term is
-    the float the walked tally would add: 1.0/n for a principal node,
+    ``flush`` takes a chunk of the rows ``_walk`` records, expands each
+    batch into its nodes n*q^e and their leaf ranges (``_expand``), splits
+    every range at the checkpoints, counts its leaves per class with
+    ``searchsorted`` on the per-class position arrays, tallies the
+    principal ideals per (band, state) with ``bincount`` and adds the
+    chunk's float terms into the exact sums at once.  Each term is the
+    float the walked tally would add: 1.0/n for a principal node,
     (pre[ib] - pre[ia])/n for a group of principal leaves of one range and
     band, and g*k for each group of k.
 
@@ -774,7 +772,8 @@ class _Tally:
     bands up once the walk ends.
     """
 
-    def __init__(self, system: SiteSystem, x: int, cps, n_desc: int, states: _States):
+    def __init__(self, system: SiteSystem, x: int, cps, states: _States):
+        self.system = system
         self.x = x
         self.states = states
         self.h = len(states.cay)
@@ -782,16 +781,11 @@ class _Tally:
         self.nu_counts = [Counter() for _ in cps]
         self.profile_counts = [Counter() for _ in cps]
         self.irred_counts = [0] * len(cps)
-        self.sums = [[0] * len(cps) for _ in range(2 + n_desc)]
+        self.sums = [[0] * len(cps) for _ in range(2 + len(states.desc_info))]
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
-        self.cls0 = system.sites.class_index
         self.positions, self.prefix = system._class_tables
         self.cay = np.array(states.cay, dtype=np.int64)
-        self.inverse = np.array([row.index(0) for row in states.cay], dtype=np.int64)
-        self.nodes = array("q")
-        self.ranges = array("q")
-        self.batches = array("q")
         self.walked = self.batched = self.bulk = 0
 
     def totals(self) -> tuple[Totals, ...]:
@@ -820,51 +814,16 @@ class _Tally:
             ))
         return tuple(out)
 
-    def flush(self):
-        nodes = np.array(self.nodes, dtype=np.int64).reshape(-1, 2).T
-        ranges = np.array(self.ranges, dtype=np.int64).reshape(-1, 4).T
-        batches = np.array(self.batches, dtype=np.int64).reshape(-1, 4)
-        del self.nodes[:], self.ranges[:], self.batches[:]
-        self.walked += nodes.shape[1]
-        # each stage's inputs are freed before the next, which keeps the
-        # chunk's peak memory down
-        batch_nodes, batch_ranges = self._expand(batches)
-        del batches
-        units = [self._count_nodes(*np.concatenate((nodes, batch_nodes), axis=1))]
-        del nodes, batch_nodes
-        ranges = np.concatenate((ranges, batch_ranges), axis=1)
-        del batch_ranges
+    def flush(self, rows):
+        nodes, ranges, batches = (rows[rows[:, 5] == kind] for kind in range(3))
+        _, j, _, n, s, end = _expand(self.system, self.x, self.states, batches)
+        self.walked += len(nodes)
+        self.batched += n.size
+        units = [self._count_nodes(np.append(nodes[:, 0], n), np.append(nodes[:, 1], s))]
+        ranges = np.concatenate((ranges[:, :4].T, (n, s, j + 1, end)), axis=1)
         self.bulk += int((ranges[3] - ranges[2]).sum())
         units.extend(self._count_leaves(*self._pieces(*ranges[:, ranges[3] > ranges[2]])))
-        del ranges
         self._tally_principal(*(np.concatenate(col) for col in zip(*units)))
-
-    def _expand(self, batches):
-        """The nodes (n, state) of the batch rows: for each site j in
-        [s3, split), the nodes n*q_j^e <= x, with their leaf ranges
-        (n, state, j + 1, end)."""
-        counts = batches[:, 3] - batches[:, 2]
-        row = np.repeat(np.arange(len(batches)), counts)
-        j = np.arange(row.size) + np.repeat(batches[:, 2] - np.cumsum(counts) + counts, counts)
-        n, parent = batches[row, 0], batches[row, 1]
-        q = self.norms[j]
-        cj = self.cls0[j] - 1
-        n = n * q
-        nodes = [np.empty((2, 0), dtype=np.int64)]
-        ranges = [np.empty((4, 0), dtype=np.int64)]
-        e = 1
-        while n.size:
-            s = self.states.push_many(parent, cj, e)
-            nodes.append((n, s))
-            ranges.append(
-                (n, s, j + 1, np.maximum(np.searchsorted(self.norms, self.x // n, "right"), j + 1))
-            )
-            more = n <= self.x // q
-            n, parent, j, q, cj = n[more] * q[more], parent[more], j[more], q[more], cj[more]
-            e += 1
-        nodes = np.concatenate(nodes, axis=1)
-        self.batched += nodes.shape[1]
-        return nodes, np.concatenate(ranges, axis=1)
 
     def _count_nodes(self, n, s):
         """Count the nodes n of states s by class, each one ideal; return the
@@ -892,7 +851,7 @@ class _Tally:
         """Count the leaves of each piece per class; return the groups of
         principal leaves as units, one per piece and its principal class."""
         node_c = np.array(self.states.cls, dtype=np.int64)[s]
-        leaf_pc = self.inverse[node_c]
+        leaf_pc = self.states.inverse[node_c]
         units = []
         for cc in range(self.h):
             ia = np.searchsorted(self.positions[cc], lo)
@@ -941,48 +900,68 @@ class _Tally:
             _add_exact(band_sums, g[inv, d] * uk, ub)
 
 
-def _walk(system, x, cps, descs, emit=None):
+def _expand(system: SiteSystem, x: int, states: _States, batches: np.ndarray):
+    """The nodes n*q_j^e <= x, e >= 1, of each batch row (n, state, s3,
+    split, ...) and site j in [s3, split), as int64 columns (row, j, e,
+    norm, state, end): the node's leaves are the sites at [j + 1, end)."""
+    norms = system.sites.norm
+    counts = batches[:, 3] - batches[:, 2]
+    row = np.repeat(np.arange(len(batches)), counts)
+    j = np.arange(row.size) + np.repeat(batches[:, 2] - np.cumsum(counts) + counts, counts)
+    q = norms[j]
+    cj = system.sites.class_index[j] - 1
+    n, parent = batches[row, 0] * q, batches[row, 1]
+    out = [np.empty((6, 0), dtype=np.int64)]
+    e = 1
+    while n.size:
+        s = states.push_many(parent, cj, e)
+        end = np.maximum(np.searchsorted(norms, x // n, "right"), j + 1)
+        out.append(np.stack((row, j, np.full(n.size, e), n, s, end)))
+        more = n <= x // q
+        row, n, parent, j, q, cj = row[more], n[more] * q[more], parent[more], j[more], q[more], cj[more]
+        e += 1
+    return np.concatenate(out, axis=1)
+
+
+def _walk(system: SiteSystem, x: int, states: _States, consume):
     """The fast DFS over sites, for ``sweep`` and the census; the plain
     ``_principal_factorizations`` is its reference.
 
     At a node of norm n, let lim = x // n.  Sites q with N(q)^2 <= lim may
     have descendants.  A site with N(q)^2 > lim >= N(q) yields exactly one
     child, the leaf n*q of exponent 1, whose statistics follow from the
-    node's state and the class of q alone.  Those leaves are counted in
-    bulk per class from the stream positions and reciprocal-norm prefix
-    sums of each class, the way pi(x/n) counts the largest prime factor in
-    Lagarias-Miller-Odlyzko.  Descriptor sites are always walked, because
-    the g-products depend on them.
-
-    A node carries its state (see ``_States``) as an int id.  Without
-    ``emit`` the walk records rows and a ``_Tally`` counts them in chunks of
-    ``TALLY_CHUNK`` rows; it returns (totals, walked, batched, bulk,
-    nu_states).  A site q below split is penultimate when the next site's
-    N^2 exceeds lim // N(q): then no node n*q^e has a walked child, only
-    bulk leaves.  The test is monotone in q, so the penultimate sites form
-    one range [s3, split), found by bisection on N(q_j) N(q_{j+1})^2, and
-    the walk records that range as one batch row instead of walking it (the
+    node's state and the class of q alone.  Those leaves are recorded as
+    ranges of stream positions, to be counted in bulk per class the way
+    pi(x/n) counts the largest prime factor in Lagarias-Miller-Odlyzko.
+    Descriptor sites are always walked, because the g-products depend on
+    them.  A site q below split is penultimate when the next site's N^2
+    exceeds lim // N(q): then no node n*q^e has a walked child, only bulk
+    leaves.  The test is monotone in q, so the penultimate sites form one
+    range [s3, split), found by bisection on N(q_j) N(q_{j+1})^2, and the
+    walk records that range as one batch row instead of walking it (the
     special leaves of Deleglise-Rivat).  Batches start past the last
-    descriptor site, so no descriptor site falls in a batch or in a
-    batched node's leaf range.
+    descriptor site, so no descriptor site falls in a batch or in a batched
+    node's leaf range.
 
-    Given ``emit`` (the census's), nothing is batched or tallied, each
-    principal ideal is passed on in lexicographic order of its
-    factorization as ``emit(n, state, delta, squarefull, leaf_sites)``, and
-    the walk returns its ``_States``, which resolves the state ids.  If
-    ``leaf_sites`` is None the ideal is the walked node n; otherwise they
-    are the principal leaves n*q of one bulk range, for q at the ascending
-    stream positions ``leaf_sites`` (a memoryview of int64 positions), which
-    share every field but the norm.
-    Their delta is the node's divisors of the principal class plus those of
-    its class, from the class distribution of the node's divisors that the
-    walk keeps on its stack; the squarefull norm is carried down.
+    A node carries its state (see ``_States``) as an int id.  The walk
+    records rows (n, state, a, b, P, kind) of int64s and passes them to
+    ``consume`` as an array once ``TALLY_CHUNK`` have piled up, and at the
+    end.  P is the row index, in the whole recording, of the walked node n:
+
+    - kind 0, the walked node n itself, of site a and exponent b; P is its
+      parent's (-1 for the unit ideal, row 0);
+    - kind 1, the leaves n*q for the sites q at stream positions [a, b),
+      none of them a descriptor site;
+    - kind 2, a batch: the nodes n*q^e for the penultimate sites q at
+      [a, b), and their leaves (``_expand``).
+
+    A node's batch and leaf ranges are recorded after its walked
+    descendants, so the rows come in lexicographic order of the
+    factorizations of their first ideals.
     """
     norms = system._norms
     cls0 = system._cls0
-    states = _States(system, descs)
     cay = states.cay
-    inverse = [row.index(0) for row in cay]
     keys = states.keys
     ids = states.ids
     inc = states.inc
@@ -995,55 +974,22 @@ def _walk(system, x, cps, descs, emit=None):
     pen = [
         norms[j] * norms[j + 1] ** 2 if j + 1 < nsites else math.inf for j in range(nsmall)
     ]
+    rows = array("q")
+    add = rows.extend
+    passed = 0  # rows passed on to consume
 
-    if emit is None:
-        tally = _Tally(system, x, cps, len(descs), states)
-        add_node = tally.nodes.extend
-        add_range = tally.ranges.extend
-        add_batch = tally.batches.extend
-        pending = tally.ranges, tally.batches
-        flush = tally.flush
-        add_node((1, 0))
-    else:
-        positions = [memoryview(pos) for pos in system._class_tables[0]]
-        divisor_classes = [1] + [0] * (len(cay) - 1)
-        emit(1, 0, 1, 1, None)
+    def flush():
+        nonlocal passed
+        passed += len(rows) // 6
+        consume(np.array(rows, dtype=np.int64).reshape(-1, 6))
+        del rows[:]
 
-    def leaves(a: int, z: int, n: int, c: int, sf: int, s: int):
-        """The leaves n*q for the sites q at stream positions [a, z), none of
-        them a descriptor site: one range row, or, given ``emit``, the
-        principal ones passed on."""
-        if emit is None:
-            add_range((n, s, a, z))
-            if len(pending[0]) + len(pending[1]) >= 4 * TALLY_CHUNK:
-                flush()
-            return
-        pc = inverse[c]
-        pos = positions[pc]
-        ia = bisect_left(pos, a)
-        ib = bisect_left(pos, z, ia)
-        if ib > ia:
-            key = keys[s] + inc[pc][1]
-            ls = ids.get(key)
-            if ls is None:
-                ls = states.add(key, 0)
-            delta = divisor_classes[0] + divisor_classes[c]
-            emit(n, ls, delta, sf, pos[ia:ib])
-
-    def descend(j: int, n: int, c: int, sf: int, s: int):
+    def descend(j: int, n: int, c: int, s: int, p: int):
         """Walk every node n*q^e (e >= 1) for site j, whose n*q <= x."""
-        nonlocal divisor_classes
         q = norms[j]
         cj = cls0[j]
         key = keys[s] + desc_bit.get(j, 0)
         inc_j = inc[cj]
-        if emit is not None:
-            # divisors of n*q^e: those of n times q^k, k <= e; slot g gains
-            # the count of slot g - k*cj, read through the row of the class
-            # of q^-k
-            dbase = divisor_classes
-            back = neg = inverse[cj]
-            divisor_classes = [v + dbase[t] for v, t in zip(dbase, cay[back])]
         e = 1
         n2 = n * q
         c2 = cay[c][cj]
@@ -1051,25 +997,17 @@ def _walk(system, x, cps, descs, emit=None):
             s2 = ids.get(key + inc_j[e])
             if s2 is None:
                 s2 = states.add(key + inc_j[e], c2)
-            sf2 = sf * q**e if e > 1 else sf
-            if emit is None:
-                add_node((n2, s2))
-            elif not c2:
-                emit(n2, s2, divisor_classes[0], sf2, None)
-            children(j + 1, n2, c2, sf2, s2)
+            add((n2, s2, j, e, p, 0))
+            children(j + 1, n2, c2, s2, passed + len(rows) // 6 - 1)
             n2 *= q
             if n2 > x:
                 break
             e += 1
             c2 = cay[c2][cj]
-            if emit is not None:
-                back = cay[back][neg]
-                divisor_classes = [v + dbase[t] for v, t in zip(divisor_classes, cay[back])]
-        if emit is not None:
-            divisor_classes = dbase
 
-    def children(start: int, n: int, c: int, sf: int, s: int):
-        """Every descendant of node n whose new sites lie at positions >= start."""
+    def children(start: int, n: int, c: int, s: int, p: int):
+        """Every descendant of node n, of row index p, whose new sites lie
+        at positions >= start."""
         if start >= nsites:
             return
         lim = x // n
@@ -1078,33 +1016,32 @@ def _walk(system, x, cps, descs, emit=None):
         end = bisect_right(norms, lim, start)
         split = bisect_right(norms, math.isqrt(lim), start, end)
         s3 = split
-        if emit is None:
-            lo = batch_lo if batch_lo > start else start
-            if lo < split:
-                s3 = bisect_right(pen, lim, lo, split)
-                if s3 < split:
-                    add_batch((n, s, s3, split))
+        lo = batch_lo if batch_lo > start else start
+        if lo < split:
+            s3 = bisect_right(pen, lim, lo, split)
         for j in range(start, s3):
-            descend(j, n, c, sf, s)
+            descend(j, n, c, s, p)
+        if s3 < split:
+            add((n, s, s3, split, p, 2))
         a = split
         for d in desc_sites[bisect_left(desc_sites, split) :]:
             if d >= end:
                 break
             if d > a:
-                leaves(a, d, n, c, sf, s)
-            descend(d, n, c, sf, s)
+                add((n, s, a, d, p, 1))
+            descend(d, n, c, s, p)
             a = d + 1
         if end > a:
-            leaves(a, end, n, c, sf, s)
+            add((n, s, a, end, p, 1))
+        if len(rows) >= 6 * TALLY_CHUNK:
+            flush()
 
-    children(0, 1, 0, 1, 0)
+    add((1, 0, -1, 0, -1, 0))
+    children(0, 1, 0, 0, 0)
     # descend and children call each other: break the cycle, so the walk's
-    # frame and whatever emit holds are freed without the cyclic GC
+    # frame is freed without the cyclic GC
     descend = children = None
-    if emit is None:
-        flush()
-        return tally.totals(), tally.walked, tally.batched, tally.bulk, len(states.nu_keys)
-    return states
+    flush()
 
 
 def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Sweep:
@@ -1127,8 +1064,10 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
             if not 0 <= sid < len(system.sites):
                 raise DomainError(f"descriptor site id {sid} out of range")
 
-    totals, walked, batched, bulk, nu_states = _walk(system, x, cps, descs)
-    visited = walked + batched
+    tally = _Tally(system, x, cps, _States(system, descs))
+    _walk(system, x, tally.states, tally.flush)
+    totals = tally.totals()
+    visited, bulk = tally.walked + tally.batched, tally.bulk
     n_ideals = totals[-1].n_ideals
     if visited + bulk != n_ideals:
         raise RuntimeError(
@@ -1141,9 +1080,9 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
         g_descriptors=descs,
         totals=totals,
         visited=visited,
-        batched=batched,
+        batched=tally.batched,
         bulk=bulk,
-        nu_states=nu_states,
+        nu_states=len(tally.states.nu_keys),
     )
 
 
@@ -1160,34 +1099,86 @@ def census_header(h: int) -> str:
 def _census_columns(system: SiteSystem, x: int):
     """The census as int64 columns (norm, tail, table), norm-ascending with
     ties broken by the factorization: row i is (norm[i], *table[:,
-    tail[i]]) in ``census_header`` order.  ``table`` has a column per walked
+    tail[i]]) in ``census_header`` order.  ``table`` has a column per
     principal node and per range of principal leaves, which share all but
-    the norm; one ``stats_many`` call resolves their states at the end."""
-    norms = system._norms
-    norm_col = array("q")
-    tail_col = array("q")
-    tails = array("q")
+    the norm; one ``stats_many`` call resolves their states.
 
-    def emit(n, state, delta, squarefull, leaf_sites):
-        tail_col.extend([len(tails) // 3] * (1 if leaf_sites is None else len(leaf_sites)))
-        tails.extend((state, delta, squarefull))
-        if leaf_sites is None:
-            norm_col.append(n)
-        else:
-            norm_col.extend([n * norms[j] for j in leaf_sites])
-
+    The nodes are the walked nodes ``_walk`` records and the batched nodes
+    of its batch rows.  Each takes its divisor counts per class D and its
+    squarefull norm from its parent's: delta is D[0] for a principal node
+    and D[0] + D[c] for a principal leaf of a node of class c.  The ideals
+    of one row are consecutive in the order of the rows, so a walked node
+    or leaf range sorts as its row index r, and a batched node n*q^e, then
+    its leaves, as (r, q, e) for the batch row r.  Rows of one tail that
+    tie in norm are equal, so one sort of norm * T + the tail's rank orders
+    every row.
+    """
     _check_bound(system, x)
-    states = _walk(system, x, (x,), (), emit)
-    state, delta, squarefull = np.frombuffer(tails, dtype=np.int64).reshape(-1, 3).T
-    ustates, inv = np.unique(state, return_inverse=True)
+    states = _States(system, ())
+    chunks = []
+    _walk(system, x, states, chunks.append)
+    rows = np.concatenate(chunks)
+    R, kind = len(rows), rows[:, 5]
+    batch = np.flatnonzero(kind == 2)
+    row, j, e, n, s, end = _expand(system, x, states, rows[batch])
+    # the batched nodes follow the recorded rows, each a child of its batch's
+    # walked node; the leaves of a range row u, or of a batched node u, are
+    # the sites at stream positions [a, z) times the node v
+    place = np.concatenate(((np.arange(R), 0 * kind, 0 * kind), (batch[row], j, e)), axis=1)
+    ranged = np.flatnonzero(kind == 1)
+    u = np.concatenate((ranged, np.arange(R, R + n.size)))
+    a, z, v = np.concatenate((rows[ranged, 2:5].T, (j + 1, end, u[ranged.size :])), axis=1)
+    n, s, j, e, parent = np.concatenate((rows[:, :5].T, (n, s, j, e, rows[batch[row], 4])), axis=1)
+    norms, nsites = system.sites.norm, len(system.sites)
+    cls0 = system.sites.class_index - 1
+    cay = np.array(states.cay, dtype=np.int64)
+    D = np.zeros((n.size, len(cay)), dtype=np.int64)
+    D[0, 0] = 1
+    sf = np.ones(n.size, dtype=np.int64)
+    node = np.concatenate((kind == 0, np.ones(n.size - R, dtype=bool)))
+    todo = np.flatnonzero(node)[1:]
+    while todo.size:
+        # the nodes whose parent is done (D[p, 0] >= 1 counts its divisor
+        # 1): the divisors of n*q^e are those of n times q^k, k <= e, so
+        # slot g + k*c gains the parent's slot g
+        ready = D[parent[todo], 0] > 0
+        at, todo = todo[ready], todo[~ready]
+        p, c = parent[at], cls0[j[at]]
+        kc = np.zeros(at.size, dtype=np.int64)
+        for k in range(int(e[at].max()) + 1):
+            sel = e[at] >= k
+            D[at[sel][:, None], cay[:, kc[sel]].T] += D[p[sel]]
+            kc = cay[kc, c]
+        sf[at] = sf[p] * np.where(e[at] > 1, norms[j[at]] ** e[at], 1)
+    # the tails: the principal nodes, then the ranges' principal leaves, the
+    # sites of the class inverse to the node's, among positions by class
+    cls = np.array(states.cls, dtype=np.int64)
+    hit = node & (cls[s] == 0)
+    site = np.argsort(cls0, kind="stable")
+    by_class = cls0[site] * nsites + site
+    c = cls[s[v]]
+    pc = states.inverse[c]
+    ia = np.searchsorted(by_class, pc * nsites + a)
+    k = np.searchsorted(by_class, pc * nsites + z) - ia
+    u, v, c, pc, ia, k = (col[k > 0] for col in (u, v, c, pc, ia, k))
+    tail_s = np.concatenate((s[hit], states.push_many(s[v], pc, 1)))
+    delta = np.concatenate((D[hit, 0], D[v, 0] + D[v, c]))
+    tail_sf = np.concatenate((sf[hit], sf[v]))
+    # stable, so a batched node's tail stays before its leaves'
+    order = np.lexsort(np.concatenate((place[:, hit], place[:, u]), axis=1)[::-1])
+    T = order.size
+    rank = np.argsort(order)
+    # one int64 per row: norm * T + rank stays below x**2 + x, as T <= x
+    key = np.concatenate((n[hit], np.repeat(n[v], k)))
+    key[T - k.size :] *= norms[site[np.arange(k.sum()) + np.repeat(ia - np.cumsum(k) + k, k)]]
+    key *= T
+    key += np.repeat(rank, np.concatenate((np.ones(T - k.size, dtype=np.int64), k)))
+    key.sort()
+    norm, tail = np.divmod(key, T)
+    ustates, inv = np.unique(tail_s[order], return_inverse=True)
     nu, omega, Omega, _, irreducible, _ = states.stats_many(ustates.tolist())
     per_state = np.column_stack((np.ones_like(nu), omega, Omega, nu))[inv].T
-    table = np.vstack((per_state, delta, irreducible[inv].astype(np.int64), squarefull))
-    norm = np.frombuffer(norm_col, dtype=np.int64)
-    # the walk is lexicographic in the factorization, so a stable sort by
-    # norm alone breaks ties by the factorization
-    order = np.argsort(norm, kind="stable")
-    return norm[order], np.frombuffer(tail_col, dtype=np.int64)[order], table
+    return norm, tail, np.vstack((per_state, delta[order], irreducible[inv], tail_sf[order]))
 
 
 def census_rows(system: SiteSystem, x: int) -> list[tuple[int, ...]]:

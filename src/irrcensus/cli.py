@@ -316,7 +316,8 @@ def _run_selftest(cmd: Command) -> int:
     for d in SELFTEST_FIELDS:
         system = census.for_field(d, _stream_limit(cmd.x))
         sc = system.constants
-        checked = mismatched = 0
+        mismatched = 0
+        rows = []
         for fact, record in census.enumerate_principal(system, cmd.x):
             nu_b = census.nu_bruteforce(fact, system.ordering)
             nu_s = census.nu_squarefull_formula(fact, sc)
@@ -327,10 +328,18 @@ def _run_selftest(cmd: Command) -> int:
                     f"selftest mismatch: d={d} norm={record.norm} "
                     f"nu={record.nu}/{nu_b}/{nu_s} delta={record.delta}/{delta_b}\n"
                 )
-            checked += 1
+            rows.append((
+                record.norm, 1, *record.omega, *record.Omega, record.nu, record.delta,
+                int(record.is_irreducible), record.squarefull_norm,
+            ))
+        # the records are in lexicographic order: sorted stably by norm, in census order
+        rows.sort(key=lambda row: row[0])
+        if census.census_rows(system, cmd.x) != rows:
+            mismatched += 1
+            sys.stderr.write(f"selftest mismatch: d={d} census rows differ from the records'\n")
         failures += mismatched
         status = "ok" if not mismatched else "FAIL"
-        sys.stdout.write(f"selftest d={d}: {checked} principal ideals, {status}\n")
+        sys.stdout.write(f"selftest d={d}: {len(rows)} principal ideals, {status}\n")
     return 0 if failures == 0 else 1
 
 

@@ -183,7 +183,7 @@ def exceptional_fraction(
     h = totals.h
     big_l = loglog(x)
     t1 = big_l ** (2.0 / 3.0)
-    t2 = math.log(big_l) if big_l > 0 else float("-inf")
+    t2 = math.log(big_l)
     mean = big_l / h
     bad = 0
     n = 0

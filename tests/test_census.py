@@ -10,7 +10,6 @@ import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -276,14 +275,14 @@ class _ReferenceWalks(dict):
 @pytest.fixture(scope="module")
 def reference_walks():
     """Cyclic (-5, -23, -39, -47: Z/2 to Z/5), Z/2xZ/2 (-21, -30) and Z/2^3
-    (-105, -1155) fields and synthetic Z/2xZ/4 and Z/3xZ/3 streams, each with
-    its full reference census.  The Z/3, Z/4 and Z/5 fields truncate the
-    walk's subset-count polynomials at degrees 3 to 5."""
+    (-105, -1155) fields and synthetic Z/2xZ/4, Z/3xZ/3 and trivial-group
+    streams, each with its full reference census.  The Z/3, Z/4 and Z/5
+    fields truncate the walk's subset-count polynomials at degrees 3 to 5."""
     systems = {
         d: census.for_field(d, REFERENCE_X)
         for d in (-5, -21, -23, -30, -39, -47, -105, -1155)
     }
-    for orders in ((2, 4), (3, 3)):
+    for orders in ((2, 4), (3, 3), ()):
         model = SynthModel(group=group_from_orders(orders), seed=29)
         systems[orders] = census.for_synth(model, REFERENCE_X)
     return _ReferenceWalks(
@@ -571,10 +570,19 @@ def test_penultimate_batches_on_order_8_groups(reference_walks, key):
 
 
 def _walked_states(system, x, descs):
-    """A census walk's ``_States`` and the ids of its principal states."""
-    seen = set()
-    states = census._walk(system, x, (x,), descs, lambda n, s, *_: seen.add(s))
-    return states, sorted(seen)
+    """A recording walk's ``_States`` and the ids of its principal states:
+    those of its walked and batched nodes and of their principal leaves."""
+    states = census._States(system, descs)
+    nodes = []
+
+    def consume(rows):
+        batches = rows[rows[:, 5] == 2]
+        nodes.extend((rows[rows[:, 5] == 0, 1], census._expand(system, x, states, batches)[4]))
+
+    census._walk(system, x, states, consume)
+    nodes = np.concatenate(nodes)
+    states.push_many(nodes, states.inverse[np.array(states.cls)[nodes]], 1)
+    return states, [s for s, c in enumerate(states.cls) if c == 0]
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -648,15 +656,56 @@ def _record_row(rec):
     )
 
 
-@pytest.mark.parametrize("x", [1, 7, 300, REFERENCE_X])
+def _row_kind(norms, x, fact):
+    """The kind of ``_walk`` row that holds this ideal at bound x, by the
+    walk's rules: a walked node, a batched node, a leaf of a batched node,
+    or a leaf of a walked node."""
+    kind, n = "walked", 1
+    for en in fact.entries:
+        lim = x // n
+        q = en.norm
+        last = en.site_id + 1 == len(norms)
+        if q * q > lim:
+            kind = "leaf" if kind == "walked" else "batched leaf"
+        elif kind == "walked" and (last or q * norms[en.site_id + 1] ** 2 > lim):
+            kind = "batched"
+        n *= q**en.exponent
+    return kind
+
+
+#: x: the sets of row kinds that some norm's unequal rows come from
+STRADDLES = {
+    12: {("batched", "walked"), ("batched", "batched leaf"), ("batched leaf", "leaf")},
+    54: {
+        ("batched", "walked"),
+        ("batched", "batched leaf"),
+        ("batched leaf", "leaf"),
+        ("batched", "leaf"),
+        ("leaf", "walked"),
+        ("batched", "leaf", "walked"),
+    },
+}
+
+
+@pytest.mark.parametrize("x", [1, 7, *STRADDLES, 300, REFERENCE_X])
 def test_census_rows_match_enumeration(reference_walks, x):
     # the rows take nu, omega and irreducibility from the walk's state; the
-    # records compute every field from the factorization with the oracles
+    # records compute every field from the factorization with the oracles.
+    # Rows that tie in norm are ordered by the factorization across the
+    # kinds of walk row they come from
+    straddles = set()
     for system, records, _, _ in reference_walks.values():
         want = sorted(
-            (_record_row(rec) for _, rec in records if rec.norm <= x), key=itemgetter(0)
+            ((_record_row(rec), fact) for fact, rec in records if rec.norm <= x),
+            key=lambda pair: pair[0][0],
         )
-        assert census.census_rows(system, x) == want
+        assert census.census_rows(system, x) == [row for row, _ in want]
+        for _, tied in itertools.groupby(want, key=lambda pair: pair[0][0]):
+            tied = list(tied)
+            kinds = tuple(sorted({_row_kind(system._norms, x, fact) for _, fact in tied}))
+            if len(kinds) > 1 and len({row for row, _ in tied}) > 1:
+                straddles.add(kinds)
+    assert straddles >= STRADDLES.get(x, set())
 
 
 @pytest.mark.parametrize("x", [1, 300, REFERENCE_X])
@@ -849,6 +898,12 @@ CENSUS_GOLDEN = {
               "7ff3643a6fcf2ec481a7858d0f44fe8c3a8ec5b22d8f9db0bc7d34291f8d0230"),
     "2,4": (("--group", "2,4", "--seed", "11"), 2 * 10**4, 2523,
             "6f3a2fa0989b52aafad4602578896362a5af6b7cd44f82cfcdd433ecc80e010e"),
+    # most rows tied, many batches
+    "-5,1e5": (("--field", "-5"), 10**5, 70267,
+               "3eadfd97841f3297406b2ac0e5dc22130f4426298695d7ec8aa977e441de8b62"),
+    # Z/3: conjugate sites have different classes, so tied rows differ
+    "-23": (("--field", "-23"), 2 * 10**4, 13092,
+            "ab78a2165b56c1e1beebefc67832f804a5995a2c7c33ca85263d8d599abcc7ee"),
 }
 
 

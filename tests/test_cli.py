@@ -275,6 +275,25 @@ def test_selftest_small(capsys, monkeypatch):
     assert cli.main(["selftest", "--x", "300"]) == 1
     out = capsys.readouterr().out
     assert out.count("FAIL") == 1 and out.count("ok") == 3
+    # so does a census whose first two unequal tied rows trade places
+    monkeypatch.setattr(census, "delta_bruteforce", oracle)
+    rows_of = census.census_rows
+    swapped = []
+
+    def swap_tied_once(system, x):
+        rows = rows_of(system, x)
+        if not swapped:
+            i = next(
+                i for i, (a, b) in enumerate(zip(rows, rows[1:])) if a[0] == b[0] and a != b
+            )
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            swapped.append(i)
+        return rows
+
+    monkeypatch.setattr(census, "census_rows", swap_tied_once)
+    assert cli.main(["selftest", "--x", "300"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 1 and out.count("ok") == 3
 
 
 def test_identical_commands_identical_files(tmp_path):
