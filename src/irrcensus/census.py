@@ -62,7 +62,6 @@ from .abelian import (
 from .errors import DomainError, ResourceLimitError
 from .quadratic import (
     CSV_CHUNK,
-    ClassGroup,
     FieldSpec,
     SiteColumns,
     class_group,
@@ -163,9 +162,9 @@ def _neumaier_prefix(terms: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], s + np.cumsum(err)))
 
 
-def for_field(field, limit: int) -> SiteSystem:
-    """Site system for Q(sqrt(d)); accepts d or a prebuilt ClassGroup."""
-    cg = field if isinstance(field, ClassGroup) else class_group(field)
+def for_field(d: int, limit: int) -> SiteSystem:
+    """Site system for Q(sqrt(d))."""
+    cg = class_group(d)
     sites = prime_sites_up_to(cg, limit)
     return SiteSystem(
         group=cg.group, ordering=cg.ordering, sites=sites, limit=limit, field=cg.field

@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import abelian, census, stats
@@ -29,32 +28,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class Command:
-    subcommand: str
-    d: int | None = None
-    group: tuple[int, ...] | None = None
-    x: int | None = None
-    m: int = 2
-    k: int = 8
-    seed: int | None = None
-    out: str | None = None
-    fmt: str = "json"
-    kappa: tuple[float, ...] | None = None
+def _comma_list(convert):
+    """An argparse ``type``: a comma-separated list of ``convert`` values."""
+
+    def parse_list(text: str) -> tuple:
+        try:
+            return tuple(convert(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
+
+    return parse_list
 
 
-def _parse_group(text: str) -> tuple[int, ...]:
-    try:
-        orders = tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --group value {text!r}") from exc
-    return orders
-
-
-def _add_source(p: _Parser, required: bool = True):
-    g = p.add_mutually_exclusive_group(required=required)
-    g.add_argument("--field", type=int, help="squarefree negative d for Q(sqrt(d))")
-    g.add_argument("--group", type=str, help="cyclic factors, e.g. 2 or 2,4 (1 = trivial)")
+def _add_source(p: _Parser):
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--field", dest="d", type=int, help="squarefree negative d for Q(sqrt(d))")
+    g.add_argument(
+        "--group", type=_comma_list(int), help="cyclic factors, e.g. 2 or 2,4 (1 = trivial)"
+    )
 
 
 def _add_common(p: _Parser, fmt_default: str = "json"):
@@ -92,7 +83,7 @@ def build_parser() -> _Parser:
     _add_source(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--k", type=int, default=8)
-    p.add_argument("--kappa", type=str, default=None)
+    p.add_argument("--kappa", type=_comma_list(float), default=None)
     _add_common(p)
 
     p = sub.add_parser("check", help="density, reciprocal-sum and mean-value checks")
@@ -113,38 +104,25 @@ def build_parser() -> _Parser:
 _MIN_X = {"ek": 16, "moments": 3, "check": 3}
 
 
-def parse(argv) -> Command:
-    """Parse an argument vector into a validated Command (never exits)."""
+def parse(argv) -> argparse.Namespace:
+    """Parse an argument vector into a validated namespace (never exits)."""
     ns = build_parser().parse_args(argv)
     if ns.subcommand is None:
         raise UsageError("a subcommand is required")
-    cmd = Command(subcommand=ns.subcommand)
-    for name in ("x", "m", "k", "seed", "out", "fmt"):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            setattr(cmd, name, getattr(ns, name))
-    if getattr(ns, "field", None) is not None:
-        cmd.d = ns.field
-    if getattr(ns, "group", None) is not None:
-        cmd.group = _parse_group(ns.group)
-    if getattr(ns, "kappa", None) is not None:
-        try:
-            cmd.kappa = tuple(float(v) for v in ns.kappa.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad --kappa value {ns.kappa!r}") from exc
-    min_x = _MIN_X.get(cmd.subcommand, 1)
-    if cmd.x is not None and cmd.x < min_x:
-        raise UsageError(f"--x must be >= {min_x} for {cmd.subcommand}")
+    min_x = _MIN_X.get(ns.subcommand, 1)
+    if getattr(ns, "x", min_x) < min_x:
+        raise UsageError(f"--x must be >= {min_x} for {ns.subcommand}")
     # --m is a modulus and --k the highest moment; below 1 there is nothing
     # to report
     for flag in ("m", "k"):
         if getattr(ns, flag, 1) < 1:
             raise UsageError(f"--{flag} must be >= 1")
-    needs_stream = cmd.subcommand in ("census", "ek", "equidist", "moments", "check")
-    if needs_stream and cmd.group is not None and cmd.seed is None:
+    group = getattr(ns, "group", None)
+    if ns.subcommand != "constants" and group is not None and ns.seed is None:
         raise UsageError("synthetic streams require an explicit --seed")
-    if cmd.subcommand == "check" and cmd.group is not None:
+    if ns.subcommand == "check" and group is not None:
         raise UsageError("check requires --field (density constants need a field)")
-    return cmd
+    return ns
 
 
 def _emit(text: str, out: str | None):
@@ -172,25 +150,21 @@ def _payload_text(payload: dict, fmt: str) -> str:
     return _flat_csv(payload)
 
 
-def _group_spec(cmd: Command) -> abelian.GroupSpec:
-    return abelian.group_from_orders(cmd.group)
-
-
 def _stream_limit(x: int) -> int:
     """The site stream needs a limit >= 2; x = 1 has only the unit ideal."""
     return max(x, 2)
 
 
-def _system(cmd: Command) -> census.SiteSystem:
-    if cmd.d is not None:
-        return census.for_field(cmd.d, _stream_limit(cmd.x))
-    model = SynthModel(group=_group_spec(cmd), seed=cmd.seed)
-    return census.for_synth(model, _stream_limit(cmd.x))
+def _system(ns: argparse.Namespace) -> census.SiteSystem:
+    if ns.d is not None:
+        return census.for_field(ns.d, _stream_limit(ns.x))
+    model = SynthModel(group=abelian.group_from_orders(ns.group), seed=ns.seed)
+    return census.for_synth(model, _stream_limit(ns.x))
 
 
-def _run_constants(cmd: Command) -> int:
-    if cmd.d is not None:
-        cg = class_group(cmd.d)
+def _run_constants(ns: argparse.Namespace) -> int:
+    if ns.d is not None:
+        cg = class_group(ns.d)
         payload = abelian.structural_constants(cg.group).as_dict()
         payload["field"] = {
             "d": cg.field.d,
@@ -200,20 +174,20 @@ def _run_constants(cmd: Command) -> int:
             "psi": cg.field.psi,
         }
     else:
-        payload = abelian.structural_constants(_group_spec(cmd)).as_dict()
-    _emit(_payload_text(payload, cmd.fmt), cmd.out)
+        payload = abelian.structural_constants(abelian.group_from_orders(ns.group)).as_dict()
+    _emit(_payload_text(payload, ns.fmt), ns.out)
     return 0
 
 
-def _run_census(cmd: Command) -> int:
-    system = _system(cmd)
-    write = census.write_census_json if cmd.fmt == "json" else census.write_census_csv
-    if cmd.out is None:
-        write(system, cmd.x, sys.stdout)
+def _run_census(ns: argparse.Namespace) -> int:
+    system = _system(ns)
+    write = census.write_census_json if ns.fmt == "json" else census.write_census_csv
+    if ns.out is None:
+        write(system, ns.x, sys.stdout)
     else:
         # written a chunk at a time, never held whole
-        with open(cmd.out, "w", encoding="utf-8", newline="") as f:
-            write(system, cmd.x, f)
+        with open(ns.out, "w", encoding="utf-8", newline="") as f:
+            write(system, ns.x, f)
     return 0
 
 
@@ -224,101 +198,98 @@ def _hist_path(out: str) -> str:
     return out + ".hist.csv"
 
 
-def _run_ek(cmd: Command) -> int:
-    system = _system(cmd)
-    report = stats.build_report(system, cmd.x, m=cmd.m)
+def _run_ek(ns: argparse.Namespace) -> int:
+    system = _system(ns)
+    report = stats.build_report(system, ns.x, m=ns.m)
     payload = report.as_dict()
-    text = report.to_json() if cmd.fmt == "json" else _flat_csv(payload)
-    _emit(text, cmd.out)
-    if cmd.out is not None:
-        _emit(stats.histogram_csv(report.histogram_rows), _hist_path(cmd.out))
+    text = report.to_json() if ns.fmt == "json" else _flat_csv(payload)
+    _emit(text, ns.out)
+    if ns.out is not None:
+        _emit(stats.histogram_csv(report.histogram_rows), _hist_path(ns.out))
     return 0
 
 
-def _run_equidist(cmd: Command) -> int:
-    system = _system(cmd)
-    result = stats.equidist(system, cmd.x, cmd.m)
-    if cmd.fmt == "csv":
+def _run_equidist(ns: argparse.Namespace) -> int:
+    system = _system(ns)
+    result = stats.equidist(census.sweep(system, ns.x).at(ns.x), ns.m)
+    if ns.fmt == "csv":
         lines = ["residue,count"]
         lines.extend(f"{a},{result.counts[a]}" for a in sorted(result.counts))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
-            "x": cmd.x,
+            "x": ns.x,
             "modulus": result.modulus,
             "n_principal": result.n,
             "counts": {str(a): c for a, c in result.counts.items()},
             "deviation": result.deviation,
         }
         text = stats.dumps(payload) + "\n"
-    _emit(text, cmd.out)
+    _emit(text, ns.out)
     return 0
 
 
-def _run_moments(cmd: Command) -> int:
-    system = _system(cmd)
+def _run_moments(ns: argparse.Namespace) -> int:
+    system = _system(ns)
     sc = system.constants
-    kappa = cmd.kappa if cmd.kappa is not None else tuple(float(v) for v in sc.kappa)
+    kappa = ns.kappa if ns.kappa is not None else tuple(float(v) for v in sc.kappa)
     h = system.group.h
     sigma2 = sum(float(v) ** 2 for v in kappa) / h
-    big_l = stats.loglog(cmd.x)
-    swp = census.sweep(system, cmd.x)
+    big_l = stats.loglog(ns.x)
+    totals = census.sweep(system, ns.x).at(ns.x)
     rows = {}
-    for k in range(1, cmd.k + 1):
-        measured = stats.f_central_moment(system, cmd.x, kappa, k, sweep=swp)
+    for k in range(1, ns.k + 1):
+        measured = stats.f_central_moment(totals, kappa, k)
         target = stats.gaussian_target(k, sigma2, big_l)
         row = {"measured": measured, "target": target}
         if target:
             row["ratio"] = measured / target
         rows[str(k)] = row
     payload = {
-        "x": cmd.x,
+        "x": ns.x,
         "kappa": list(kappa),
         "sigma2": sigma2,
         "L": big_l,
         "moments": rows,
     }
-    _emit(_payload_text(payload, cmd.fmt), cmd.out)
+    _emit(_payload_text(payload, ns.fmt), ns.out)
     return 0
 
 
-def _run_check(cmd: Command) -> int:
-    system = _system(cmd)
-    descs = stats.default_g_descriptors(system)
-    swp = census.sweep(system, cmd.x, g_descriptors=descs)
-    g_rows = []
-    for desc in descs:
-        measured, predicted = stats.g_mean_check(system, desc, cmd.x, sweep=swp)
-        g_rows.append(
-            {
-                "descriptor": stats.describe_descriptor(system, desc),
-                "measured": measured,
-                "predicted": predicted,
-                "difference": measured - predicted,
-            }
-        )
+def _run_check(ns: argparse.Namespace) -> int:
+    system = _system(ns)
+    swp = census.sweep(system, ns.x, g_descriptors=stats.default_g_descriptors(system))
+    g_rows = [
+        {
+            "descriptor": stats.describe_descriptor(system, desc),
+            "measured": measured,
+            "predicted": predicted,
+            "difference": measured - predicted,
+        }
+        for desc, (measured, predicted) in zip(swp.g_descriptors, stats.g_mean_check(swp, ns.x))
+    ]
     payload = {
-        "x": cmd.x,
+        "x": ns.x,
         "psi": system.field.psi,
-        "weber_ratios": list(stats.weber_check(system, cmd.x, sweep=swp)),
-        "landau_deviations": list(stats.landau_check(system, cmd.x)),
+        "weber_ratios": list(stats.weber_check(system, swp.at(ns.x))),
+        "landau_deviations": list(stats.landau_check(system, ns.x)),
         "g_checks": g_rows,
     }
-    _emit(_payload_text(payload, cmd.fmt), cmd.out)
+    _emit(_payload_text(payload, ns.fmt), ns.out)
     return 0
 
 
 SELFTEST_FIELDS = (-5, -23, -14, -30)
 
 
-def _run_selftest(cmd: Command) -> int:
+def _run_selftest(ns: argparse.Namespace) -> int:
     failures = 0
     for d in SELFTEST_FIELDS:
-        system = census.for_field(d, _stream_limit(cmd.x))
+        system = census.for_field(d, _stream_limit(ns.x))
         sc = system.constants
         mismatched = 0
         rows = []
-        for fact, record in census.enumerate_principal(system, cmd.x):
+        for fact, record in census.enumerate_principal(system, ns.x):
             nu_b = census.nu_bruteforce(fact, system.ordering)
             nu_s = census.nu_squarefull_formula(fact, sc)
             delta_b = census.delta_bruteforce(fact, system.ordering)
@@ -334,7 +305,7 @@ def _run_selftest(cmd: Command) -> int:
             ))
         # the records are in lexicographic order: sorted stably by norm, in census order
         rows.sort(key=lambda row: row[0])
-        if census.census_rows(system, cmd.x) != rows:
+        if census.census_rows(system, ns.x) != rows:
             mismatched += 1
             sys.stderr.write(f"selftest mismatch: d={d} census rows differ from the records'\n")
         failures += mismatched
@@ -354,18 +325,18 @@ _RUNNERS = {
 }
 
 
-def run(cmd: Command) -> int:
-    return _RUNNERS[cmd.subcommand](cmd)
+def run(ns: argparse.Namespace) -> int:
+    return _RUNNERS[ns.subcommand](ns)
 
 
 def main(argv=None) -> int:
     try:
-        cmd = parse(sys.argv[1:] if argv is None else argv)
+        ns = parse(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     try:
-        return run(cmd)
+        return run(ns)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

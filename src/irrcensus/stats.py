@@ -4,6 +4,12 @@ Iterated logarithms are natural throughout: L = log log x.  At desk scale
 L is tiny (log log 1e7 is about 2.78), so no Gaussian-limit claim is made;
 the reports expose exact counters, analytic-formula comparisons and
 standardized statistics, and the tests pin trends and frozen anchors.
+
+Every statistic reads the census at one bound x through the ``Totals`` of
+a sweep, ``sweep(...).at(x)``, and takes x and h from it; the g-means read
+the sweep itself, whose descriptors they report on.  Only
+``build_report`` runs a sweep, and only when it is given none;
+``landau_check`` reads the site tables.
 """
 
 from __future__ import annotations
@@ -72,20 +78,11 @@ def _validate_kappa(kappa, h):
     return kap
 
 
-def _totals(system: SiteSystem, x: int, swp: Sweep | None) -> Totals:
-    if swp is None:
-        swp = census_sweep(system, x)
-    return swp.at(x)
-
-
-def f_central_moment(
-    system: SiteSystem, x: int, kappa, k: int, sweep: Sweep | None = None
-) -> float:
+def f_central_moment(totals: Totals, kappa, k: int) -> float:
     """(1/n) sum over principal ideals of (f - (sum kappa_j / h) L)^k."""
-    h = system.group.h
+    h = totals.h
     kap = _validate_kappa(kappa, h)
-    totals = _totals(system, x, sweep)
-    center = (sum(kap) / h) * loglog(x)
+    center = (sum(kap) / h) * loglog(totals.x)
     total = 0.0
     n = 0
     for (omega, _m), cnt in sorted(totals.profile_counts.items()):
@@ -111,37 +108,24 @@ def g_predicted(prime_powers) -> float:
     return out
 
 
-def _descriptor_norms(system, descriptor):
-    return tuple(
-        (system.sites[sid].norm, e) for sid, e in sorted(descriptor)
-    )
-
-
-def g_mean_check(
-    system: SiteSystem, descriptor, x: int, sweep: Sweep | None = None
-) -> tuple[float, float]:
-    """Measured (1/x) sum of g_r over principal ideals vs Psi * G(r).
+def g_mean_check(sweep: Sweep, x: int) -> tuple[tuple[float, float], ...]:
+    """Measured (1/x) sum of g_r over principal ideals vs Psi * G(r), one
+    pair per descriptor of ``sweep``, in its order; the prediction is NaN
+    on a synthetic stream, which has no Psi.
 
     Psi = 2 pi / (w sqrt(|disc|)) is the density of ideals in one fixed
     class, so the sum of g_r over the principal class alone carries a single
     factor Psi.
     """
-    if system.field is None:
-        raise DomainError("g mean prediction needs a field-backed system")
-    desc = tuple(sorted((int(s), int(e)) for s, e in descriptor))
-    if sweep is None:
-        sweep = census_sweep(system, x, g_descriptors=(desc,))
-    totals = sweep.at(x)
-    try:
-        di = sweep.g_descriptors.index(desc)
-    except ValueError:
-        raise DomainError("descriptor was not tracked by the sweep") from None
-    measured = totals.g_sums[di] / x
-    predicted = system.field.psi * g_predicted(_descriptor_norms(system, desc))
-    return measured, predicted
+    system = sweep.system
+    psi = system.field.psi if system.field else float("nan")
+    return tuple(
+        (g_sum / x, psi * g_predicted((system.sites[sid].norm, e) for sid, e in desc))
+        for desc, g_sum in zip(sweep.g_descriptors, sweep.at(x).g_sums)
+    )
 
 
-def weber_check(system: SiteSystem, x: int, sweep: Sweep | None = None):
+def weber_check(system: SiteSystem, totals: Totals):
     """Per-class ideal counts divided by the predicted count Psi * x.
 
     Psi = 2 pi / (w sqrt(|disc|)) is the classical per-class density
@@ -150,8 +134,7 @@ def weber_check(system: SiteSystem, x: int, sweep: Sweep | None = None):
     """
     if system.field is None:
         raise DomainError("the ideal-count ratio needs a field-backed system")
-    totals = _totals(system, x, sweep)
-    expected = system.field.psi * x
+    expected = system.field.psi * totals.x
     return tuple(c / expected for c in totals.class_counts)
 
 
@@ -172,16 +155,13 @@ def landau_check(system: SiteSystem, x: int):
     )
 
 
-def exceptional_fraction(
-    system: SiteSystem, x: int, sweep: Sweep | None = None
-) -> float:
+def exceptional_fraction(totals: Totals) -> float:
     """Fraction of principal ideals with either some omega_i far from L/h
     (beyond L^(2/3)) or some Omega_i - omega_i >= log L."""
-    if x < 16:
+    if totals.x < 16:
         raise DomainError("the exceptional set needs x >= 16")
-    totals = _totals(system, x, sweep)
     h = totals.h
-    big_l = loglog(x)
+    big_l = loglog(totals.x)
     t1 = big_l ** (2.0 / 3.0)
     t2 = math.log(big_l)
     mean = big_l / h
@@ -204,13 +184,10 @@ class EquidistResult:
     deviation: float
 
 
-def equidist(
-    system: SiteSystem, x: int, m: int, sweep: Sweep | None = None
-) -> EquidistResult:
+def equidist(totals: Totals, m: int) -> EquidistResult:
     """Residue-class counts of the irreducible-divisor count mod m."""
     if m < 1:
         raise DomainError("modulus must be >= 1")
-    totals = _totals(system, x, sweep)
     counts = {a: 0 for a in range(m)}
     for nu, cnt in totals.nu_counts.items():
         counts[nu % m] += cnt
@@ -225,7 +202,7 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def ks_distance(totals: Totals, sc: StructuralConstants, x: int) -> float:
+def ks_distance(totals: Totals, sc: StructuralConstants) -> float:
     """Kolmogorov distance between the standardized counts and a standard
     normal, evaluated at the atoms."""
     n = totals.n_principal
@@ -234,7 +211,7 @@ def ks_distance(totals: Totals, sc: StructuralConstants, x: int) -> float:
     out = 0.0
     cum = 0
     for nu, cnt in sorted(totals.nu_counts.items()):
-        z = standardize(nu, sc, x)
+        z = standardize(nu, sc, totals.x)
         phi = _norm_cdf(z)
         out = max(out, abs(cum / n - phi))
         cum += cnt
@@ -242,14 +219,14 @@ def ks_distance(totals: Totals, sc: StructuralConstants, x: int) -> float:
     return out
 
 
-def histogram(totals: Totals, sc: StructuralConstants, x: int):
+def histogram(totals: Totals, sc: StructuralConstants):
     """Counts of the standardized statistic in width-0.25 bins on [-6, 6],
     with two open tail buckets."""
     bins = [0] * _HIST_BINS
     lo_tail = 0
     hi_tail = 0
     for nu, cnt in totals.nu_counts.items():
-        z = standardize(nu, sc, x)
+        z = standardize(nu, sc, totals.x)
         if z < HIST_LO:
             lo_tail += cnt
         elif z >= HIST_HI:
@@ -371,19 +348,12 @@ def build_report(
             math.fsum(standardize(nu, sc, x) ** k * c for nu, c in totals.nu_counts.items())
             / n
         )
-    eq = equidist(system, x, m, sweep=sweep)
-    weber = tuple(weber_check(system, x, sweep=sweep)) if system.field else None
-    landau = landau_check(system, x)
-    g_table = []
-    for desc in sweep.g_descriptors:
-        measured, predicted = (
-            g_mean_check(system, desc, x, sweep=sweep)
-            if system.field
-            else (totals.g_sums[sweep.g_descriptors.index(desc)] / x, float("nan"))
-        )
-        g_table.append(
-            GMeanEntry(describe_descriptor(system, desc), measured, predicted)
-        )
+    eq = equidist(totals, m)
+    weber = weber_check(system, totals) if system.field else None
+    g_table = tuple(
+        GMeanEntry(describe_descriptor(system, desc), measured, predicted)
+        for desc, (measured, predicted) in zip(sweep.g_descriptors, g_mean_check(sweep, x))
+    )
     return StatReport(
         x=x,
         n_ideals=totals.n_ideals,
@@ -391,18 +361,18 @@ def build_report(
         mean_nu=mean_nu,
         var_nu=var_nu,
         standardized_moments=z_moments,
-        ks=ks_distance(totals, sc, x),
+        ks=ks_distance(totals, sc),
         residue_modulus=m,
         residue_counts=eq.counts,
         residue_deviation=eq.deviation,
         weber_ratios=weber,
-        landau_deviations=landau,
-        exceptional_fraction=exceptional_fraction(system, x, sweep=sweep),
-        g_mean_table=tuple(g_table),
+        landau_deviations=landau_check(system, x),
+        exceptional_fraction=exceptional_fraction(totals),
+        g_mean_table=g_table,
         harmonic_principal=totals.harmonic_principal,
         harmonic_irreducible=totals.harmonic_irreducible,
         irreducible_count=totals.irreducible_count,
-        histogram_rows=tuple(histogram(totals, sc, x)),
+        histogram_rows=tuple(histogram(totals, sc)),
         constants=sc.as_dict(),
     )
 

@@ -2,15 +2,14 @@
 
 For class groups with no convenient small-discriminant field, the census
 and statistics machinery runs on a fake site stream: every rational prime
-p <= X becomes one site of norm p whose class is drawn i.i.d. from the
-label law.  The generator is splitmix64 (version 1), a counter-based
-64-bit mixer, so streams are identical across platforms and runs for a
-fixed (group, seed, law).
+p <= X becomes one site of norm p whose class is drawn i.i.d. and
+uniformly from the group.  The generator is splitmix64 (version 1), a
+counter-based 64-bit mixer, so streams are identical across platforms and
+runs for a fixed (group, seed).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,37 +33,14 @@ def splitmix64(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class SynthModel:
-    """A class group, a 64-bit seed, and a label law (None means uniform)."""
+    """A class group and a 64-bit seed; the labels are uniform."""
 
     group: GroupSpec
     seed: int
-    label_law: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        law = self.label_law
-        if law is None:
-            return
-        law = tuple(float(p) for p in law)
-        object.__setattr__(self, "label_law", law)
-        if len(law) != self.group.h:
-            raise DomainError("label law length must equal the group order")
-        if any(p < 0 for p in law):
-            raise DomainError("label probabilities must be nonnegative")
-        if abs(sum(law) - 1.0) > 1e-9:
-            raise DomainError("label probabilities must sum to 1")
 
 
 def _label(model: SynthModel, index: int) -> int:
-    r = splitmix64(model.seed & _MASK, index)
-    if model.label_law is None:
-        return r % model.group.h + 1
-    u = r / 2.0**64
-    acc = 0.0
-    for i, p in enumerate(model.label_law):
-        acc += p
-        if u < acc:
-            return i + 1
-    return model.group.h
+    return splitmix64(model.seed & _MASK, index) % model.group.h + 1
 
 
 def _labels(model: SynthModel, n: int) -> np.ndarray:
@@ -74,12 +50,7 @@ def _labels(model: SynthModel, n: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     r = z ^ (z >> np.uint64(31))
-    h = model.group.h
-    if model.label_law is None:
-        return (r % np.uint64(h)).astype(np.int64) + 1
-    # the first i whose running sum of the law exceeds u, else the last class
-    bounds = np.array(list(itertools.accumulate(model.label_law)))
-    return np.minimum(np.searchsorted(bounds, r / 2.0**64, side="right"), h - 1) + 1
+    return (r % np.uint64(model.group.h)).astype(np.int64) + 1
 
 
 def synth_sites(model: SynthModel, limit: int) -> SiteColumns:

@@ -147,7 +147,7 @@ def test_criterion_4_sandwich_and_delta_bounds(oracle_census):
 
 
 def test_criterion_5_ideal_density(sys5_big, sweep_big):
-    ratios = stats.weber_check(sys5_big, 10**6, sweep=sweep_big)
+    ratios = stats.weber_check(sys5_big, sweep_big.at(10**6))
     ok = all(0.98 <= r <= 1.02 for r in ratios)
     psi = sys5_big.field.psi
     ok = ok and math.isclose(psi, math.pi / math.sqrt(20))
@@ -159,10 +159,9 @@ def test_criterion_5_ideal_density(sys5_big, sweep_big):
 
 
 def test_criterion_6_g_mean(sys5_big, sweep_big):
-    measured_sq, predicted_sq = stats.g_mean_check(
-        sys5_big, ((0, 2),), 10**6, sweep=sweep_big
+    (measured_sq, predicted_sq), (measured_single, _) = stats.g_mean_check(
+        sweep_big, 10**6
     )
-    measured_single, _ = stats.g_mean_check(sys5_big, ((1, 1),), 10**6, sweep=sweep_big)
     ok = abs(measured_sq - predicted_sq) <= 0.02
     ok = ok and math.isclose(
         predicted_sq, sys5_big.field.psi * 0.25, rel_tol=1e-12
@@ -177,7 +176,7 @@ def test_criterion_6_g_mean(sys5_big, sweep_big):
 
 
 def test_criterion_7a_second_moment_ratio(sys5_big, sweep_big):
-    measured = stats.f_central_moment(sys5_big, 10**7, (0, 1), 2, sweep=sweep_big)
+    measured = stats.f_central_moment(sweep_big.at(10**7), (0, 1), 2)
     target = stats.gaussian_target(2, 0.5, stats.loglog(10**7))
     ratio = measured / target
     ok = 0.5 <= ratio <= 1.5
@@ -192,7 +191,7 @@ def test_criterion_7a_second_moment_ratio(sys5_big, sweep_big):
 
 def test_criterion_7b_equidist_trend(sys5_big, sweep_big):
     devs = [
-        stats.equidist(sys5_big, x, 2, sweep=sweep_big).deviation for x in CHECKPOINTS
+        stats.equidist(sweep_big.at(x), 2).deviation for x in CHECKPOINTS
     ]
     ok = all(a > b for a, b in zip(devs, devs[1:]))
     assert _report(
@@ -204,7 +203,7 @@ def test_criterion_7b_equidist_trend(sys5_big, sweep_big):
 
 def test_criterion_7b_exceptional_trend(sys5_big, sweep_big):
     fracs = [
-        stats.exceptional_fraction(sys5_big, x, sweep=sweep_big) for x in CHECKPOINTS
+        stats.exceptional_fraction(sweep_big.at(x)) for x in CHECKPOINTS
     ]
     ok = all(a > b for a, b in zip(fracs, fracs[1:]))
     _report(
@@ -224,7 +223,7 @@ def test_criterion_7b_exceptional_trend(sys5_big, sweep_big):
 def test_criterion_7c_h1_parity(sys5_big):
     model = SynthModel(group=trivial_group(), seed=1)
     system = census.for_synth(model, 10**6)
-    eq = stats.equidist(system, 10**6, 2)
+    eq = stats.equidist(census.sweep(system, 10**6).at(10**6), 2)
     ok = eq.deviation < 0.01
     assert _report(
         "7c (h=1 parity deviation < 0.01)", ok, f"deviation={eq.deviation:.6f}"
@@ -296,31 +295,30 @@ def test_frozen_anchors(sys5_big, sweep_big):
     assert len(sys5_big.sites) == FROZEN["site_count_1e7"]
     assert tot7.irreducible_count == FROZEN["irreducible_count_1e7"]
 
-    weber = stats.weber_check(sys5_big, 10**6, sweep=sweep_big)
+    weber = stats.weber_check(sys5_big, sweep_big.at(10**6))
     for got, want in zip(weber, FROZEN["weber_1e6"]):
         assert math.isclose(got, want, rel_tol=1e-9)
 
-    m_sq, p_sq = stats.g_mean_check(sys5_big, ((0, 2),), 10**6, sweep=sweep_big)
+    (m_sq, p_sq), (m_single, _) = stats.g_mean_check(sweep_big, 10**6)
     assert math.isclose(m_sq, FROZEN["g_p2sq_1e6"][0], rel_tol=1e-9)
     assert math.isclose(p_sq, FROZEN["g_p2sq_1e6"][1], rel_tol=1e-9)
-    m_single, _ = stats.g_mean_check(sys5_big, ((1, 1),), 10**6, sweep=sweep_big)
     assert math.isclose(m_single, FROZEN["g_p3_1e6"], rel_tol=1e-6)
 
     for x, want_eq, want_exc, want_k2 in zip(
         CHECKPOINTS, FROZEN["equidist2"], FROZEN["exceptional"], FROZEN["k2_ratio"]
     ):
         assert math.isclose(
-            stats.equidist(sys5_big, x, 2, sweep=sweep_big).deviation,
+            stats.equidist(sweep_big.at(x), 2).deviation,
             want_eq,
             rel_tol=1e-9,
         )
         assert math.isclose(
-            stats.exceptional_fraction(sys5_big, x, sweep=sweep_big),
+            stats.exceptional_fraction(sweep_big.at(x)),
             want_exc,
             rel_tol=1e-9,
         )
         ratio = stats.f_central_moment(
-            sys5_big, x, (0, 1), 2, sweep=sweep_big
+            sweep_big.at(x), (0, 1), 2
         ) / stats.gaussian_target(2, 0.5, stats.loglog(x))
         assert math.isclose(ratio, want_k2, rel_tol=1e-9)
 
@@ -338,5 +336,5 @@ def test_frozen_anchors(sys5_big, sweep_big):
 
     model = SynthModel(group=trivial_group(), seed=1)
     system = census.for_synth(model, 10**6)
-    eq = stats.equidist(system, 10**6, 2)
+    eq = stats.equidist(census.sweep(system, 10**6).at(10**6), 2)
     assert math.isclose(eq.deviation, FROZEN["parity_dev_1e6"], rel_tol=1e-9)

@@ -950,6 +950,38 @@ def test_report_golden_sha256(key, tmp_path):
     assert hashlib.sha256(hist.read_bytes()).hexdigest() == hist_digest
 
 
+CLI_GOLDEN = {
+    # equidist, moments and check CLI arguments, SHA-256 of the --out bytes
+    "equidist -5": (("equidist", "--field", "-5", "--x", "100000", "--m", "3"),
+                    "afd659c2b6b598c065f80282e70ae02c7f02c3d8346be65cf8a90b91e21101cc"),
+    "equidist -5 csv": (("equidist", "--field", "-5", "--x", "100000", "--m", "3",
+                         "--format", "csv"),
+                        "50bfd4e32f7d426c6512339cf1da4dc6b963cca1b1a17db7710377fd37d20f10"),
+    "equidist 2,4": (("equidist", "--group", "2,4", "--seed", "29", "--x", "100000",
+                      "--m", "2"),
+                     "00103d14e45988c76bb6214dd255364debd6256dff8488621507e4f2e9b4b386"),
+    "moments -5": (("moments", "--field", "-5", "--x", "100000", "--k", "6"),
+                   "a98c84b08bfe8f9c8cc41d1621e2fa0a730b11141828c7580b3f56c499a695e5"),
+    "moments -23": (("moments", "--field", "-23", "--x", "50000", "--kappa", "1,0.5,0.5"),
+                    "fe295617d6fab66be95832bbf72c463530e8455bea36bd6db41ecaa1736d2d1e"),
+    "moments 2,4 csv": (("moments", "--group", "2,4", "--seed", "29", "--x", "100000",
+                         "--k", "4", "--format", "csv"),
+                        "769906e1c44a35b557863c9f7c3abd789eaf2fb3722fad081b1a96bb5f836e21"),
+    "check -5": (("check", "--field", "-5", "--x", "100000"),
+                 "3a6687665da27fa5a70328961839fbbe34c3c3f7441ab4546a8eeb484970330c"),
+    "check -1155 csv": (("check", "--field", "-1155", "--x", "30000", "--format", "csv"),
+                        "35f37bb26ffe76aab805212c552cd79f44605fae004ee246b91089e0ba1cc7af"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CLI_GOLDEN))
+def test_cli_golden_sha256(key, tmp_path):
+    args, digest = CLI_GOLDEN[key]
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_make_factorization_validation(sys5):
     with pytest.raises(DomainError):
         census.make_factorization(sys5, [(0, 0)])

@@ -27,10 +27,19 @@ def test_parse_exclusive_flags():
         cli.parse(["census", "--field", "-5", "--group", "2", "--x", "100"])
 
 
-def test_parse_unknown_flag():
+def test_parse_unknown_flag(capsys):
     for extra in (["--bogus"], ["--threads", "8"]):
         with pytest.raises(cli.UsageError):
             cli.parse(["census", "--field", "-5", "--x", "10"] + extra)
+    # a malformed list value is a usage error (exit 2) naming its flag
+    for argv, flag in (
+        (["census", "--group", "2,x", "--x", "10", "--seed", "1"], "--group"),
+        (["moments", "--field", "-5", "--x", "10", "--kappa", "1,a"], "--kappa"),
+    ):
+        with pytest.raises(cli.UsageError, match=flag):
+            cli.parse(argv)
+        assert cli.main(argv) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_parse_missing_required():

@@ -84,15 +84,15 @@ def test_f_moment_against_direct_enumeration(sys5, sweep5):
     records = [rec for _, rec in census.enumerate_principal(sys5, x)]
     for k in (1, 2, 3):
         direct = sum((rec.omega[1] - center) ** k for rec in records) / len(records)
-        agg = stats.f_central_moment(sys5, x, kappa, k, sweep=sweep5)
+        agg = stats.f_central_moment(sweep5.at(x), kappa, k)
         assert math.isclose(agg, direct, rel_tol=1e-12)
 
 
 def test_f_moment_kappa_validation(sys5, sweep5):
     with pytest.raises(DomainError):
-        stats.f_central_moment(sys5, 10**4, (0.0, 0.0), 2, sweep=sweep5)
+        stats.f_central_moment(sweep5.at(10**4), (0.0, 0.0), 2)
     with pytest.raises(DomainError):
-        stats.f_central_moment(sys5, 10**4, (-1.0, 1.0), 2, sweep=sweep5)
+        stats.f_central_moment(sweep5.at(10**4), (-1.0, 1.0), 2)
 
 
 def test_g_predicted_examples():
@@ -115,20 +115,11 @@ def test_g_predicted_examples():
 
 
 def test_g_mean_small_sweep(sys5, sweep5):
-    measured, predicted = stats.g_mean_check(sys5, ((0, 2),), 10**4, sweep=sweep5)
+    (measured, predicted), (m_single, p_single) = stats.g_mean_check(sweep5, 10**4)
     assert predicted == pytest.approx(sys5.field.psi * 0.25)
     assert abs(measured - predicted) < 0.05
-    m_single, p_single = stats.g_mean_check(sys5, ((1, 1),), 10**4, sweep=sweep5)
     assert p_single == 0.0
     assert abs(m_single) < 0.05
-
-
-def test_g_mean_rejects_site_out_of_range(sys5, sweep5):
-    for site_id in (-1, len(sys5.sites)):
-        with pytest.raises(DomainError):
-            stats.g_mean_check(sys5, ((site_id, 1),), 10**4)
-        with pytest.raises(DomainError):
-            stats.g_mean_check(sys5, ((site_id, 1),), 10**4, sweep=sweep5)
 
 
 def test_report_ignores_walk_counters(sys5, sweep5):
@@ -164,7 +155,7 @@ def test_report_ignores_nu_counts_order(field):
 
 
 def test_weber_small(sys5, sweep5):
-    ratios = stats.weber_check(sys5, 10**4, sweep=sweep5)
+    ratios = stats.weber_check(sys5, sweep5.at(10**4))
     assert len(ratios) == 2
     for r in ratios:
         assert abs(r - 1.0) < 0.05
@@ -173,7 +164,7 @@ def test_weber_small(sys5, sweep5):
 def test_weber_needs_field():
     system = census.for_synth(SynthModel(group=cyclic_group(2), seed=1), 100)
     with pytest.raises(DomainError):
-        stats.weber_check(system, 100)
+        stats.weber_check(system, census.sweep(system, 100).at(100))
 
 
 def test_landau_small(sys5):
@@ -203,32 +194,32 @@ def test_landau_drift_between_decades():
 
 def test_exceptional_fraction_edges(sys5, sweep5):
     with pytest.raises(DomainError):
-        stats.exceptional_fraction(sys5, 10)
-    frac = stats.exceptional_fraction(sys5, 10**4, sweep=sweep5)
+        stats.exceptional_fraction(census.sweep(sys5, 10).at(10))
+    frac = stats.exceptional_fraction(sweep5.at(10**4))
     assert 0.0 < frac < 1.0
 
 
 def test_equidist_m1(sys5, sweep5):
-    result = stats.equidist(sys5, 10**4, 1, sweep=sweep5)
+    result = stats.equidist(sweep5.at(10**4), 1)
     assert result.deviation == 0.0
     assert result.counts == {0: result.n}
 
 
 def test_equidist_counts_sum(sys5, sweep5):
     for m in (2, 3, 5):
-        result = stats.equidist(sys5, 10**4, m, sweep=sweep5)
+        result = stats.equidist(sweep5.at(10**4), m)
         assert sum(result.counts.values()) == result.n
         assert result.n == sweep5.at(10**4).n_principal
 
 
 def test_ks_distance_bounds(sys5, sweep5):
-    d = stats.ks_distance(sweep5.at(10**4), sys5.constants, 10**4)
+    d = stats.ks_distance(sweep5.at(10**4), sys5.constants)
     assert 0.0 < d < 1.0
 
 
 def test_histogram_conserves_mass(sys5, sweep5):
     totals = sweep5.at(10**4)
-    rows = stats.histogram(totals, sys5.constants, 10**4)
+    rows = stats.histogram(totals, sys5.constants)
     assert sum(r[2] for r in rows) == totals.n_principal
     assert rows[0][0] == "-inf" and rows[-1][1] == "inf"
     assert len(rows) == 50

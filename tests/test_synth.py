@@ -5,7 +5,6 @@ import pytest
 
 from irrcensus import census, stats
 from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
-from irrcensus.errors import DomainError
 from irrcensus.primes import is_prime
 from irrcensus.synth import SynthModel, _label, splitmix64, synth_sites
 
@@ -47,13 +46,10 @@ def test_frozen_stream_checksum():
     )
 
 
-@pytest.mark.parametrize(
-    "law", [None, (0.1, 0.2, 0.05, 0.15, 0.0, 0.3, 0.1, 0.1)], ids=["uniform", "law"]
-)
-@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -3])
-def test_synth_columns_match_scalar_labels(law, seed):
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -3], ids=lambda seed: f"{seed}-uniform")
+def test_synth_columns_match_scalar_labels(seed):
     limit = 2 * 10**4
-    model = SynthModel(group=group_from_orders((2, 4)), seed=seed, label_law=law)
+    model = SynthModel(group=group_from_orders((2, 4)), seed=seed)
     primes = [p for p in range(2, limit + 1) if is_prime(p)]
     expected = [(i, p, p, "synthetic", _label(model, i), i) for i, p in enumerate(primes)]
     got = [(s.id, s.p, s.norm, s.splitting, s.class_index, s.conjugate_id)
@@ -67,24 +63,6 @@ def test_trivial_group_all_class_one():
     assert all(s.class_index == 1 for s in sites)
     assert all(s.norm == s.p for s in sites)
     assert [s.id for s in sites] == list(range(len(sites)))
-
-
-def test_label_law_validation():
-    with pytest.raises(DomainError):
-        SynthModel(group=cyclic_group(2), seed=1, label_law=(0.7, 0.7))
-    with pytest.raises(DomainError):
-        SynthModel(group=cyclic_group(2), seed=1, label_law=(1.0,))
-    with pytest.raises(DomainError):
-        SynthModel(group=cyclic_group(2), seed=1, label_law=(-0.5, 1.5))
-    SynthModel(group=cyclic_group(2), seed=1, label_law=(0.25, 0.75))
-
-
-def test_explicit_label_law_frequencies():
-    model = SynthModel(group=cyclic_group(2), seed=8, label_law=(0.25, 0.75))
-    counts = Counter(s.class_index for s in synth_sites(model, 10**5))
-    total = sum(counts.values())
-    assert abs(counts[1] / total - 0.25) < 0.02
-    assert abs(counts[2] / total - 0.75) < 0.02
 
 
 def test_class_frequencies_z3_frozen():
@@ -109,6 +87,6 @@ def test_trivial_synth_census_matches_integer_sieve():
     omega = omega_sieve(x)
     expected = Counter(int(omega[n]) for n in range(1, x + 1))
     assert tot.nu_counts == expected
-    eq = stats.equidist(system, x, 2, sweep=swp)
+    eq = stats.equidist(tot, 2)
     direct = Counter(int(omega[n]) % 2 for n in range(1, x + 1))
     assert eq.counts == dict(direct)
