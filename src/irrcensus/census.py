@@ -108,13 +108,13 @@ class CensusRecord:
 class SiteSystem:
     """A class group (abstract) plus its prime-site stream, held as columns.
 
-    ``sites`` is a ``SiteColumns``: numpy columns p, norm, splitting,
-    class_index and conjugate_id, where a site's id is its stream position.
-    Indexing or iterating it builds ``PrimeSite`` views lazily.  The walkers
-    read ``_norms`` and ``_cls0`` (0-based classes, one byte per site for
-    h <= 255), zero-copy ``memoryview``s of numpy columns: indexing one, or
-    running ``bisect`` on one, gives Python ints at about a list's speed,
-    where a numpy array would build a scalar per access.
+    ``sites`` is a ``SiteColumns``: numpy columns norm, splitting and cls
+    (0-based classes, one byte per site for h <= 256), where a site's id is
+    its stream position.  Indexing or iterating it builds ``PrimeSite``
+    views lazily.  The walkers read ``_norms`` and ``_cls0``, zero-copy
+    ``memoryview``s of the norm and class columns: indexing one, or running
+    ``bisect`` on one, gives Python ints at about a list's speed, where a
+    numpy array would build a scalar per access.
     """
 
     group: GroupSpec
@@ -129,27 +129,28 @@ class SiteSystem:
             raise DomainError(f"sites must be a SiteColumns, not {type(sites).__name__}")
         if np.any(sites.norm[1:] < sites.norm[:-1]):
             raise DomainError("sites must be sorted by norm")
-        # unsigned, so classes 1..h fit before the shift to 0..h-1
-        cls0 = sites.class_index.astype(np.min_scalar_type(self.group.h))
-        cls0 -= 1
         object.__setattr__(self, "_norms", memoryview(sites.norm))
-        object.__setattr__(self, "_cls0", memoryview(cls0))
+        object.__setattr__(self, "_cls0", memoryview(sites.cls))
 
     @property
     def constants(self) -> StructuralConstants:
         return structural_constants(self.group)
 
     @cached_property
-    def _class_tables(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per class: the stream positions of its sites, and
-        ``_neumaier_prefix`` sums of 1/N over them, as numpy arrays (Python
-        readers bisect ``memoryview``s of them).  Built on first use by
-        ``sweep`` or ``stats.landau_check``."""
-        cls0 = np.asarray(self._cls0)
-        order = np.argsort(cls0, kind="stable")
-        cuts = np.cumsum(np.bincount(cls0, minlength=self.group.h))[:-1]
-        prefix = [_neumaier_prefix(t) for t in np.split(1.0 / self.sites.norm[order], cuts)]
-        return np.split(order, cuts), prefix
+    def _class_positions(self) -> list[np.ndarray]:
+        """Per class, the stream positions of its sites, ascending: the
+        stream sorted by (class, position), split by class."""
+        cls = self.sites.cls
+        cuts = np.cumsum(np.bincount(cls, minlength=self.group.h))[:-1]
+        return np.split(np.argsort(cls, kind="stable"), cuts)
+
+    @cached_property
+    def _class_prefix(self) -> list[np.ndarray]:
+        """Per class, the ``_neumaier_prefix`` sums of 1/N over its sites
+        in ``_class_positions`` order (Python readers bisect
+        ``memoryview``s of them).  Built on first use by ``sweep`` or
+        ``stats.landau_check``."""
+        return [_neumaier_prefix(1.0 / self.sites.norm[pos]) for pos in self._class_positions]
 
 
 def _neumaier_prefix(terms: np.ndarray) -> np.ndarray:
@@ -783,7 +784,7 @@ class _Tally:
         self.sums = [[0] * len(cps) for _ in range(2 + len(states.desc_info))]
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
-        self.positions, self.prefix = system._class_tables
+        self.positions, self.prefix = system._class_positions, system._class_prefix
         self.cay = np.array(states.cay, dtype=np.int64)
         self.walked = self.batched = self.bulk = 0
 
@@ -908,7 +909,7 @@ def _expand(system: SiteSystem, x: int, states: _States, batches: np.ndarray):
     row = np.repeat(np.arange(len(batches)), counts)
     j = np.arange(row.size) + np.repeat(batches[:, 2] - np.cumsum(counts) + counts, counts)
     q = norms[j]
-    cj = system.sites.class_index[j] - 1
+    cj = system.sites.cls[j]
     n, parent = batches[row, 0] * q, batches[row, 1]
     out = [np.empty((6, 0), dtype=np.int64)]
     e = 1
@@ -1129,7 +1130,7 @@ def _census_columns(system: SiteSystem, x: int):
     a, z, v = np.concatenate((rows[ranged, 2:5].T, (j + 1, end, u[ranged.size :])), axis=1)
     n, s, j, e, parent = np.concatenate((rows[:, :5].T, (n, s, j, e, rows[batch[row], 4])), axis=1)
     norms, nsites = system.sites.norm, len(system.sites)
-    cls0 = system.sites.class_index - 1
+    cls0 = system.sites.cls
     cay = np.array(states.cay, dtype=np.int64)
     D = np.zeros((n.size, len(cay)), dtype=np.int64)
     D[0, 0] = 1
@@ -1153,8 +1154,8 @@ def _census_columns(system: SiteSystem, x: int):
     # sites of the class inverse to the node's, among positions by class
     cls = np.array(states.cls, dtype=np.int64)
     hit = node & (cls[s] == 0)
-    site = np.argsort(cls0, kind="stable")
-    by_class = cls0[site] * nsites + site
+    site = np.concatenate(system._class_positions)
+    by_class = cls0[site].astype(np.int64) * nsites + site
     c = cls[s[v]]
     pc = states.inverse[c]
     ia = np.searchsorted(by_class, pc * nsites + a)

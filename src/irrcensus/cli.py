@@ -230,6 +230,10 @@ def _run_equidist(ns: argparse.Namespace) -> int:
 
 
 def _run_moments(ns: argparse.Namespace) -> int:
+    if ns.kappa is not None:
+        # the group fixes kappa's length: check it before the stream and sweep
+        group = class_group(ns.d).group if ns.d is not None else abelian.group_from_orders(ns.group)
+        stats._validate_kappa(ns.kappa, group.h)
     system = _system(ns)
     sc = system.constants
     kappa = ns.kappa if ns.kappa is not None else tuple(float(v) for v in sc.kappa)

@@ -11,18 +11,17 @@ genus characters finds the ramified and split primes, square roots mod p
 by p mod 8 (a^((p+1)/4), Atkin's root, or Tonelli-Shanks with a
 reciprocity-table non-residue) give the split primes' forms, and a masked
 reduction loop the class of each site's form.  The result is a
-``SiteColumns``, a column store that is also a lazy read-only sequence of
-``PrimeSite``.  The scalar helpers (``splitting_type``, ``sqrt_mod_prime``,
-``reduce_form``) stay as the per-prime reference the tests hold the
-columns to.  ``sites_to_csv`` formats the columns with ``write_int_csv``,
-which the census CSV shares.
+``SiteColumns`` of norms, splitting codes and 0-based classes that derives
+p, class_index and conjugate_id where they are printed, and is a lazy
+read-only sequence of ``PrimeSite``.  The scalar helpers (``splitting_type``,
+``sqrt_mod_prime``, ``reduce_form``) are the per-prime reference of the
+tests; ``sites_to_csv`` writes with ``write_int_csv``, as the census does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,21 +205,26 @@ _ROWS_CHUNK = 1 << 16
 
 
 class SiteColumns(Sequence):
-    """A prime-site stream held as columns: int64 arrays ``p``, ``norm``,
-    ``class_index`` and ``conjugate_id``, and int8 ``splitting`` codes into
-    ``SPLITTINGS``.  A site's id is its position in the stream.  It is the
-    one form of a stream that ``census.SiteSystem`` and ``sites_to_csv``
-    take.
+    """A prime-site stream held as three columns: int64 ``norm``, int8
+    ``splitting`` codes into ``SPLITTINGS`` and ``cls``, the 0-based class
+    of each site in the smallest unsigned type that holds h - 1 (one byte
+    for h <= 256).  A site's id is its stream position.  It is the one form
+    of a stream that ``census.SiteSystem`` and ``sites_to_csv`` take.
+
+    The printed columns are derived by ``columns``: p is the norm, or its
+    square root for an inert site; the class index is ``cls + 1``; and the
+    conjugate is the neighbouring site of equal norm, or the site itself,
+    since norms tie only within a split pair.
 
     As a sequence it is read-only and lazy: indexing or iterating builds a
     ``PrimeSite`` only for the sites asked for.  Bulk readers use the
     columns, read-only numpy arrays, or ``rows`` instead.
     """
 
-    __slots__ = ("p", "norm", "splitting", "class_index", "conjugate_id")
+    __slots__ = ("norm", "splitting", "cls")
 
-    def __init__(self, p, norm, splitting, class_index, conjugate_id):
-        for name, col in zip(self.__slots__, (p, norm, splitting, class_index, conjugate_id)):
+    def __init__(self, norm, splitting, cls):
+        for name, col in zip(self.__slots__, (norm, splitting, cls)):
             if col.shape != norm.shape:
                 raise DomainError("site columns must have equal lengths")
             col.flags.writeable = False
@@ -233,40 +237,42 @@ class SiteColumns(Sequence):
         return self.norm.size
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
         n = len(self)
-        j = operator.index(i)
-        if j < 0:
-            j += n
-        if not 0 <= j < n:
-            raise IndexError(f"site index {i} out of range for {n} sites")
-        return PrimeSite(
-            j,
-            int(self.p[j]),
-            int(self.norm[j]),
-            SPLITTINGS[self.splitting[j]],
-            int(self.class_index[j]),
-            int(self.conjugate_id[j]),
-        )
+        try:
+            ids = range(n)[i]
+        except IndexError:
+            raise IndexError(f"site index {i} out of range for {n} sites") from None
+        if isinstance(ids, int):
+            return PrimeSite(*next(self.rows(ids, ids + 1)))
+        # a slice reads the rows of the positions it spans, in one pass
+        sites = itertools.starmap(PrimeSite, self.rows(min(ids, default=0), max(ids, default=-1) + 1))
+        return tuple(sites)[:: ids.step]
 
     def __iter__(self) -> Iterator[PrimeSite]:
         return itertools.starmap(PrimeSite, self.rows())
 
-    def rows(self) -> Iterator[tuple]:
-        """(id, p, norm, splitting, class_index, conjugate_id) per site in
-        stream order, as Python values, transposed a chunk at a time."""
-        n = len(self)
-        for lo in range(0, n, _ROWS_CHUNK):
-            hi = min(lo + _ROWS_CHUNK, n)
-            yield from zip(
-                range(lo, hi),
-                self.p[lo:hi].tolist(),
-                self.norm[lo:hi].tolist(),
-                [SPLITTINGS[s] for s in self.splitting[lo:hi].tolist()],
-                self.class_index[lo:hi].tolist(),
-                self.conjugate_id[lo:hi].tolist(),
-            )
+    def columns(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """(id, p, norm, splitting, class_index, conjugate_id) of the sites
+        at positions [lo, hi) as numpy arrays, splitting as its codes."""
+        norm, splitting = self.norm[lo:hi], self.splitting[lo:hi]
+        ids = np.arange(lo, hi, dtype=np.int64)
+        # inert norms are squares below 2**30, so the float root is exact
+        p = np.where(splitting == INERT, np.sqrt(norm).astype(np.int64), norm)
+        # tie[k]: sites lo + k - 1 and lo + k share their norm
+        a, b = max(lo, 1), min(hi, len(self) - 1)
+        tie = np.zeros(hi - lo + 1, dtype=np.int64)
+        tie[a - lo : b - lo + 1] = self.norm[a - 1 : b] == self.norm[a : b + 1]
+        return ids, p, norm, splitting, self.cls[lo:hi] + np.int64(1), ids + tie[1:] - tie[:-1]
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple]:
+        """(id, p, norm, splitting, class_index, conjugate_id) per site at
+        positions [lo, hi), by default all, as Python values, transposed a
+        chunk at a time."""
+        hi = len(self) if hi is None else hi
+        for at in range(lo, hi, _ROWS_CHUNK):
+            chunk = self.columns(at, min(at + _ROWS_CHUNK, hi))
+            ids, p, norm, splitting, cls, conj = (col.tolist() for col in chunk)
+            yield from zip(ids, p, norm, [SPLITTINGS[s] for s in splitting], cls, conj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,19 +498,19 @@ def _reduce_forms(a, b, c):
     return a, b, c
 
 
-def _form_classes(cg: ClassGroup, p, b) -> np.ndarray:
-    """Class index of the form (p, b, (b^2 - disc) / 4p) for each lane."""
+def _form_classes(cg: ClassGroup, p, b, dtype) -> np.ndarray:
+    """0-based class of the form (p, b, (b^2 - disc) / 4p) for each lane."""
     disc = cg.field.discriminant
     a, rb, _ = _reduce_forms(p.copy(), b.copy(), (b * b - disc) // (4 * p))
     width = 2 * max(f.a for f in cg.forms) + 1
-    table = sorted((f.a * width + f.b + width // 2, cg.class_index[f]) for f in cg.forms)
+    table = sorted((f.a * width + f.b + width // 2, cg.class_index[f] - 1) for f in cg.forms)
     keys = np.array([k for k, _ in table], dtype=np.int64)
     key = a * width + rb + width // 2
     at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
     bad = np.flatnonzero(keys[at] != key)
     if bad.size:
         raise DomainError(f"form of p={int(p[bad[0]])} reduced outside the class table")
-    return np.array([c for _, c in table], dtype=np.int64)[at]
+    return np.array([c for _, c in table], dtype=dtype)[at]
 
 
 def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
@@ -529,9 +535,9 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     del p, kron
     n2 = 2 * p_split.size
     n_forms = n2 + p_ram.size
-    primes = np.empty(n_forms + p_inert.size, dtype=np.int64)
-    primes[0:n2:2] = primes[1:n2:2] = p_split
-    primes[n2:n_forms], primes[n_forms:] = p_ram, p_inert
+    norm = np.empty(n_forms + p_inert.size, dtype=np.int64)
+    norm[0:n2:2] = norm[1:n2:2] = p_split
+    norm[n2:n_forms], norm[n_forms:] = p_ram, p_inert * p_inert
     root = np.ones_like(p_split)  # 1 is the root at p = 2
     odd = p_split > 2
     root[odd] = sqrt_mod_primes(disc % p_split[odd], p_split[odd])
@@ -541,24 +547,20 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     b[0:n2:2], b[1:n2:2] = np.minimum(root, mate), np.maximum(root, mate)
     b[n2:] = np.where(p_ram == 2, 0 if disc % 8 == 0 else 2, p_ram if disc % 2 else 0)
     del root, mate, odd
-    cls = np.ones_like(primes)
-    cls[:n_forms] = _form_classes(cg, primes[:n_forms], b)
-    norm = np.concatenate((primes[:n_forms], p_inert * p_inert))
+    cls = np.zeros(norm.size, dtype=np.min_scalar_type(cg.field.h - 1))
+    cls[:n_forms] = _form_classes(cg, norm[:n_forms], b, cls.dtype)
     splitting = np.repeat(
         np.array([SPLIT, RAMIFIED, INERT], dtype=np.int8), (n2, p_ram.size, p_inert.size)
     )
     order = np.argsort(norm, kind="stable")
-    primes, norm, splitting, cls = primes[order], norm[order], splitting[order], cls[order]
+    norm, splitting, cls = norm[order], splitting[order], cls[order]
     # the two sites above a split prime are adjacent after the (norm, b) sort
     first = np.flatnonzero(splitting == SPLIT)[::2]
-    second = first + 1
-    conjugate = np.arange(primes.size)
-    conjugate[first], conjugate[second] = second, first
     neg = np.array(cg.ordering.neg_table(), dtype=np.int64)
-    bad = np.flatnonzero((primes[second] != primes[first]) | (cls[second] != neg[cls[first] - 1] + 1))
+    bad = np.flatnonzero(cls[first + 1] != neg[cls[first]])
     if bad.size:
-        raise DomainError(f"conjugate classes of p={int(primes[first[bad[0]]])} are not inverse")
-    return SiteColumns(primes, norm, splitting, cls, conjugate)
+        raise DomainError(f"conjugate classes of p={int(norm[first[bad[0]]])} are not inverse")
+    return SiteColumns(norm, splitting, cls)
 
 
 def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
@@ -641,16 +643,9 @@ def write_int_csv(out, columns) -> None:
 
 def sites_to_csv(sites: SiteColumns, out) -> None:
     """Write the site stream, a ``SiteColumns``, in the shared CSV schema,
-    one row per site in stream order, straight from its columns."""
+    one row per site in stream order, a ``CSV_CHUNK`` of derived columns at
+    a time."""
     out.write("id,p,norm,splitting,class_index,conjugate_id\n")
-    write_int_csv(
-        out,
-        (
-            np.arange(len(sites), dtype=np.int64),
-            sites.p,
-            sites.norm,
-            (sites.splitting, SPLITTINGS),
-            sites.class_index,
-            sites.conjugate_id,
-        ),
-    )
+    for lo in range(0, len(sites), CSV_CHUNK):
+        ids, p, norm, splitting, cls, conj = sites.columns(lo, min(lo + CSV_CHUNK, len(sites)))
+        write_int_csv(out, (ids, p, norm, (splitting, SPLITTINGS), cls, conj))

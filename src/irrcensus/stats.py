@@ -146,7 +146,7 @@ def landau_check(system: SiteSystem, x: int):
     # the first k sites have norm <= x; each class's compensated sum over
     # them is an entry of the per-class prefix tables the sweep uses, read
     # through memoryviews as Python floats
-    positions, prefix = system._class_tables
+    positions, prefix = system._class_positions, system._class_prefix
     k = bisect_right(system._norms, x)
     center = loglog(x) / system.group.h
     return tuple(

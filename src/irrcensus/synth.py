@@ -44,25 +44,25 @@ def _label(model: SynthModel, index: int) -> int:
 
 
 def _labels(model: SynthModel, n: int) -> np.ndarray:
-    """``_label(model, i)`` for i in range(n), on uint64 arrays: splitmix64
-    wraps modulo 2**64 exactly as the masked integer version does."""
+    """``_label(model, i) - 1`` for i in range(n), the 0-based classes, on
+    uint64 arrays: splitmix64 wraps modulo 2**64 exactly as the masked
+    integer version does."""
     z = np.uint64(model.seed & _MASK) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     r = z ^ (z >> np.uint64(31))
-    return (r % np.uint64(model.group.h)).astype(np.int64) + 1
+    h = model.group.h
+    return (r % np.uint64(h)).astype(np.min_scalar_type(h - 1))
 
 
 def synth_sites(model: SynthModel, limit: int) -> SiteColumns:
     """Deterministic site stream: the i-th prime gets label(seed, i).
 
-    Returns the stream as columns; iterating or indexing it yields
-    ``PrimeSite`` views.
+    Returns the stream as columns (norm p, the synthetic tag and the 0-based
+    label); iterating or indexing it yields ``PrimeSite`` views, whose p is
+    the norm and whose conjugate is the site itself.
     """
     if limit < 2:
         raise DomainError("site stream needs limit >= 2")
     p = prime_array(limit)
-    ids = np.arange(p.size, dtype=np.int64)
-    return SiteColumns(
-        p, p, np.full(p.size, SYNTHETIC, dtype=np.int8), _labels(model, p.size), ids
-    )
+    return SiteColumns(p, np.full(p.size, SYNTHETIC, dtype=np.int8), _labels(model, p.size))

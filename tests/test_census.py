@@ -234,7 +234,8 @@ def _ideal_norms_and_classes(system, x):
     exponent), ...)) of every principal one, both in lexicographic order of
     the factorization."""
     cay = system.ordering.cayley()
-    sites = system.sites
+    # the PrimeSite views built once: indexing the columns derives each anew
+    sites = list(system.sites)
     ideals = []
     principal = []
 
@@ -393,7 +394,7 @@ def test_class_tables_match_scalar_loop(source):
         system = census.for_field(source, x)
     else:
         system = census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
-    positions, prefix = system._class_tables
+    positions, prefix = system._class_positions, system._class_prefix
     for c, (pos, pre) in enumerate(zip(positions, prefix)):
         sites = [s for s in system.sites if s.class_index == c + 1]
         assert list(pos) == [s.id for s in sites]
@@ -404,9 +405,9 @@ def test_class_tables_match_scalar_loop(source):
 def _g_product(system, fact, desc):
     dividing = {en.site_id for en in fact.entries}
     return math.prod(
-        (1.0 - 1.0 / system.sites[sid].norm) ** e
+        (1.0 - 1.0 / system._norms[sid]) ** e
         if sid in dividing
-        else (-1.0 / system.sites[sid].norm) ** e
+        else (-1.0 / system._norms[sid]) ** e
         for sid, e in desc
     )
 
@@ -784,8 +785,8 @@ def test_enumerate_principal_streams():
 
 
 def test_site_system_keeps_no_per_site_copies():
-    # a system over existing columns adds only its one-byte class column:
-    # the walkers read the columns through memoryviews, not Python lists
+    # a system over existing columns adds nothing per site: the walkers
+    # read the norm and class columns through memoryviews, not Python lists
     system = census.for_field(-5, 10**6)
     n = len(system.sites)
     tracemalloc.start()
@@ -796,16 +797,18 @@ def test_site_system_keeps_no_per_site_copies():
     finally:
         tracemalloc.stop()
     assert again._norms == system._norms and again._cls0 == system._cls0
-    assert n == 78367 and kept <= 2 * n + 10**4
+    assert n == 78367 and kept <= 10**4
 
 
-@pytest.mark.parametrize("h,itemsize", [(128, 1), (255, 1), (256, 2)])
+@pytest.mark.parametrize("h,itemsize", [(128, 1), (255, 1), (256, 1), (257, 2)])
 def test_class_column_widens_past_one_byte(h, itemsize):
-    # 0-based classes 0..h-1 take one byte up to h = 256, then the column widens
+    # the stored 0-based classes 0..h-1 take one byte up to h = 256, then
+    # the column widens; the walkers' view is that column itself
     system = census.for_synth(SynthModel(group=cyclic_group(h), seed=3), 2 * 10**4)
-    assert list(system._cls0) == (system.sites.class_index - 1).tolist()
+    assert system._cls0.obj is system.sites.cls
+    assert list(system._cls0) == [s.class_index - 1 for s in system.sites]
     assert max(system._cls0) == h - 1
-    assert system._cls0.itemsize == itemsize
+    assert system.sites.cls.itemsize == itemsize
 
 
 def test_harmonic_sums_minus1_by_hand():
@@ -863,6 +866,8 @@ def test_census_csv_formats_census_rows(source, x):
     else:
         system = census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
     rows = census.census_rows(system, x)
+    # the census reads the by-class positions, not the sweep's prefix sums
+    assert "_class_positions" in vars(system) and "_class_prefix" not in vars(system)
     buf = io.StringIO()
     assert census.write_census_csv(system, x, buf) == len(rows)
     line = ",".join(["%d"] * len(rows[0]))

@@ -258,6 +258,18 @@ def test_moments_output(capsys):
     assert "ratio" not in payload["moments"]["3"]
 
 
+@pytest.mark.parametrize("source", [["--field", "-5"], ["--group", "2,4", "--seed", "1"]])
+def test_moments_checks_kappa_before_the_stream(source, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the site stream was built")
+
+    monkeypatch.setattr(census, "for_field", refuse)
+    monkeypatch.setattr(census, "for_synth", refuse)
+    assert cli.main(["moments", *source, "--x", "3000000", "--kappa", "1"]) == 1
+    h = 8 if "--group" in source else 2
+    assert capsys.readouterr().err == f"error: kappa must have length h={h}\n"
+
+
 def test_check_output(capsys):
     assert cli.main(["check", "--field", "-5", "--x", "10000"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -356,6 +356,9 @@ def test_site_columns_at_merge_boundaries(d):
 SITES_GOLDEN = {
     # d: (limit, site count, SHA-256 of the sites_to_csv bytes)
     -5: (10**6, 78367, "bb622aaf724c3b2378202ebcf5ad88296258e95cfe45ddcd05d9dbf9093cb7c5"),
+    # Z/4 and Z/3: the two sites of a split pair lie in different classes
+    -14: (2 * 10**5, 17940, "4b4f17ef7a7cc2af7c6e65d64553e8c1605896a14d5914db5d49876ce4c577a3"),
+    -23: (2 * 10**5, 17974, "8ef1944e30a4ff61c4d52442b29687a1f4a351a3f7bc3e8408c80ac65567bb1a"),
     -30: (2 * 10**5, 17943, "07794aee0d94138f564baa597c2c8ba87c1ad950ca38f31c259bce9c035a2710"),
     -1155: (2 * 10**5, 17887, "473c2501d3c44423dfa62fd47c45d609460e7c417cec95995f672ecc85982ff6"),
 }
@@ -374,8 +377,56 @@ def test_sites_csv_golden_sha256(d):
 def test_sites_csv_of_an_empty_stream_is_the_header():
     empty = np.empty(0, dtype=np.int64)
     buf = io.StringIO()
-    sites_to_csv(SiteColumns(empty, empty, empty.astype(np.int8), empty, empty), buf)
+    sites_to_csv(SiteColumns(empty, empty.astype(np.int8), empty.astype(np.uint8)), buf)
     assert buf.getvalue() == "id,p,norm,splitting,class_index,conjugate_id\n"
+
+
+def _slices(n):
+    steps = [slice(None, None, -3), slice(-2, 4, -5), slice(1, None, 7), slice(n + 3, None, -1)]
+    return [slice(a, b) for a in range(0, n, 7) for b in (a, a + 1, a + 4, n)] + steps
+
+
+def _read_every_way(cols):
+    """The sites as a list, one index at a time, in plain, stepped and
+    reversed slices, and as CSV text."""
+    n = len(cols)
+    buf = io.StringIO()
+    sites_to_csv(cols, buf)
+    return (
+        list(cols),
+        [cols[j] for j in range(n)],
+        [cols[s] for s in _slices(n)],
+        buf.getvalue(),
+    )
+
+
+@pytest.mark.parametrize("d", [-5, -23, None])
+def test_derived_columns_across_chunk_edges(d, monkeypatch):
+    # chunks of 3 rows and 5 CSV lines: split pairs straddle chunk edges,
+    # where the conjugate is read from the next or previous chunk's norm
+    if d is None:
+        empty = np.empty(0, dtype=np.int64)
+        cols = SiteColumns(empty, empty.astype(np.int8), empty.astype(np.uint8))
+        expected = []
+    else:
+        cg = class_group(d)
+        cols = prime_sites_up_to(cg, 300)
+        expected = _scalar_sites(cg, [p for p in range(2, 301) if is_prime(p)], 300)
+        for chunk in (3, 5):
+            assert any(s.conjugate_id == s.id + 1 and s.id % chunk == chunk - 1 for s in expected)
+    whole = _read_every_way(cols)
+    monkeypatch.setattr("irrcensus.quadratic._ROWS_CHUNK", 3)
+    monkeypatch.setattr("irrcensus.quadratic.CSV_CHUNK", 5)
+    assert _read_every_way(cols) == whole == (
+        expected,
+        expected,
+        [tuple(expected[s]) for s in _slices(len(expected))],
+        "id,p,norm,splitting,class_index,conjugate_id\n"
+        + "".join(
+            f"{s.id},{s.p},{s.norm},{s.splitting},{s.class_index},{s.conjugate_id}\n"
+            for s in expected
+        ),
+    )
 
 
 # both sides of every digit-count boundary of an int64, and its largest value
@@ -546,7 +597,7 @@ def test_conjugate_and_order_checks_stay_loud(monkeypatch):
     swapped = SiteColumns(
         *(
             np.concatenate((col[1::-1], col[2:]))
-            for col in (cols.p, cols.norm, cols.splitting, cols.class_index, cols.conjugate_id)
+            for col in (cols.norm, cols.splitting, cols.cls)
         )
     )
     with pytest.raises(DomainError, match="sorted"):
