@@ -193,11 +193,12 @@ def make_factorization(system: SiteSystem, entries) -> Factorization:
             raise DomainError("exponents must be >= 1")
         if not 0 <= site_id < len(system.sites):
             raise DomainError(f"site id {site_id} out of range")
-        site = system.sites[site_id]
-        built.append(FactorEntry(site_id, site.norm, site.class_index, exp))
-        norm *= site.norm**exp
+        # Python ints: the product of norms outgrows int64
+        site_norm, site_cls = int(system.sites.norm[site_id]), int(system.sites.cls[site_id])
+        built.append(FactorEntry(site_id, site_norm, site_cls + 1, exp))
+        norm *= site_norm**exp
         for _ in range(exp):
-            cls = system.ordering.add(cls, system.ordering.elements[site.class_index - 1])
+            cls = system.ordering.add(cls, system.ordering.elements[site_cls])
     ids = [e.site_id for e in built]
     if len(set(ids)) != len(ids):
         raise DomainError("site ids must be distinct")

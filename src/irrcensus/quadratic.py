@@ -10,7 +10,11 @@ array (Cohen, GTM 138, ch. 1 and 5): the Kronecker symbol as a product of
 genus characters finds the ramified and split primes, square roots mod p
 by p mod 8 (a^((p+1)/4), Atkin's root, or Tonelli-Shanks with a
 reciprocity-table non-residue) give the split primes' forms, and a masked
-reduction loop the class of each site's form.  The result is a
+reduction loop the class of each site's form.  When every class has order
+at most 2 (all invariant factors 2, or h = 1), each genus is one class, so
+a split prime's class is a function of p mod |disc| (genus theory): it is
+read from a table filled by reducing the first prime of each residue, and
+the second prime of each residue is reduced as a check.  The result is a
 ``SiteColumns`` of norms, splitting codes and 0-based classes that derives
 p, class_index and conjugate_id where they are printed, and is a lazy
 read-only sequence of ``PrimeSite``.  The scalar helpers (``splitting_type``,
@@ -513,16 +517,85 @@ def _form_classes(cg: ClassGroup, p, b, dtype) -> np.ndarray:
     return np.array([c for _, c in table], dtype=dtype)[at]
 
 
+def _two_elementary(cg: ClassGroup) -> bool:
+    """Every class has order at most 2: each invariant factor is 2 (h = 1
+    has none)."""
+    return all(f == 2 for f in cg.group.invariant_factors)
+
+
+def _pair_classes(cg: ClassGroup, p, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """0-based classes of the two sites above each split prime p: the forms
+    (p, b, (b^2 - disc) / 4p) for the two square roots b in [0, 2p) of disc
+    mod 4p, the smaller b first.  Raises ``DomainError`` unless each pair's
+    classes are inverse."""
+    disc = cg.field.discriminant
+    root = np.ones_like(p)  # 1 is the root at p = 2
+    odd = p > 2
+    root[odd] = sqrt_mod_primes(disc % p[odd], p[odd])
+    root += np.where((root - disc) % 2 == 0, 0, p)
+    mate = 2 * p - root
+    root, mate = np.minimum(root, mate), np.maximum(root, mate)
+    lo, hi = _form_classes(cg, p, root, dtype), _form_classes(cg, p, mate, dtype)
+    neg = np.array(cg.ordering.neg_table(), dtype=np.int64)
+    bad = np.flatnonzero(hi != neg[lo])
+    if bad.size:
+        raise DomainError(f"conjugate classes of p={int(p[bad[0]])} are not inverse")
+    return lo, hi
+
+
+def _residue_classes(cg: ClassGroup, p, dtype) -> np.ndarray:
+    """0-based class of both sites above each split prime p, for a class
+    group in which every class has order at most 2 (``_two_elementary``).
+
+    Genus theory (Gauss, Disquisitiones 229-234; Cox, Primes of the Form
+    x^2 + ny^2, 3): the genus of a prime ideal above p is read off the genus
+    characters at p, which depend on p mod |disc| only, and the genera are
+    the cosets of Cl^2, which is trivial here.  So the class is a function
+    of r = p mod |disc|, and an order-2 class is its own inverse, so both
+    conjugates carry it.  A table of length |disc| takes the class of the
+    smallest prime of each residue that occurs, reduced with both roots by
+    ``_pair_classes``.  The next prime of each residue, where there is one,
+    is reduced too, and a class that differs from the table's raises
+    ``DomainError``: the rule is checked where it is used.
+    """
+    m = -cg.field.discriminant
+    r = p % m
+    # the positions of the first two primes of each residue: a stable sort
+    # keeps a residue's primes ascending, and on the smallest dtype that
+    # holds r it is a radix sort
+    order = np.argsort(r.astype(np.min_scalar_type(m - 1)), kind="stable")
+    start = np.flatnonzero(np.diff(r[order], prepend=-1))
+    runs = np.diff(start, append=p.size)
+    first, second = order[start], order[start[runs > 1] + 1]
+    classes = _pair_classes(cg, p[np.concatenate((first, second))], dtype)[0]
+    table = np.zeros(m, dtype=dtype)
+    table[r[first]] = classes[: first.size]
+    bad = np.flatnonzero(classes[first.size :] != table[r[second]])
+    if bad.size:
+        q = int(p[second[bad[0]]])
+        raise DomainError(
+            f"the class of p={q} differs from that of the first prime = {q % m} "
+            f"(mod {m}): the site class is not a function of p mod |disc|"
+        )
+    return table[r]
+
+
 def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     """The site columns of Q(sqrt(d)) up to norm ``limit``, sorted by (norm, b).
 
     One pass over the prime array: the Kronecker symbol (disc/p), a product
-    of genus characters, marks the ramified (0) and split (1) primes, and a
+    of genus characters, marks the ramified (0) and split (1) primes.  A
     split prime's two sites take the square roots b in [0, 2p) of disc mod
-    4p.  Each site's class is that of the reduced form (p, b, (b^2 - disc) /
-    4p); an inert prime p <= sqrt(limit) gives one principal site of norm
-    p^2.  The columns are filled in place, each split prime's two sites side
-    by side with the smaller b first, then the ramified and the inert sites,
+    4p, and each site's class is that of the reduced form (p, b, (b^2 -
+    disc) / 4p), checked inverse within each pair (``_pair_classes``).
+    When every class has order at most 2, a split prime's class is a
+    function of p mod |disc| instead, read from a table that reduces at
+    most two primes per residue (``_residue_classes``); the ramified
+    primes, one per prime dividing disc, are reduced in either case.  An
+    inert prime p <= sqrt(limit) gives one principal site of norm p^2.
+
+    The columns are filled in place, each split prime's two sites side by
+    side with the smaller b first, then the ramified and the inert sites,
     and one stable sort by norm orders them.  Norms tie only within a split
     pair, since a ramified prime is not split and an inert p^2 is no prime,
     so the stable sort gives the (norm, b) order.
@@ -538,29 +611,18 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     norm = np.empty(n_forms + p_inert.size, dtype=np.int64)
     norm[0:n2:2] = norm[1:n2:2] = p_split
     norm[n2:n_forms], norm[n_forms:] = p_ram, p_inert * p_inert
-    root = np.ones_like(p_split)  # 1 is the root at p = 2
-    odd = p_split > 2
-    root[odd] = sqrt_mod_primes(disc % p_split[odd], p_split[odd])
-    root += np.where((root - disc) % 2 == 0, 0, p_split)
-    mate = 2 * p_split - root
-    b = np.empty(n_forms, dtype=np.int64)
-    b[0:n2:2], b[1:n2:2] = np.minimum(root, mate), np.maximum(root, mate)
-    b[n2:] = np.where(p_ram == 2, 0 if disc % 8 == 0 else 2, p_ram if disc % 2 else 0)
-    del root, mate, odd
     cls = np.zeros(norm.size, dtype=np.min_scalar_type(cg.field.h - 1))
-    cls[:n_forms] = _form_classes(cg, norm[:n_forms], b, cls.dtype)
+    if _two_elementary(cg):
+        cls[0:n2:2] = cls[1:n2:2] = _residue_classes(cg, p_split, cls.dtype)
+    else:
+        cls[0:n2:2], cls[1:n2:2] = _pair_classes(cg, p_split, cls.dtype)
+    b_ram = np.where(p_ram == 2, 0 if disc % 8 == 0 else 2, p_ram if disc % 2 else 0)
+    cls[n2:n_forms] = _form_classes(cg, p_ram, b_ram, cls.dtype)
     splitting = np.repeat(
         np.array([SPLIT, RAMIFIED, INERT], dtype=np.int8), (n2, p_ram.size, p_inert.size)
     )
     order = np.argsort(norm, kind="stable")
-    norm, splitting, cls = norm[order], splitting[order], cls[order]
-    # the two sites above a split prime are adjacent after the (norm, b) sort
-    first = np.flatnonzero(splitting == SPLIT)[::2]
-    neg = np.array(cg.ordering.neg_table(), dtype=np.int64)
-    bad = np.flatnonzero(cls[first + 1] != neg[cls[first]])
-    if bad.size:
-        raise DomainError(f"conjugate classes of p={int(norm[first[bad[0]]])} are not inverse")
-    return SiteColumns(norm, splitting, cls)
+    return SiteColumns(norm[order], splitting[order], cls[order])
 
 
 def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
@@ -570,7 +632,12 @@ def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     ``PrimeSite`` views.  Ids are assigned in stream order and are
     prefix-stable in the limit.  The two sites above a split prime carry
     inverse classes; which conjugate gets the smaller id is fixed by the
-    smaller square root b in [0, 2p).
+    smaller square root b in [0, 2p).  When every class has order at most
+    2, both carry the same class, found from p mod |disc| by a table of
+    reduced representatives (``_residue_classes``), and the b order is
+    unobservable.  Raises ``DomainError`` if a pair's classes are not
+    inverse, if a form reduces outside the class table, or if two primes of
+    one residue mod |disc| reduce to different classes on that path.
     """
     if limit < 2:
         raise DomainError("site stream needs limit >= 2")

@@ -120,7 +120,7 @@ def g_mean_check(sweep: Sweep, x: int) -> tuple[tuple[float, float], ...]:
     system = sweep.system
     psi = system.field.psi if system.field else float("nan")
     return tuple(
-        (g_sum / x, psi * g_predicted((system.sites[sid].norm, e) for sid, e in desc))
+        (g_sum / x, psi * g_predicted((int(system.sites.norm[sid]), e) for sid, e in desc))
         for desc, g_sum in zip(sweep.g_descriptors, sweep.at(x).g_sums)
     )
 
@@ -317,11 +317,11 @@ def default_g_descriptors(system: SiteSystem):
     """A squarefull descriptor (first site, squared) and a non-squarefull one."""
     if len(system.sites) < 2:
         return ()
-    return (((system.sites[0].id, 2),), ((system.sites[1].id, 1),))
+    return (((0, 2),), ((1, 1),))
 
 
 def describe_descriptor(system, desc) -> str:
-    return ";".join(f"site{sid}(N{system.sites[sid].norm})^{e}" for sid, e in desc)
+    return ";".join(f"site{sid}(N{int(system.sites.norm[sid])})^{e}" for sid, e in desc)
 
 
 def build_report(

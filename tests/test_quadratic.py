@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irrcensus import census, primes
+from irrcensus import census, primes, quadratic
 from irrcensus.errors import DomainError, ResourceLimitError
 from irrcensus.primes import (
     is_prime,
@@ -372,6 +372,48 @@ def test_sites_csv_golden_sha256(d):
     buf = io.StringIO()
     sites_to_csv(cols, buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def _split_primes(cg, limit):
+    p = prime_array(limit)
+    return p[kronecker_primes(cg.field.discriminant, p) == 1]
+
+
+# every class of order <= 2: h = 1, Z/2 (-5), Z/2xZ/2 (-21, -30), (Z/2)^3
+@pytest.mark.parametrize("d", [-1, -2, -3, -7, -11, -5, -21, -30, -105, -210, -330, -1155])
+def test_residue_classes_match_the_reduction(d, monkeypatch):
+    cg = class_group(d)
+    assert quadratic._two_elementary(cg)
+    m = -cg.field.discriminant
+    first = {}
+    for q in _split_primes(cg, 10**5).tolist():
+        first.setdefault(q % m, q)
+    # the stream ends one below the prime where the last residue first
+    # occurs, and on that prime, where its residue has one prime only; at 2
+    # and 3 at most one prime splits, none for d = -1 and -3
+    last = max(first.values())
+    limits = [2, 3, last - 1, last, 10**5]
+    if d == -5:
+        # residues 9 and 1 mod 20 first occur at 29 and 41
+        assert (first[9], first[1]) == (29, 41)
+        limits.append(28)
+    residue = [quadratic._field_columns(cg, lim) for lim in limits]
+    monkeypatch.setattr(quadratic, "_two_elementary", lambda cg: False)
+    for lim, cols in zip(limits, residue):
+        reduced = quadratic._field_columns(cg, lim)
+        for name in SiteColumns.__slots__:
+            a, b = getattr(cols, name), getattr(reduced, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (lim, name)
+
+
+@pytest.mark.parametrize("d", [-14, -23])
+def test_residue_rule_is_checked_where_a_class_has_order_above_two(d):
+    # Z/4 and Z/3: primes of one residue mod |disc| lie in different classes,
+    # which the second prime of a residue shows
+    cg = class_group(d)
+    assert not quadratic._two_elementary(cg)
+    with pytest.raises(DomainError, match="not a function of p mod"):
+        quadratic._residue_classes(cg, _split_primes(cg, 10**4), np.uint8)
 
 
 def test_sites_csv_of_an_empty_stream_is_the_header():
