@@ -26,9 +26,11 @@ checkpoint, each float rounded once, so no report float depends on the
 walk order; ``Sweep.at`` looks one up.  The census (``_census_columns``)
 expands the same rows into a norm column and a column of ids into a table
 of the other columns, ordered by one sort on (norm, the row's place in
-the lexicographic order of the factorization); ``write_census_csv`` and
-``write_census_json`` format them a chunk of rows at a time with
-``quadratic.write_int_csv``.
+the lexicographic order of the factorization).  ``write_census_csv`` and
+``write_census_json`` format that table once per census, into one label
+per tail (``quadratic.label_table``), and write every row with one
+``quadratic.write_int_csv`` call on two columns, the norm and the tail's
+label, so a row costs its norm's digits and a gather of its label's bytes.
 
 The references share none of that machinery: ``_principal_factorizations``
 is a plain recursive walk over every ideal, ``enumerate_principal``
@@ -38,7 +40,6 @@ computes each record field with the oracle functions, and
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from array import array
@@ -61,10 +62,10 @@ from .abelian import (
 )
 from .errors import DomainError, ResourceLimitError
 from .quadratic import (
-    CSV_CHUNK,
     FieldSpec,
     SiteColumns,
     class_group,
+    label_table,
     prime_sites_up_to,
     write_int_csv,
 )
@@ -1195,8 +1196,7 @@ def write_census_csv(system: SiteSystem, x: int, out) -> int:
     ``census_rows`` order.  Returns the row count."""
     norm, tail, table = _census_columns(system, x)
     out.write(census_header(system.group.h) + "\n")
-    for lo in range(0, norm.size, CSV_CHUNK):
-        write_int_csv(out, (norm[lo : lo + CSV_CHUNK], *table[:, tail[lo : lo + CSV_CHUNK]]))
+    write_int_csv(out, (norm, (tail, label_table(table))))
     return norm.size
 
 
@@ -1206,11 +1206,19 @@ def write_census_json(system: SiteSystem, x: int, out) -> int:
     Returns the row count."""
     norm, tail, table = _census_columns(system, x)
     out.write('{"rows":[')
-    for lo in range(0, norm.size, CSV_CHUNK):
-        buf = io.StringIO()
-        write_int_csv(buf, (norm[lo : lo + CSV_CHUNK], *table[:, tail[lo : lo + CSV_CHUNK]]))
-        # each CSV line a,b,c is the JSON list [a,b,c]
-        out.write(("," if lo else "") + "[" + buf.getvalue()[:-1].replace("\n", "],[") + "]")
+    write_int_csv(_JsonLists(out), (norm, (tail, label_table(table))))
     header = census_header(system.group.h).replace(",", '","')
     out.write(f'],"schema":["{header}"]}}\n')
     return norm.size
+
+
+class _JsonLists:
+    """A sink that writes each chunk of CSV lines a,b,c to ``out`` as the
+    JSON lists [a,b,c], comma-separated across chunks."""
+
+    def __init__(self, out):
+        self.out, self.sep = out, "["
+
+    def write(self, lines: str) -> None:
+        self.out.write(self.sep + lines[:-1].replace("\n", "],[") + "]")
+        self.sep = ",["

@@ -19,7 +19,14 @@ the second prime of each residue is reduced as a check.  The result is a
 p, class_index and conjugate_id where they are printed, and is a lazy
 read-only sequence of ``PrimeSite``.  The scalar helpers (``splitting_type``,
 ``sqrt_mod_prime``, ``reduce_form``) are the per-prime reference of the
-tests; ``sites_to_csv`` writes with ``write_int_csv``, as the census does.
+tests.
+
+``write_int_csv`` is the CSV kernel of ``sites_to_csv`` and of the census.
+It formats int64 columns with one ``//`` per digit on whole columns, keeps
+a digit where the value reaches its power of 10, and writes a label column
+(the splitting tags, or ``label_table``'s rows of formatted ints) as a
+gather of byte rows; zero bytes pad every field and are deleted once per
+chunk of lines.
 """
 
 from __future__ import annotations
@@ -654,7 +661,7 @@ def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
 
 #: Rows per ``write_int_csv`` block; a block's bytes bound its extra memory.
 CSV_CHUNK = 1 << 13
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 def write_int_csv(out, columns) -> None:
@@ -662,50 +669,78 @@ def write_int_csv(out, columns) -> None:
     of at most CSV_CHUNK lines at a time.
 
     Each column is an int64 array of values >= 0, written as ``"%d"``
-    would, or a pair (codes, labels) that writes ``labels[code]``.  A chunk
-    is one (width, rows) uint8 block: each field right-aligned in its
-    column's widest value, filled by repeated divmod, then a comma or
-    newline row.  Zero bytes pad the shorter values, found by their digit
-    counts (``searchsorted`` on the powers of 10), and are dropped after
-    the transpose to row-major order.
+    would, or a pair (codes, labels) that writes ``labels[code]``: labels
+    a sequence of str, or a (labels, width) uint8 table of ASCII bytes
+    whose zero bytes are dropped, such as ``label_table`` makes.  The
+    labels are encoded once per call, so a column of repeated rows costs a
+    gather of their bytes per line, not their formatting.
     """
-    cols = []
-    for col in columns:
-        if isinstance(col, tuple):
-            codes, labels = col
+    cols = [_csv_column(col) for col in columns]
+    for lo in range(0, len(cols[0][0]), CSV_CHUNK):
+        block = _csv_block([(v[lo : lo + CSV_CHUNK], table) for v, table in cols])
+        out.write(block.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def label_table(columns) -> np.ndarray:
+    """The rows of ``columns`` (as ``write_int_csv`` takes them) as labels:
+    a (rows, width) uint8 table, each row its fields joined by commas,
+    with zero bytes before the fields shorter than their column's widest."""
+    return np.ascontiguousarray(_csv_block([_csv_column(col) for col in columns])[:, :-1])
+
+
+def _csv_column(col):
+    """A ``write_int_csv`` column as (values, None) or (codes, uint8 table)."""
+    if isinstance(col, tuple):
+        codes, labels = col
+        if not isinstance(labels, np.ndarray):
             # one row of ASCII bytes per label, zero-padded to the longest
-            table = np.array([s.encode("ascii") for s in labels])
-            cols.append((codes, table.view(np.uint8).reshape(table.size, -1)))
-        else:
-            if col.size and col.min() < 0:
-                raise DomainError(f"CSV column holds a negative value {int(col.min())}")
-            cols.append((col, None))
-    n = len(cols[0][0])
-    for lo in range(0, n, CSV_CHUNK):
-        chunk = [(v[lo : lo + CSV_CHUNK], table) for v, table in cols]
-        widths = [
-            len(str(int(v.max()))) if table is None else table.shape[1] for v, table in chunk
-        ]
-        block = np.zeros((sum(widths) + len(widths), chunk[0][0].size), dtype=np.uint8)
-        at = 0
-        for (v, table), w in zip(chunk, widths):
-            field = block[at : at + w]
-            if table is not None:
-                field[:] = table[v].T
-            else:
-                t = v
-                for k in range(w - 1, 0, -1):
-                    t, field[k] = np.divmod(t, 10)
-                field[0] = t
-                field += ord("0")
-                if w > 1:
-                    digits = np.searchsorted(_POW10, v, side="right") + 1
-                    field[np.arange(w)[:, None] < w - digits] = 0
-            block[at + w] = ord(",")
-            at += w + 1
-        block[-1] = ord("\n")
-        data = block.T.ravel()
-        out.write(data[data != 0].tobytes().decode("ascii"))
+            labels = np.array([s.encode("ascii") for s in labels])
+            labels = labels.view(np.uint8).reshape(labels.size, -1)
+        return codes, labels
+    if col.size and col.min() < 0:
+        raise DomainError(f"CSV column holds a negative value {int(col.min())}")
+    return col, None
+
+
+def _csv_block(cols) -> np.ndarray:
+    """The CSV lines of ``cols`` as one (rows, width) uint8 block: a field
+    per column, right-aligned in the column's widest value with zero bytes
+    before the shorter ones, then a comma, and a newline last.
+
+    A label column is a gather of its table's rows.  The int columns of
+    each run between labels are formatted column-major, where every digit
+    of a column is one contiguous row operation, then transposed into the
+    block as one copy.  Digits come from ``q = t // 10`` and ``t - q *
+    10`` on the int64 column, and digit row k of a w-wide field is kept
+    where the value has more than w - 1 - k digits, by a multiply with
+    ``v >= 10**(w-1-k)``.
+    """
+    widths = [len(str(int(v.max()))) if table is None else table.shape[1] for v, table in cols]
+    ends = np.cumsum(widths) + np.arange(1, len(cols) + 1)  # past each field's comma
+    block = np.empty((cols[0][0].size, ends[-1]), dtype=np.uint8)
+    for is_int, run in itertools.groupby(zip(cols, widths, ends), lambda c: c[0][1] is None):
+        run = list(run)
+        if not is_int:
+            for (codes, table), w, end in run:
+                block[:, end - 1 - w : end - 1] = table[codes]
+            continue
+        lo, hi = run[0][2] - run[0][1] - 1, run[-1][2]
+        digits = np.empty((hi - lo, block.shape[0]), dtype=np.uint8)
+        for (v, _), w, end in run:
+            field = digits[end - 1 - w - lo : end - 1 - lo]
+            t = v
+            for k in range(w - 1, 0, -1):
+                q = t // 10
+                field[k] = t - q * 10
+                t = q
+            field[0] = t
+            field += ord("0")
+            field[: w - 1] *= v >= _POW10[w - 1 : 0 : -1, None]
+        block[:, lo:hi] = digits.T
+    # after the copies: the digit blocks' comma rows are left unset
+    block[:, ends - 1] = ord(",")
+    block[:, -1] = ord("\n")
+    return block
 
 
 def sites_to_csv(sites: SiteColumns, out) -> None:

@@ -895,6 +895,49 @@ def test_census_json_matches_dumps(source, x):
     assert buf.getvalue() == stats.dumps(payload) + "\n"
 
 
+def _written(write, system, x):
+    buf = io.StringIO()
+    write(system, x, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("source,x", [
+    (-5, 2 * 10**4),
+    (-23, 2 * 10**4),
+    ((2, 4), 3 * 10**4),
+])
+def test_census_bytes_do_not_depend_on_the_chunk(source, x, monkeypatch):
+    if isinstance(source, int):
+        system = census.for_field(source, x)
+    else:
+        system = census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
+    writers = (census.write_census_csv, census.write_census_json)
+    want = [_written(write, system, x) for write in writers]
+    for chunk in (1, 7):
+        monkeypatch.setattr("irrcensus.quadratic.CSV_CHUNK", chunk)
+        # compared as lines: a failing diff of the joined text would take minutes
+        for write, text in zip(writers, want):
+            assert _written(write, system, x).split("\n") == text.split("\n")
+
+
+def test_census_formats_each_tail_once(sys5, monkeypatch):
+    x = 10**4
+    norm, _, table = census._census_columns(sys5, x)
+    formatted, real = [], census.label_table
+
+    def label_table(columns):
+        formatted.append(len(columns[0]))
+        return real(columns)
+
+    monkeypatch.setattr(census, "label_table", label_table)
+    monkeypatch.setattr("irrcensus.quadratic.CSV_CHUNK", 7)
+    for write in (census.write_census_csv, census.write_census_json):
+        formatted.clear()
+        assert write(sys5, x, io.StringIO()) == norm.size
+        # once per write, one label per tail, far fewer than the rows
+        assert formatted == [table.shape[1]] and 5 * table.shape[1] < norm.size
+
+
 CENSUS_GOLDEN = {
     # census CLI source, x, row count, SHA-256 of the write_census_csv bytes
     "-5": (("--field", "-5"), 2 * 10**4, 14046,

@@ -529,6 +529,63 @@ def test_write_int_csv_labels_of_different_widths():
     assert buf.getvalue() == "synthetic,7\nsplit,0\nramified,10\ninert,99\nsplit,100\n"
 
 
+def _csv_lines(columns):
+    buf = io.StringIO()
+    write_int_csv(buf, columns)
+    return buf.getvalue().split("\n")
+
+
+def _joined_lines(rows):
+    return [",".join(map(str, row)) for row in rows] + [""]
+
+
+def test_write_int_csv_label_column_across_chunks():
+    # about 70,000 labels of 1-12 bytes, with codes over several chunks and
+    # an int column on either side
+    rng = np.random.default_rng(5)
+    ends = np.cumsum(rng.integers(1, 13, 70_000)).tolist()
+    text = "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz0123456789_"), ends[-1]))
+    labels = [text[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    assert {len(s) for s in labels} == set(range(1, 13))
+    n = 3 * CSV_CHUNK + 11
+    codes = rng.integers(0, len(labels), n)
+    before = rng.integers(0, 10**6, n)
+    after = rng.integers(0, 2**63 - 1, n, dtype=np.int64)
+    rows = zip(before.tolist(), [labels[c] for c in codes.tolist()], after.tolist())
+    assert _csv_lines((before, (codes, labels), after)) == _joined_lines(rows)
+
+
+def test_write_int_csv_width_changes_between_chunks():
+    # 9 digits in the first chunk, 10 in the second, 19 (2**63 - 1) in the last
+    n = 3 * CSV_CHUNK
+    values = np.arange(n, dtype=np.int64) + 10**9 - CSV_CHUNK
+    values[-1] = 2**63 - 1
+    assert len(str(values[CSV_CHUNK - 1])) == 9 and len(str(values[CSV_CHUNK])) == 10
+    small = np.arange(n, dtype=np.int64) % 13
+    rows = zip(small.tolist(), values.tolist(), small.tolist())
+    assert _csv_lines((small, values, small)) == _joined_lines(rows)
+
+
+def test_write_int_csv_zeros_in_a_wide_column():
+    values = np.array([0, 2**63 - 1, 0, 10, 0, 10**18, 0, 1, 0], dtype=np.int64)
+    assert _csv_lines((values, values[::-1].copy())) == _joined_lines(
+        zip(values.tolist(), values[::-1].tolist())
+    )
+
+
+def test_label_table_rows_are_the_joined_fields():
+    rng = np.random.default_rng(8)
+    columns = (rng.integers(0, 10**12, 500), np.zeros(500, dtype=np.int64), rng.integers(0, 9, 500))
+    table = quadratic.label_table(columns)
+    assert table.dtype == np.uint8 and table.shape[0] == 500
+    labels = [bytes(row).replace(b"\0", b"").decode("ascii") for row in table]
+    assert labels == _joined_lines(zip(*(c.tolist() for c in columns)))[:-1]
+    # as a label column it writes those labels, whatever the codes' order
+    codes = rng.integers(0, 500, 2 * CSV_CHUNK + 3)
+    rows = ((c, labels[c], c) for c in codes.tolist())
+    assert _csv_lines((codes, (codes, table), codes)) == _joined_lines(rows)
+
+
 def test_write_int_csv_rejects_negative_values():
     buf = io.StringIO()
     with pytest.raises(DomainError, match="negative"):
