@@ -53,10 +53,6 @@ class GroupSpec:
         """Group order."""
         return math.prod(self.invariant_factors)
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
     def __str__(self):
         if not self.invariant_factors:
             return "1"

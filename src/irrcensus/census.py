@@ -20,12 +20,15 @@ Python only the nodes that can have children and records rows: walked
 nodes, ranges of leaves n*q with N(q)^2 > x // n (about 99% of all ideals
 at x = 1e7), and batches of penultimate sites.  ``sweep`` tallies them in
 numpy a chunk at a time into one band per checkpoint, counting the leaves
-per class from per-class prefix tables, with exact integer float sums.
+per class with one lookup in a class-major site index
+(``SiteSystem._class_slices``) and summing their 1/N from the per-class
+prefix sums beside it, with exact integer float sums.
 When the walk ends it adds the bands up once into a ``Totals`` per
 checkpoint, each float rounded once, so no report float depends on the
 walk order; ``Sweep.at`` looks one up.  The census (``_census_columns``)
-expands the same rows into a norm column and a column of ids into a table
-of the other columns, ordered by one sort on (norm, the row's place in
+expands the same rows, finding the principal leaves of each range through
+the same index, into a norm column and a column of ids into a table of
+the other columns, ordered by one sort on (norm, the row's place in
 the lexicographic order of the factorization).  ``write_census_csv`` and
 ``write_census_json`` format that table once per census, into one label
 per tail (``quadratic.label_table``), and write every row with one
@@ -111,15 +114,15 @@ class SiteSystem:
 
     ``sites`` is a ``SiteColumns``: numpy columns norm, splitting and cls
     (0-based classes, one byte per site for h <= 256), where a site's id is
-    its stream position.  Indexing or iterating it builds ``PrimeSite``
-    views lazily.  The walkers read ``_norms`` and ``_cls0``, zero-copy
-    ``memoryview``s of the norm and class columns: indexing one, or running
-    ``bisect`` on one, gives Python ints at about a list's speed, where a
-    numpy array would build a scalar per access.
+    its stream position.  The walkers read ``_norms`` and ``_cls0``,
+    zero-copy ``memoryview``s of the norm and class columns: indexing one,
+    or running ``bisect`` on one, gives Python ints at about a list's speed,
+    where a numpy array would build a scalar per access.  The tally, the
+    census and ``stats.landau_check`` read the sites of one class through
+    ``_class_slices``.
     """
 
     group: GroupSpec
-    ordering: ClassOrdering
     sites: SiteColumns
     limit: int
     field: FieldSpec | None = None
@@ -138,50 +141,78 @@ class SiteSystem:
         return structural_constants(self.group)
 
     @cached_property
-    def _class_positions(self) -> list[np.ndarray]:
-        """Per class, the stream positions of its sites, ascending: the
-        stream sorted by (class, position), split by class."""
-        cls = self.sites.cls
-        cuts = np.cumsum(np.bincount(cls, minlength=self.group.h))[:-1]
-        return np.split(np.argsort(cls, kind="stable"), cuts)
+    def ordering(self) -> ClassOrdering:
+        """The canonical ordering of ``group``, which the classes follow."""
+        return canonical_ordering(self.group)
 
     @cached_property
-    def _class_prefix(self) -> list[np.ndarray]:
-        """Per class, the ``_neumaier_prefix`` sums of 1/N over its sites
-        in ``_class_positions`` order (Python readers bisect
-        ``memoryview``s of them).  Built on first use by ``sweep`` or
+    def _by_class(self) -> np.ndarray:
+        """The class-major site index: the key ``cls << b | position`` of
+        every site, ascending, so in (class, position) order.  2**b is the
+        least power of 2 above len(sites), so that ``_sites`` decodes a key
+        with one ``&`` instead of an int64 division."""
+        cls = self.sites.cls
+        site = np.argsort(cls, kind="stable")
+        site |= cls[site].astype(np.int64) << len(cls).bit_length()
+        return site
+
+    @cached_property
+    def _class_prefix(self) -> np.ndarray:
+        """Per class in turn, the ``_neumaier_prefix`` sums of 1/N over its
+        sites in ``_by_class`` order: class c's entry i of ``_by_class``
+        starts its sum at index i + c.  Built on first use by ``sweep`` or
         ``stats.landau_check``."""
-        return [_neumaier_prefix(1.0 / self.sites.norm[pos]) for pos in self._class_positions]
+        n, h = len(self.sites), self.group.h
+        starts, counts = self._class_slices(np.arange(h), 0, n)
+        out = np.empty(n + h)
+        for c, (i, k) in enumerate(zip(starts.tolist(), counts.tolist())):
+            site = self._sites(np.arange(i, i + k))
+            out[i + c : i + c + k + 1] = _neumaier_prefix(1.0 / self.sites.norm[site])
+        return out
+
+    def _class_slices(self, c, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """(i, k): the sites of class c at positions [lo, hi) are entries
+        i..i+k-1 of ``_by_class``, and their 1/N sum is ``_class_prefix[i +
+        c + k] - _class_prefix[i + c]``.  c, lo and hi broadcast."""
+        base = np.asarray(c, dtype=np.int64) << len(self.sites).bit_length()
+        i = np.searchsorted(self._by_class, base | lo)
+        return i, np.searchsorted(self._by_class, base | hi) - i
+
+    def _sites(self, entries: np.ndarray) -> np.ndarray:
+        """The stream positions of the sites at ``entries``, an index
+        array, of ``_by_class``, decoded in a copy (``take`` refuses a
+        slice, whose view would write through to the index)."""
+        site = self._by_class.take(entries)
+        site &= (1 << len(self.sites).bit_length()) - 1
+        return site
 
 
 def _neumaier_prefix(terms: np.ndarray) -> np.ndarray:
     """Neumaier-compensated prefix sums of positive terms (entry i sums the
     first i), bit-equal to the loop over them: ``add.accumulate`` is
-    strictly sequential, so ``s`` is its running sum and ``err`` its steps."""
-    s = np.cumsum(terms)
-    prev = np.concatenate(([0.0], s))[:-1]
-    err = np.where(prev >= terms, (prev - s) + terms, (terms - s) + prev)
-    return np.concatenate(([0.0], s + np.cumsum(err)))
+    strictly sequential, so ``s`` is its running sum and ``err`` its steps,
+    each (prev - s) + term, or (term - s) + prev where prev < term."""
+    out = np.empty(terms.size + 1)
+    out[0] = 0.0
+    s = np.cumsum(terms, out=out[1:])
+    prev = out[:-1]
+    err = prev - s
+    err += terms
+    swap = np.flatnonzero(prev < terms)
+    err[swap] = (terms[swap] - s[swap]) + prev[swap]
+    s += np.cumsum(err, out=err)
+    return out
 
 
 def for_field(d: int, limit: int) -> SiteSystem:
     """Site system for Q(sqrt(d))."""
     cg = class_group(d)
     sites = prime_sites_up_to(cg, limit)
-    return SiteSystem(
-        group=cg.group, ordering=cg.ordering, sites=sites, limit=limit, field=cg.field
-    )
+    return SiteSystem(group=cg.group, sites=sites, limit=limit, field=cg.field)
 
 
 def for_synth(model: SynthModel, limit: int) -> SiteSystem:
-    sites = synth_sites(model, limit)
-    return SiteSystem(
-        group=model.group,
-        ordering=canonical_ordering(model.group),
-        sites=sites,
-        limit=limit,
-        field=None,
-    )
+    return SiteSystem(group=model.group, sites=synth_sites(model, limit), limit=limit)
 
 
 def make_factorization(system: SiteSystem, entries) -> Factorization:
@@ -758,13 +789,13 @@ class _Tally:
 
     ``flush`` takes a chunk of the rows ``_walk`` records, expands each
     batch into its nodes n*q^e and their leaf ranges (``_expand``), splits
-    every range at the checkpoints, counts its leaves per class with
-    ``searchsorted`` on the per-class position arrays, tallies the
+    every range at the checkpoints, counts its leaves per class with one
+    (class, range) lookup, ``SiteSystem._class_slices``, tallies the
     principal ideals per (band, state) with ``bincount`` and adds the
     chunk's float terms into the exact sums at once.  Each term is the
     float the walked tally would add: 1.0/n for a principal node,
-    (pre[ib] - pre[ia])/n for a group of principal leaves of one range and
-    band, and g*k for each group of k.
+    the difference of two ``_class_prefix`` entries over n for a group of
+    principal leaves of one range and band, and g*k for each group of k.
 
     Band b holds the ideals of norm in (cps[b - 1], cps[b]]: its ideals per
     class in row b of ``class_counts``, a ``Counter`` each of nu values and
@@ -786,7 +817,6 @@ class _Tally:
         self.sums = [[0] * len(cps) for _ in range(2 + len(states.desc_info))]
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
-        self.positions, self.prefix = system._class_positions, system._class_prefix
         self.cay = np.array(states.cay, dtype=np.int64)
         self.walked = self.batched = self.bulk = 0
 
@@ -824,7 +854,7 @@ class _Tally:
         units = [self._count_nodes(np.append(nodes[:, 0], n), np.append(nodes[:, 1], s))]
         ranges = np.concatenate((ranges[:, :4].T, (n, s, j + 1, end)), axis=1)
         self.bulk += int((ranges[3] - ranges[2]).sum())
-        units.extend(self._count_leaves(*self._pieces(*ranges[:, ranges[3] > ranges[2]])))
+        units.append(self._count_leaves(*self._pieces(*ranges[:, ranges[3] > ranges[2]])))
         self._tally_principal(*(np.concatenate(col) for col in zip(*units)))
 
     def _count_nodes(self, n, s):
@@ -850,27 +880,25 @@ class _Tally:
         return (np.concatenate(col) for col in zip(*pieces))
 
     def _count_leaves(self, b, n, s, lo, hi):
-        """Count the leaves of each piece per class; return the groups of
-        principal leaves as units, one per piece and its principal class."""
+        """Count the leaves of each piece per class; return its groups of
+        principal leaves as one unit, a group per piece that has any."""
         node_c = np.array(self.states.cls, dtype=np.int64)[s]
-        leaf_pc = self.states.inverse[node_c]
-        units = []
-        for cc in range(self.h):
-            ia = np.searchsorted(self.positions[cc], lo)
-            k = np.searchsorted(self.positions[cc], hi)
-            k -= ia
-            self._count_classes(b * self.h + self.cay[node_c, cc], k)
-            # the leaves of the class inverse to their node's are principal
-            sel = (leaf_pc == cc) & (k > 0)
-            ia, k = ia[sel], k[sel]
-            pre = self.prefix[cc]
-            units.append((
-                b[sel],
-                self.states.push_many(s[sel], np.full(ia.size, cc), 1),
-                k,
-                (pre[ia + k] - pre[ia]) / n[sel],
-            ))
-        return units
+        classes = np.arange(self.h)[:, None]
+        i, k = self.system._class_slices(classes, lo, hi)
+        self._count_classes((b * self.h + self.cay[node_c, classes]).ravel(), k.ravel())
+        # the leaves of the class inverse to their node's are principal
+        pc = self.states.inverse[node_c]
+        piece = np.arange(pc.size)
+        i, k = i[pc, piece] + pc, k[pc, piece]
+        sel = k > 0
+        i, k, pc = i[sel], k[sel], pc[sel]
+        prefix = self.system._class_prefix
+        return (
+            b[sel],
+            self.states.push_many(s[sel], pc, 1),
+            k,
+            (prefix[i + k] - prefix[i]) / n[sel],
+        )
 
     def _count_classes(self, keys, weights):
         # float64 bincount weights are exact: a chunk holds far fewer than
@@ -1131,8 +1159,7 @@ def _census_columns(system: SiteSystem, x: int):
     u = np.concatenate((ranged, np.arange(R, R + n.size)))
     a, z, v = np.concatenate((rows[ranged, 2:5].T, (j + 1, end, u[ranged.size :])), axis=1)
     n, s, j, e, parent = np.concatenate((rows[:, :5].T, (n, s, j, e, rows[batch[row], 4])), axis=1)
-    norms, nsites = system.sites.norm, len(system.sites)
-    cls0 = system.sites.cls
+    norms, cls0 = system.sites.norm, system.sites.cls
     cay = np.array(states.cay, dtype=np.int64)
     D = np.zeros((n.size, len(cay)), dtype=np.int64)
     D[0, 0] = 1
@@ -1153,15 +1180,12 @@ def _census_columns(system: SiteSystem, x: int):
             kc = cay[kc, c]
         sf[at] = sf[p] * np.where(e[at] > 1, norms[j[at]] ** e[at], 1)
     # the tails: the principal nodes, then the ranges' principal leaves, the
-    # sites of the class inverse to the node's, among positions by class
+    # sites of the class inverse to the node's
     cls = np.array(states.cls, dtype=np.int64)
     hit = node & (cls[s] == 0)
-    site = np.concatenate(system._class_positions)
-    by_class = cls0[site].astype(np.int64) * nsites + site
     c = cls[s[v]]
     pc = states.inverse[c]
-    ia = np.searchsorted(by_class, pc * nsites + a)
-    k = np.searchsorted(by_class, pc * nsites + z) - ia
+    ia, k = system._class_slices(pc, a, z)
     u, v, c, pc, ia, k = (col[k > 0] for col in (u, v, c, pc, ia, k))
     tail_s = np.concatenate((s[hit], states.push_many(s[v], pc, 1)))
     delta = np.concatenate((D[hit, 0], D[v, 0] + D[v, c]))
@@ -1172,7 +1196,9 @@ def _census_columns(system: SiteSystem, x: int):
     rank = np.argsort(order)
     # one int64 per row: norm * T + rank stays below x**2 + x, as T <= x
     key = np.concatenate((n[hit], np.repeat(n[v], k)))
-    key[T - k.size :] *= norms[site[np.arange(k.sum()) + np.repeat(ia - np.cumsum(k) + k, k)]]
+    key[T - k.size :] *= norms[
+        system._sites(np.arange(k.sum()) + np.repeat(ia - np.cumsum(k) + k, k))
+    ]
     key *= T
     key += np.repeat(rank, np.concatenate((np.ones(T - k.size, dtype=np.int64), k)))
     key.sort()

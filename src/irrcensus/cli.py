@@ -200,7 +200,8 @@ def _hist_path(out: str) -> str:
 
 def _run_ek(ns: argparse.Namespace) -> int:
     system = _system(ns)
-    report = stats.build_report(system, ns.x, m=ns.m)
+    swp = census.sweep(system, ns.x, g_descriptors=stats.default_g_descriptors(system))
+    report = stats.build_report(system, ns.x, m=ns.m, sweep=swp)
     payload = report.as_dict()
     text = report.to_json() if ns.fmt == "json" else _flat_csv(payload)
     _emit(text, ns.out)

@@ -16,10 +16,10 @@ a split prime's class is a function of p mod |disc| (genus theory): it is
 read from a table filled by reducing the first prime of each residue, and
 the second prime of each residue is reduced as a check.  The result is a
 ``SiteColumns`` of norms, splitting codes and 0-based classes that derives
-p, class_index and conjugate_id where they are printed, and is a lazy
-read-only sequence of ``PrimeSite``.  The scalar helpers (``splitting_type``,
-``sqrt_mod_prime``, ``reduce_form``) are the per-prime reference of the
-tests.
+p, class_index and conjugate_id where they are printed; it has no random
+access, and iterating it builds ``PrimeSite``s a chunk at a time.  The
+scalar helpers (``splitting_type``, ``sqrt_mod_prime``, ``reduce_form``)
+are the per-prime reference of the tests.
 
 ``write_int_csv`` is the CSV kernel of ``sites_to_csv`` and of the census.
 It formats int64 columns with one ``//`` per digit on whole columns, keeps
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -58,10 +57,6 @@ class FieldSpec:
     discriminant: int
     w: int  # number of roots of unity
     h: int  # class number
-    degree: int = 2
-    r1: int = 0
-    r2: int = 1
-    regulator: float = 1.0
 
     @property
     def psi_coefficient(self) -> Fraction:
@@ -212,10 +207,8 @@ class PrimeSite:
 SPLITTINGS = ("split", "inert", "ramified", "synthetic")
 SPLIT, INERT, RAMIFIED, SYNTHETIC = range(len(SPLITTINGS))
 
-_ROWS_CHUNK = 1 << 16
 
-
-class SiteColumns(Sequence):
+class SiteColumns:
     """A prime-site stream held as three columns: int64 ``norm``, int8
     ``splitting`` codes into ``SPLITTINGS`` and ``cls``, the 0-based class
     of each site in the smallest unsigned type that holds h - 1 (one byte
@@ -227,9 +220,9 @@ class SiteColumns(Sequence):
     conjugate is the neighbouring site of equal norm, or the site itself,
     since norms tie only within a split pair.
 
-    As a sequence it is read-only and lazy: indexing or iterating builds a
-    ``PrimeSite`` only for the sites asked for.  Bulk readers use the
-    columns, read-only numpy arrays, or ``rows`` instead.
+    It is read-only.  Iterating it builds a ``PrimeSite`` per site, a
+    ``CSV_CHUNK`` of ``columns`` at a time; bulk readers use the numpy
+    columns, which are read-only, or ``columns``.
     """
 
     __slots__ = ("norm", "splitting", "cls")
@@ -247,20 +240,11 @@ class SiteColumns(Sequence):
     def __len__(self) -> int:
         return self.norm.size
 
-    def __getitem__(self, i):
-        n = len(self)
-        try:
-            ids = range(n)[i]
-        except IndexError:
-            raise IndexError(f"site index {i} out of range for {n} sites") from None
-        if isinstance(ids, int):
-            return PrimeSite(*next(self.rows(ids, ids + 1)))
-        # a slice reads the rows of the positions it spans, in one pass
-        sites = itertools.starmap(PrimeSite, self.rows(min(ids, default=0), max(ids, default=-1) + 1))
-        return tuple(sites)[:: ids.step]
-
     def __iter__(self) -> Iterator[PrimeSite]:
-        return itertools.starmap(PrimeSite, self.rows())
+        for lo in range(0, len(self), CSV_CHUNK):
+            chunk = self.columns(lo, min(lo + CSV_CHUNK, len(self)))
+            ids, p, norm, splitting, cls, conj = (col.tolist() for col in chunk)
+            yield from map(PrimeSite, ids, p, norm, [SPLITTINGS[s] for s in splitting], cls, conj)
 
     def columns(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         """(id, p, norm, splitting, class_index, conjugate_id) of the sites
@@ -274,16 +258,6 @@ class SiteColumns(Sequence):
         tie = np.zeros(hi - lo + 1, dtype=np.int64)
         tie[a - lo : b - lo + 1] = self.norm[a - 1 : b] == self.norm[a : b + 1]
         return ids, p, norm, splitting, self.cls[lo:hi] + np.int64(1), ids + tie[1:] - tie[:-1]
-
-    def rows(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple]:
-        """(id, p, norm, splitting, class_index, conjugate_id) per site at
-        positions [lo, hi), by default all, as Python values, transposed a
-        chunk at a time."""
-        hi = len(self) if hi is None else hi
-        for at in range(lo, hi, _ROWS_CHUNK):
-            chunk = self.columns(at, min(at + _ROWS_CHUNK, hi))
-            ids, p, norm, splitting, cls, conj = (col.tolist() for col in chunk)
-            yield from zip(ids, p, norm, [SPLITTINGS[s] for s in splitting], cls, conj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,14 +280,8 @@ class ClassGroup:
 def _validate_d(d: int):
     if d >= 0:
         raise DomainError(f"d must be negative, got {d}")
-    m = -d
-    p = 2
-    while p * p <= m:
-        if m % (p * p) == 0:
-            raise DomainError(f"d must be squarefree, got {d}")
-        while m % p == 0:
-            m //= p
-        p += 1 if p == 2 else 2
+    if any(e > 1 for e in _factorize(-d).values()):
+        raise DomainError(f"d must be squarefree, got {d}")
 
 
 def _crt(pairs) -> int:
@@ -635,14 +603,13 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
 def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     """Every prime ideal of norm <= limit, exactly once, ordered by (norm, id).
 
-    Returns the stream as columns; iterating or indexing it yields
-    ``PrimeSite`` views.  Ids are assigned in stream order and are
-    prefix-stable in the limit.  The two sites above a split prime carry
-    inverse classes; which conjugate gets the smaller id is fixed by the
-    smaller square root b in [0, 2p).  When every class has order at most
-    2, both carry the same class, found from p mod |disc| by a table of
-    reduced representatives (``_residue_classes``), and the b order is
-    unobservable.  Raises ``DomainError`` if a pair's classes are not
+    Returns the stream as columns; iterating it yields ``PrimeSite``s.
+    Ids are assigned in stream order and are prefix-stable in the limit.
+    The two sites above a split prime carry inverse classes; which
+    conjugate gets the smaller id is fixed by the smaller square root b in
+    [0, 2p).  When every class has order at most 2, both carry the same
+    class, found from p mod |disc| by a table of reduced representatives
+    (``_residue_classes``), and the b order is unobservable.  Raises ``DomainError`` if a pair's classes are not
     inverse, if a form reduces outside the class table, or if two primes of
     one residue mod |disc| reduce to different classes on that path.
     """
@@ -659,7 +626,9 @@ def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     return _field_columns(cg, limit)
 
 
-#: Rows per ``write_int_csv`` block; a block's bytes bound its extra memory.
+#: Rows per ``write_int_csv`` block, and per chunk of ``SiteColumns.columns``
+#: that ``sites_to_csv`` and iteration read; a block's bytes bound its extra
+#: memory.
 CSV_CHUNK = 1 << 13
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 

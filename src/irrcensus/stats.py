@@ -7,19 +7,20 @@ standardized statistics, and the tests pin trends and frozen anchors.
 
 Every statistic reads the census at one bound x through the ``Totals`` of
 a sweep, ``sweep(...).at(x)``, and takes x and h from it; the g-means read
-the sweep itself, whose descriptors they report on.  Only
-``build_report`` runs a sweep, and only when it is given none;
-``landau_check`` reads the site tables.
+the sweep itself, whose descriptors they report on.  No statistic runs a
+sweep: ``build_report`` reports on the one it is given, and
+``landau_check`` reads the per-class prefix table of the sites.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .abelian import StructuralConstants
-from .census import SiteSystem, Sweep, Totals, _check_bound, sweep as census_sweep
+from .census import SiteSystem, Sweep, Totals, _check_bound
 from .errors import DomainError
 
 HIST_LO = -6.0
@@ -35,12 +36,11 @@ def loglog(x) -> float:
     return math.log(math.log(x))
 
 
-def standardize(record, sc: StructuralConstants, x) -> float:
+def standardize(nu: int, sc: StructuralConstants, x) -> float:
     """Center and scale an irreducible-divisor count:
     z = (nu - A L^D) / (B L^(D-1/2)) with L = log log x."""
     if x < 16:
         raise DomainError("standardization needs x >= 16")
-    nu = record.nu if hasattr(record, "nu") else record
     big_l = loglog(x)
     d = sc.davenport
     center = float(sc.A) * big_l**d
@@ -59,9 +59,8 @@ def gaussian_target(k: int, sigma2: float, big_l: float) -> float:
     return coeff * (sigma2 * big_l) ** half
 
 
-def f_value(record, kappa) -> float:
+def f_value(omega, kappa) -> float:
     """The additive surrogate f = sum_j kappa_j * omega_j."""
-    omega = record.omega if hasattr(record, "omega") else tuple(record)
     if len(kappa) != len(omega):
         raise DomainError("kappa length must equal the class count")
     return sum(float(k) * w for k, w in zip(kappa, omega))
@@ -143,16 +142,13 @@ def landau_check(system: SiteSystem, x: int):
     if x < 3:
         raise DomainError("needs x >= 3")
     _check_bound(system, x)
-    # the first k sites have norm <= x; each class's compensated sum over
-    # them is an entry of the per-class prefix tables the sweep uses, read
-    # through memoryviews as Python floats
-    positions, prefix = system._class_positions, system._class_prefix
-    k = bisect_right(system._norms, x)
+    # each class's compensated sum over the k sites of norm <= x is an entry
+    # of the prefix table the sweep uses
+    k = int(np.searchsorted(system.sites.norm, x, "right"))
+    c = np.arange(system.group.h)
+    i, count = system._class_slices(c, 0, k)
     center = loglog(x) / system.group.h
-    return tuple(
-        memoryview(pre)[bisect_left(memoryview(pos), k)] - center
-        for pos, pre in zip(positions, prefix)
-    )
+    return tuple((system._class_prefix[i + c + count] - center).tolist())
 
 
 def exceptional_fraction(totals: Totals) -> float:
@@ -314,8 +310,9 @@ class StatReport:
 
 
 def default_g_descriptors(system: SiteSystem):
-    """A squarefull descriptor (first site, squared) and a non-squarefull one."""
-    if len(system.sites) < 2:
+    """A squarefull descriptor (first site, squared) and a non-squarefull
+    one; none on a synthetic stream, which has no Psi to predict them."""
+    if system.field is None or len(system.sites) < 2:
         return ()
     return (((0, 2),), ((1, 1),))
 
@@ -324,18 +321,9 @@ def describe_descriptor(system, desc) -> str:
     return ";".join(f"site{sid}(N{int(system.sites.norm[sid])})^{e}" for sid, e in desc)
 
 
-def build_report(
-    system: SiteSystem,
-    x: int,
-    m: int = 2,
-    sweep: Sweep | None = None,
-) -> StatReport:
-    """The report of ``sweep`` at x; without one, of a sweep that tracks the
-    default descriptors on a field and none on a synthetic stream."""
+def build_report(system: SiteSystem, x: int, m: int = 2, *, sweep: Sweep) -> StatReport:
+    """The report of ``sweep``, a sweep of ``system``, at its checkpoint x."""
     sc = system.constants
-    if sweep is None:
-        descs = default_g_descriptors(system) if system.field else ()
-        sweep = census_sweep(system, x, g_descriptors=descs)
     totals = sweep.at(x)
     n = totals.n_principal
     # exact integer and float sums, so no byte depends on the order in

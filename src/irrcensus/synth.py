@@ -59,8 +59,8 @@ def synth_sites(model: SynthModel, limit: int) -> SiteColumns:
     """Deterministic site stream: the i-th prime gets label(seed, i).
 
     Returns the stream as columns (norm p, the synthetic tag and the 0-based
-    label); iterating or indexing it yields ``PrimeSite`` views, whose p is
-    the norm and whose conjugate is the site itself.
+    label); iterating it yields ``PrimeSite``s, whose p is the norm and
+    whose conjugate is the site itself.
     """
     if limit < 2:
         raise DomainError("site stream needs limit >= 2")

@@ -387,19 +387,51 @@ def test_neumaier_prefix_matches_scalar_loop(head):
     assert census._neumaier_prefix(np.array(terms, dtype=np.float64)).tobytes() == want
 
 
+def _system_of(source, x):
+    if isinstance(source, int):
+        return census.for_field(source, x)
+    return census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
+
+
 @pytest.mark.parametrize("source", [-5, (2, 4)])
 def test_class_tables_match_scalar_loop(source):
-    x = 10**5
-    if isinstance(source, int):
-        system = census.for_field(source, x)
-    else:
-        system = census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
-    positions, prefix = system._class_positions, system._class_prefix
-    for c, (pos, pre) in enumerate(zip(positions, prefix)):
+    system = _system_of(source, 10**5)
+    b = len(system.sites).bit_length()
+    keys, prefix = [], []
+    for c in range(system.group.h):
         sites = [s for s in system.sites if s.class_index == c + 1]
-        assert list(pos) == [s.id for s in sites]
-        want = array("d", neumaier_prefix([1.0 / s.norm for s in sites]))
-        assert pre.tobytes() == want.tobytes()
+        keys.extend(c << b | s.id for s in sites)
+        prefix.extend(neumaier_prefix([1.0 / s.norm for s in sites]))
+    assert system._by_class.tolist() == keys
+    assert system._class_prefix.tobytes() == array("d", prefix).tobytes()
+
+
+@pytest.fixture(scope="module")
+def slice_systems():
+    return {source: _system_of(source, 3000) for source in (-5, -23, (2, 4), ())}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_class_slices_match_column_slices(slice_systems, data):
+    # the sites of class c at positions [lo, hi) and their 1/N sums, from
+    # the columns one slice at a time
+    source = data.draw(st.sampled_from(sorted(slice_systems, key=str)), label="source")
+    system = slice_systems[source]
+    n = len(system.sites)
+    c = data.draw(st.integers(0, system.group.h - 1), label="class")
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    i, k = system._class_slices(c, lo, hi)
+    norm, cls = system.sites.norm, system.sites.cls
+    want = lo + np.flatnonzero(cls[lo:hi] == c)
+    assert k == want.size
+    assert system._sites(np.arange(i, i + k)).tolist() == want.tolist()
+    # the prefix entries are the scalar loop over the class's sites below
+    # lo and below hi, bit for bit
+    before = neumaier_prefix(1.0 / norm[:lo][cls[:lo] == c])[-1]
+    upto = neumaier_prefix(1.0 / norm[:hi][cls[:hi] == c])[-1]
+    assert array("d", system._class_prefix[[i + c, i + c + k]]) == array("d", [before, upto])
 
 
 def _g_product(system, fact, desc):
@@ -866,8 +898,8 @@ def test_census_csv_formats_census_rows(source, x):
     else:
         system = census.for_synth(SynthModel(group=group_from_orders(source), seed=29), x)
     rows = census.census_rows(system, x)
-    # the census reads the by-class positions, not the sweep's prefix sums
-    assert "_class_positions" in vars(system) and "_class_prefix" not in vars(system)
+    # the census reads the class-major site index, not the sweep's prefix sums
+    assert "_by_class" in vars(system) and "_class_prefix" not in vars(system)
     buf = io.StringIO()
     assert census.write_census_csv(system, x, buf) == len(rows)
     line = ",".join(["%d"] * len(rows[0]))

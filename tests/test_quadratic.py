@@ -41,11 +41,15 @@ from helpers import kronecker
 
 
 def test_validation_rejects_bad_d():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be negative, got 5"):
         class_group(5)
-    with pytest.raises(DomainError):
-        class_group(-12)  # not squarefree
-    with pytest.raises(DomainError):
+    # 2^2, 3^2 and 101^2 divide; -1 and 101 * 103 are squarefree
+    for d in (-12, -18, -2 * 101**2):
+        with pytest.raises(DomainError, match=f"must be squarefree, got {d}"):
+            class_group(d)
+    for d in (-1, -101 * 103):
+        quadratic._validate_d(d)
+    with pytest.raises(DomainError, match="must be negative, got 0"):
         class_group(0)
     with pytest.raises(ResourceLimitError):
         class_group(-(10**7 + 3))
@@ -325,8 +329,6 @@ def test_site_columns_match_scalar_oracle(d, monkeypatch):
     cols = prime_sites_up_to(cg, limit)
     assert len(cols) == len(expected)
     assert list(cols) == expected
-    assert [cols[i] for i in range(-len(cols), 0, 37)] == expected[::37]
-    assert cols[5:9] == tuple(expected[5:9])
 
 
 @pytest.mark.parametrize("d", [-5, -23, -7])
@@ -346,8 +348,8 @@ def test_site_columns_at_merge_boundaries(d):
         (kind[2], 2),
     ]
     for tag, limit in ends:
-        cols = prime_sites_up_to(cg, limit)
-        assert (cols[-1].splitting, cols[-1].norm) == (tag, limit)
+        last = list(prime_sites_up_to(cg, limit))[-1]
+        assert (last.splitting, last.norm) == (tag, limit)
         for lim in {limit, max(limit - 1, 2)}:
             expected = _scalar_sites(cg, [p for p in primes if p <= lim], lim)
             assert list(prime_sites_up_to(cg, lim)) == expected
@@ -423,29 +425,26 @@ def test_sites_csv_of_an_empty_stream_is_the_header():
     assert buf.getvalue() == "id,p,norm,splitting,class_index,conjugate_id\n"
 
 
-def _slices(n):
-    steps = [slice(None, None, -3), slice(-2, 4, -5), slice(1, None, 7), slice(n + 3, None, -1)]
-    return [slice(a, b) for a in range(0, n, 7) for b in (a, a + 1, a + 4, n)] + steps
+def _windows(n):
+    return [(a, b) for a in range(0, n, 7) for b in {a, min(a + 1, n), min(a + 4, n), n}]
 
 
 def _read_every_way(cols):
-    """The sites as a list, one index at a time, in plain, stepped and
-    reversed slices, and as CSV text."""
-    n = len(cols)
+    """The sites by iteration, the derived columns of windows of positions
+    as lists, and the CSV text."""
     buf = io.StringIO()
     sites_to_csv(cols, buf)
     return (
         list(cols),
-        [cols[j] for j in range(n)],
-        [cols[s] for s in _slices(n)],
+        [[col.tolist() for col in cols.columns(a, b)] for a, b in sorted(_windows(len(cols)))],
         buf.getvalue(),
     )
 
 
 @pytest.mark.parametrize("d", [-5, -23, None])
 def test_derived_columns_across_chunk_edges(d, monkeypatch):
-    # chunks of 3 rows and 5 CSV lines: split pairs straddle chunk edges,
-    # where the conjugate is read from the next or previous chunk's norm
+    # chunks of 3 and 5 rows: split pairs straddle chunk edges, where the
+    # conjugate is read from the next or previous chunk's norm
     if d is None:
         empty = np.empty(0, dtype=np.int64)
         cols = SiteColumns(empty, empty.astype(np.int8), empty.astype(np.uint8))
@@ -456,19 +455,23 @@ def test_derived_columns_across_chunk_edges(d, monkeypatch):
         expected = _scalar_sites(cg, [p for p in range(2, 301) if is_prime(p)], 300)
         for chunk in (3, 5):
             assert any(s.conjugate_id == s.id + 1 and s.id % chunk == chunk - 1 for s in expected)
-    whole = _read_every_way(cols)
-    monkeypatch.setattr("irrcensus.quadratic._ROWS_CHUNK", 3)
-    monkeypatch.setattr("irrcensus.quadratic.CSV_CHUNK", 5)
-    assert _read_every_way(cols) == whole == (
+    fields = [
+        (s.id, s.p, s.norm, SPLITTINGS.index(s.splitting), s.class_index, s.conjugate_id)
+        for s in expected
+    ]
+    want = (
         expected,
-        expected,
-        [tuple(expected[s]) for s in _slices(len(expected))],
+        [[list(col) for col in zip(*fields[a:b])] or [[]] * 6 for a, b in sorted(_windows(len(expected)))],
         "id,p,norm,splitting,class_index,conjugate_id\n"
         + "".join(
             f"{s.id},{s.p},{s.norm},{s.splitting},{s.class_index},{s.conjugate_id}\n"
             for s in expected
         ),
     )
+    assert _read_every_way(cols) == want
+    for chunk in (3, 5):
+        monkeypatch.setattr("irrcensus.quadratic.CSV_CHUNK", chunk)
+        assert _read_every_way(cols) == want
 
 
 # both sides of every digit-count boundary of an int64, and its largest value
@@ -674,12 +677,13 @@ def test_kronecker_primes_need_a_fundamental_discriminant(disc):
         kronecker_primes(disc, prime_array(20))
 
 
-def test_site_columns_are_read_only_sequences():
+def test_site_columns_are_read_only():
     cols = prime_sites_up_to(class_group(-5), 10)
     assert isinstance(cols, SiteColumns) and len(cols) == 6
-    assert cols[-1] == PrimeSite(5, 7, 7, "split", 2, 4)
-    with pytest.raises(IndexError):
-        cols[6]
+    assert list(cols)[-1] == PrimeSite(5, 7, 7, "split", 2, 4)
+    # no random access: bulk readers take the columns
+    with pytest.raises(TypeError):
+        cols[0]
     with pytest.raises(ValueError):
         cols.norm[0] = 1
     with pytest.raises(AttributeError):
