@@ -16,20 +16,21 @@ subset-count products, exhaustive sub-multiset search, and a
 squarefull/squarefree split), which the tests hold to exact agreement.
 
 ``_walk`` is the fast DFS, for the sweep and the census.  It visits in
-Python only the nodes that can have children and records rows: walked
-nodes, ranges of leaves n*q with N(q)^2 > x // n (about 99% of all ideals
-at x = 1e7), and batches of penultimate sites.  ``sweep`` tallies them in
-numpy a chunk at a time into one band per checkpoint, counting the leaves
-per class with one lookup in a class-major site index
-(``SiteSystem._class_slices``) and summing their 1/N from the per-class
-prefix sums beside it, with exact integer float sums.
-When the walk ends it adds the bands up once into a ``Totals`` per
-checkpoint, each float rounded once, so no report float depends on the
-walk order; ``Sweep.at`` looks one up.  The census (``_census_columns``)
-expands the same rows, finding the principal leaves of each range through
-the same index, into a norm column and a column of ids into a table of
-the other columns, ordered by one sort on (norm, the row's place in
-the lexicographic order of the factorization).  ``write_census_csv`` and
+Python only the nodes that can have children and returns its recording,
+an int64 array of rows: walked nodes, ranges of leaves n*q with N(q)^2 >
+x // n (about 99% of all ideals at x = 1e7), and batches of penultimate
+sites.  ``sweep`` tallies it in numpy a slice of ``TALLY_CHUNK`` rows at
+a time into one band per checkpoint, counting the leaves per class with
+one lookup in a class-major site index (``SiteSystem._class_slices``) and
+summing their 1/N from the per-class prefix sums beside it, with exact
+integer float sums.  After the last slice it adds the bands up once into
+a ``Totals`` per checkpoint, each float rounded once, so no report float
+depends on the walk order; ``Sweep.at`` looks one up.  The census
+(``_census_columns``) reads the same recording in place.  It expands the
+rows into a norm column and a column of ids into a table of the other
+columns, finding the principal leaves of each range through the same
+index, and orders them by one sort on (norm, the row's place in the
+lexicographic order of the factorization).  ``write_census_csv`` and
 ``write_census_json`` format that table once per census, into one label
 per tail (``quadratic.label_table``), and write every row with one
 ``quadratic.write_int_csv`` call on two columns, the norm and the tail's
@@ -133,6 +134,12 @@ class SiteSystem:
             raise DomainError(f"sites must be a SiteColumns, not {type(sites).__name__}")
         if np.any(sites.norm[1:] < sites.norm[:-1]):
             raise DomainError("sites must be sorted by norm")
+        # the walks index the Cayley table by class, and ``_States`` counts
+        # exponents below 64 only
+        if np.any(sites.norm[:1] < 2):
+            raise DomainError("site norms must be >= 2")
+        if np.any((sites.cls < 0) | (sites.cls >= self.group.h)):
+            raise DomainError(f"site classes must lie in [0, {self.group.h})")
         object.__setattr__(self, "_norms", memoryview(sites.norm))
         object.__setattr__(self, "_cls0", memoryview(sites.cls))
 
@@ -678,7 +685,7 @@ class _States:
         self.type_bytes = set(_byte_rows(self.types.astype(np.uint8)).tolist())
         self.maxt = sc.max_type_component
         self.offsets = [0, *itertools.accumulate(8 * (m + 1) for m in self.maxt)]
-        # every norm is >= 2, so exponents stay below 64
+        # every norm is >= 2 (``SiteSystem`` checks it), so exponents stay below 64
         self.inc = [
             [(e << off) + (1 << off + 8 * min(e, m)) if e else 0 for e in range(64)]
             for off, m in zip(self.offsets, self.maxt)
@@ -780,19 +787,20 @@ def _byte_rows(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(f"V{a.shape[1]}").ravel()
 
 
-#: Rows a recording walk buffers before one chunked tally.
+#: Rows of the walk's recording that ``sweep`` tallies at once, which
+#: bounds the tally's temporaries by a slice instead of the recording.
 TALLY_CHUNK = 8192
 
 
 class _Tally:
-    """The numpy tally of a recording walk's rows into checkpoint bands.
+    """The numpy tally of the walk's recording into checkpoint bands.
 
-    ``flush`` takes a chunk of the rows ``_walk`` records, expands each
+    ``flush`` takes a slice of the recording ``_walk`` returns, expands each
     batch into its nodes n*q^e and their leaf ranges (``_expand``), splits
     every range at the checkpoints, counts its leaves per class with one
     (class, range) lookup, ``SiteSystem._class_slices``, tallies the
     principal ideals per (band, state) with ``bincount`` and adds the
-    chunk's float terms into the exact sums at once.  Each term is the
+    slice's float terms into the exact sums at once.  Each term is the
     float the walked tally would add: 1.0/n for a principal node,
     the difference of two ``_class_prefix`` entries over n for a group of
     principal leaves of one range and band, and g*k for each group of k.
@@ -802,7 +810,7 @@ class _Tally:
     of (omega, m) profiles, its irreducible count, and in ``sums`` its float
     sums times 2**1074 as Python ints, one list per quantity (principal
     1/N, irreducible 1/N, then each g-descriptor).  ``totals`` adds the
-    bands up once the walk ends.
+    bands up once every slice is in.
     """
 
     def __init__(self, system: SiteSystem, x: int, cps, states: _States):
@@ -818,7 +826,7 @@ class _Tally:
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
         self.cay = np.array(states.cay, dtype=np.int64)
-        self.walked = self.batched = self.bulk = 0
+        self.batched = self.bulk = 0
 
     def totals(self) -> tuple[Totals, ...]:
         """The cumulative ``Totals`` at each checkpoint: running sums over
@@ -849,7 +857,6 @@ class _Tally:
     def flush(self, rows):
         nodes, ranges, batches = (rows[rows[:, 5] == kind] for kind in range(3))
         _, j, _, n, s, end = _expand(self.system, self.x, self.states, batches)
-        self.walked += len(nodes)
         self.batched += n.size
         units = [self._count_nodes(np.append(nodes[:, 0], n), np.append(nodes[:, 1], s))]
         ranges = np.concatenate((ranges[:, :4].T, (n, s, j + 1, end)), axis=1)
@@ -953,7 +960,7 @@ def _expand(system: SiteSystem, x: int, states: _States, batches: np.ndarray):
     return np.concatenate(out, axis=1)
 
 
-def _walk(system: SiteSystem, x: int, states: _States, consume):
+def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     """The fast DFS over sites, for ``sweep`` and the census; the plain
     ``_principal_factorizations`` is its reference.
 
@@ -974,9 +981,9 @@ def _walk(system: SiteSystem, x: int, states: _States, consume):
     node's leaf range.
 
     A node carries its state (see ``_States``) as an int id.  The walk
-    records rows (n, state, a, b, P, kind) of int64s and passes them to
-    ``consume`` as an array once ``TALLY_CHUNK`` have piled up, and at the
-    end.  P is the row index, in the whole recording, of the walked node n:
+    returns its recording, an int64 (R, 6) array of rows (n, state, a, b,
+    P, kind), a zero-copy view of the ``array`` it fills.  P is the row
+    index of the walked node n:
 
     - kind 0, the walked node n itself, of site a and exponent b; P is its
       parent's (-1 for the unit ideal, row 0);
@@ -1006,13 +1013,6 @@ def _walk(system: SiteSystem, x: int, states: _States, consume):
     ]
     rows = array("q")
     add = rows.extend
-    passed = 0  # rows passed on to consume
-
-    def flush():
-        nonlocal passed
-        passed += len(rows) // 6
-        consume(np.array(rows, dtype=np.int64).reshape(-1, 6))
-        del rows[:]
 
     def descend(j: int, n: int, c: int, s: int, p: int):
         """Walk every node n*q^e (e >= 1) for site j, whose n*q <= x."""
@@ -1028,7 +1028,7 @@ def _walk(system: SiteSystem, x: int, states: _States, consume):
             if s2 is None:
                 s2 = states.add(key + inc_j[e], c2)
             add((n2, s2, j, e, p, 0))
-            children(j + 1, n2, c2, s2, passed + len(rows) // 6 - 1)
+            children(j + 1, n2, c2, s2, len(rows) // 6 - 1)
             n2 *= q
             if n2 > x:
                 break
@@ -1063,15 +1063,13 @@ def _walk(system: SiteSystem, x: int, states: _States, consume):
             a = d + 1
         if end > a:
             add((n, s, a, end, p, 1))
-        if len(rows) >= 6 * TALLY_CHUNK:
-            flush()
 
     add((1, 0, -1, 0, -1, 0))
     children(0, 1, 0, 0, 0)
     # descend and children call each other: break the cycle, so the walk's
     # frame is freed without the cyclic GC
     descend = children = None
-    flush()
+    return np.frombuffer(rows, dtype=np.int64).reshape(-1, 6)
 
 
 def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Sweep:
@@ -1094,11 +1092,14 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
             if not 0 <= sid < len(system.sites):
                 raise DomainError(f"descriptor site id {sid} out of range")
 
-    tally = _Tally(system, x, cps, _States(system, descs))
-    _walk(system, x, tally.states, tally.flush)
+    states = _States(system, descs)
+    rows = _walk(system, x, states)
+    tally = _Tally(system, x, cps, states)
+    for lo in range(0, len(rows), TALLY_CHUNK):
+        tally.flush(rows[lo : lo + TALLY_CHUNK])
     totals = tally.totals()
-    visited, bulk = tally.walked + tally.batched, tally.bulk
-    n_ideals = totals[-1].n_ideals
+    visited = int(np.count_nonzero(rows[:, 5] == 0)) + tally.batched
+    bulk, n_ideals = tally.bulk, totals[-1].n_ideals
     if visited + bulk != n_ideals:
         raise RuntimeError(
             f"sweep lost ideals: {visited} visited + {bulk} bulk != {n_ideals} counted"
@@ -1145,9 +1146,7 @@ def _census_columns(system: SiteSystem, x: int):
     """
     _check_bound(system, x)
     states = _States(system, ())
-    chunks = []
-    _walk(system, x, states, chunks.append)
-    rows = np.concatenate(chunks)
+    rows = _walk(system, x, states)
     R, kind = len(rows), rows[:, 5]
     batch = np.flatnonzero(kind == 2)
     row, j, e, n, s, end = _expand(system, x, states, rows[batch])

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from irrcensus import census, cli, stats
 from irrcensus.abelian import TypeVector
 from irrcensus.errors import DomainError, ResourceLimitError
+from irrcensus.quadratic import SiteColumns
 from irrcensus.synth import SynthModel
 from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
 
@@ -327,6 +328,40 @@ def test_sweep_counters_anchor(sys5):
     assert (swp.visited, swp.bulk, swp.nu_states) == (1214, 12833, 32)
 
 
+def _reference_sweep(system, x):
+    """The reference sweep of d = -5 cut at x: checkpoints 1e4, 1e5 and
+    1e6 up to x, and the default descriptors."""
+    cps = [cp for cp in (10**4, 10**5, 10**6) if cp <= x]
+    return census.sweep(system, x, cps, stats.default_g_descriptors(system))
+
+
+@pytest.fixture(scope="module")
+def sweep5_1e6():
+    return _reference_sweep(census.for_field(-5, 10**6), 10**6)
+
+
+def test_sweep_counters_anchor_1e6(sweep5_1e6):
+    # the walk's counters and the ideal counts of the 1e6 reference sweep
+    swp = sweep5_1e6
+    walked = swp.visited - swp.batched
+    assert (walked, swp.batched, swp.bulk, swp.nu_states) == (4299, 22535, 1378150, 65)
+    tot = swp.at(10**6)
+    assert (tot.n_ideals, tot.n_principal, tot.irreducible_count) == (1404984, 702491, 126020)
+
+
+@pytest.mark.parametrize("chunk,x", [(1, 10**5), (97, 10**6)])
+def test_tally_does_not_depend_on_the_chunk(sweep5_1e6, monkeypatch, chunk, x):
+    # the sweep tallies its recording in slices of TALLY_CHUNK rows: where
+    # the slices are cut changes no Totals field and no counter
+    system = sweep5_1e6.system
+    want = sweep5_1e6 if x == 10**6 else _reference_sweep(system, x)
+    monkeypatch.setattr(census, "TALLY_CHUNK", chunk)
+    got = _reference_sweep(system, x)
+    assert got.totals == want.totals
+    counters = ("visited", "batched", "bulk", "nu_states")
+    assert [getattr(got, k) for k in counters] == [getattr(want, k) for k in counters]
+
+
 _TERMS = st.one_of(
     st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, -1.0]),
@@ -606,14 +641,9 @@ def _walked_states(system, x, descs):
     """A recording walk's ``_States`` and the ids of its principal states:
     those of its walked and batched nodes and of their principal leaves."""
     states = census._States(system, descs)
-    nodes = []
-
-    def consume(rows):
-        batches = rows[rows[:, 5] == 2]
-        nodes.extend((rows[rows[:, 5] == 0, 1], census._expand(system, x, states, batches)[4]))
-
-    census._walk(system, x, states, consume)
-    nodes = np.concatenate(nodes)
+    rows = census._walk(system, x, states)
+    batched = census._expand(system, x, states, rows[rows[:, 5] == 2])[4]
+    nodes = np.concatenate((rows[rows[:, 5] == 0, 1], batched))
     states.push_many(nodes, states.inverse[np.array(states.cls)[nodes]], 1)
     return states, [s for s, c in enumerate(states.cls) if c == 0]
 
@@ -830,6 +860,32 @@ def test_site_system_keeps_no_per_site_copies():
         tracemalloc.stop()
     assert again._norms == system._norms and again._cls0 == system._cls0
     assert n == 78367 and kept <= 10**4
+
+
+_MALFORMED = {
+    "class 5": {"cls": 5},
+    "class -1, signed column": {"cls": -1, "dtype": np.int8},
+    "norm 1": {"norm": 1},
+    "norm 0": {"norm": 0},
+}
+
+
+@pytest.mark.parametrize("key", sorted(_MALFORMED))
+def test_site_system_rejects_columns_the_walk_cannot_read(key):
+    # a class outside [0, h) indexes past the Cayley table, and a norm
+    # below 2 never lets a power pass x: the system refuses both, before
+    # any walk, where a sweep would otherwise fail on an IndexError, a
+    # ZeroDivisionError or its own lost-ideals check
+    good = census.for_synth(SynthModel(group=cyclic_group(2), seed=11), 500)
+    bad = _MALFORMED[key]
+    norm = good.sites.norm.copy()
+    cls = good.sites.cls.astype(bad.get("dtype", good.sites.cls.dtype))
+    census.SiteSystem(good.group, SiteColumns(norm, good.sites.splitting, cls), 500)
+    norm, cls = norm.copy(), cls.copy()
+    norm[0] = bad.get("norm", norm[0])
+    cls[3] = bad.get("cls", cls[3])
+    with pytest.raises(DomainError):
+        census.SiteSystem(good.group, SiteColumns(norm, good.sites.splitting, cls), 500)
 
 
 @pytest.mark.parametrize("h,itemsize", [(128, 1), (255, 1), (256, 1), (257, 2)])

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +328,32 @@ def test_identical_commands_identical_files(tmp_path):
     assert cli.main(argv + ["--out", str(a)]) == 0
     assert cli.main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+HASH_SEED_RUNS = {
+    # CLI arguments, then the --out file and any other file the run writes
+    "ek -5": (("ek", "--field", "-5", "--x", "10000"), ("report.json", "report.hist.csv")),
+    "census 2,4": (("census", "--group", "2,4", "--seed", "7", "--x", "3000"), ("census.csv",)),
+    "check -23": (("check", "--field", "-23", "--x", "5000"), ("check.json",)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HASH_SEED_RUNS))
+def test_output_bytes_do_not_depend_on_the_hash_seed(key, tmp_path):
+    # bytes hashing, and so the order of a set or dict keyed by bytes (such
+    # as the nu memos of census._States), changes with the process's hash
+    # seed, which a test in one process cannot vary: run the CLI under two
+    # seeds and compare the files
+    args, files = HASH_SEED_RUNS[key]
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for seed in ("0", "4242"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        subprocess.run(
+            [sys.executable, "-m", "irrcensus.cli", *args, "--out", str(out / files[0])],
+            env=env, check=True, capture_output=True,
+        )
+        written.append([(out / name).read_bytes() for name in files])
+    assert all(written[0]) and written[0] == written[1]
