@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, as_int
 
 #: Largest group order enumerated.  The type search is a DFS over
 #: zero-sum-free multisets and degrades badly past this; larger groups are
@@ -37,7 +37,7 @@ class GroupSpec:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(as_int(d, "invariant factor") for d in self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
         for d in factors:
             if d < 2:
@@ -77,7 +77,7 @@ def group_from_orders(orders) -> GroupSpec:
     """
     by_prime: dict[int, list[int]] = {}
     for n in orders:
-        n = int(n)
+        n = as_int(n, "cyclic factor order")
         if n < 1:
             raise DomainError("cyclic factor orders must be positive")
         for p, e in _factorize(n).items():
@@ -137,9 +137,6 @@ class ClassOrdering:
             (x + y) % d for x, y, d in zip(a, b, self.group.invariant_factors)
         )
 
-    def neg(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.group.invariant_factors))
-
     def cayley(self) -> list[list[int]]:
         """0-based operation table: cayley()[i][j] = index of elements[i] + elements[j]."""
         if self._cayley is None:
@@ -154,7 +151,8 @@ class ClassOrdering:
         """0-based inversion table."""
         if self._neg is None:
             zero_based = {e: i for i, e in enumerate(self.elements)}
-            self._neg = [zero_based[self.neg(a)] for a in self.elements]
+            mods = self.group.invariant_factors
+            self._neg = [zero_based[tuple(-x % d for x, d in zip(a, mods))] for a in self.elements]
         return self._neg
 
 
@@ -177,11 +175,31 @@ class TypeVector:
         return sum(self.t)
 
 
+def zero_sum_vectors(group: GroupSpec, elements, bounds):
+    """Every nonzero v with 0 <= v_i <= bounds_i whose sum of v_i * elements_i
+    is the identity, in lexicographic order.
+
+    The one zero-sum definition of the brute-force oracles
+    (``is_minimal_zero_sum``, ``census.nu_bruteforce`` and
+    ``census.delta_bruteforce``): it walks every bounded vector and sums
+    with coordinate arithmetic, sharing no operation table with the fast
+    paths.
+    """
+    if len(elements) != len(bounds):
+        raise DomainError(f"{len(elements)} elements but {len(bounds)} bounds")
+    mods = group.invariant_factors
+    for v in itertools.product(*(range(b + 1) for b in bounds)):
+        if any(v) and not any(
+            sum(k * e[i] for k, e in zip(v, elements)) % d for i, d in enumerate(mods)
+        ):
+            yield v
+
+
 def is_minimal_zero_sum(group: GroupSpec, ordering: ClassOrdering, tau) -> bool:
     """Is tau a zero-sum class distribution with no proper nonempty zero-sum
     sub-vector?
 
-    Works directly from the definition with coordinate arithmetic, so it can
+    Works directly from the definition (``zero_sum_vectors``), so it can
     serve as an oracle for the DFS enumeration.  Empty tau is rejected.
     """
     t = tuple(tau.t) if isinstance(tau, TypeVector) else tuple(tau)
@@ -192,23 +210,7 @@ def is_minimal_zero_sum(group: GroupSpec, ordering: ClassOrdering, tau) -> bool:
         raise DomainError("type vector entries must be nonnegative")
     if sum(t) == 0:
         raise DomainError("type vector must have positive length")
-    mods = group.invariant_factors
-    elems = ordering.elements
-
-    def weighted_sum(vec):
-        return tuple(
-            sum(v * e[k] for v, e in zip(vec, elems)) % d
-            for k, d in enumerate(mods)
-        )
-
-    if any(weighted_sum(t)):
-        return False
-    for s in itertools.product(*(range(v + 1) for v in t)):
-        if not any(s) or s == t:
-            continue
-        if not any(weighted_sum(s)):
-            return False
-    return True
+    return list(zero_sum_vectors(group, ordering.elements, t)) == [t]
 
 
 def enumerate_types(group: GroupSpec) -> frozenset[TypeVector]:
@@ -254,7 +256,7 @@ def enumerate_types(group: GroupSpec) -> frozenset[TypeVector]:
 def davenport_constant(group: GroupSpec) -> int:
     """Least D such that every length-D class sequence has a nonempty zero-sum
     subsequence; equals the maximal type length."""
-    return max(tv.length for tv in enumerate_types(group))
+    return structural_constants(group).davenport
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,9 @@ from .abelian import (
     TypeVector,
     canonical_ordering,
     structural_constants,
+    zero_sum_vectors,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, as_int
 from .quadratic import (
     FieldSpec,
     SiteColumns,
@@ -228,6 +229,7 @@ def make_factorization(system: SiteSystem, entries) -> Factorization:
     norm = 1
     cls = system.ordering.identity
     for site_id, exp in sorted(entries):
+        site_id, exp = as_int(site_id, "site id"), as_int(exp, "exponent")
         if exp < 1:
             raise DomainError("exponents must be >= 1")
         if not 0 <= site_id < len(system.sites):
@@ -302,33 +304,21 @@ def nu_bruteforce(fact: Factorization, ordering: ClassOrdering) -> int:
     """Oracle: enumerate every sub-multiset, keep the principal ones with no
     principal proper nonempty sub-multiset, count them.
 
-    Uses coordinate arithmetic directly (no shared operation table with the
-    exact path).
+    Uses ``zero_sum_vectors``'s coordinate arithmetic (no shared operation
+    table with the exact path).
     """
     big_omega = sum(en.exponent for en in fact.entries)
     if big_omega > BRUTE_OMEGA_BOUND:
         raise ResourceLimitError(
             f"Omega={big_omega} exceeds the brute-force bound {BRUTE_OMEGA_BOUND}"
         )
-    mods = ordering.group.invariant_factors
     classes = [ordering.elements[en.class_index - 1] for en in fact.entries]
     exps = [en.exponent for en in fact.entries]
-
-    zero_sum = []
-    for combo in itertools.product(*(range(e + 1) for e in exps)):
-        if not any(combo):
-            continue
-        total = tuple(
-            sum(k * cl[i] for k, cl in zip(combo, classes)) % d
-            for i, d in enumerate(mods)
-        )
-        if not any(total):
-            zero_sum.append(combo)
-    count = 0
-    for v in zero_sum:
-        if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in zero_sum):
-            count += 1
-    return count
+    zero_sum = list(zero_sum_vectors(ordering.group, classes, exps))
+    return sum(
+        not any(w != v and all(a <= b for a, b in zip(w, v)) for w in zero_sum)
+        for v in zero_sum
+    )
 
 
 def _squarefull_divisor_sum(s_entries, t, u_counts) -> int:
@@ -407,19 +397,11 @@ def delta_exact(fact: Factorization, ordering: ClassOrdering) -> int:
 
 
 def delta_bruteforce(fact: Factorization, ordering: ClassOrdering) -> int:
-    """Oracle for delta_exact: walk every divisor exponent vector."""
-    mods = ordering.group.invariant_factors
+    """Oracle for delta_exact: walk every divisor exponent vector.  The 1
+    is the unit ideal, the empty divisor."""
     classes = [ordering.elements[en.class_index - 1] for en in fact.entries]
     exps = [en.exponent for en in fact.entries]
-    count = 0
-    for combo in itertools.product(*(range(e + 1) for e in exps)):
-        total = tuple(
-            sum(k * cl[i] for k, cl in zip(combo, classes)) % d
-            for i, d in enumerate(mods)
-        )
-        if not any(total):
-            count += 1
-    return count
+    return 1 + sum(1 for _ in zero_sum_vectors(ordering.group, classes, exps))
 
 
 def delta_lower_bound(record, h: int) -> int:
@@ -454,6 +436,7 @@ def is_irreducible(fact: Factorization, sc: StructuralConstants) -> bool:
 
 
 def _check_bound(system: SiteSystem, x: int):
+    as_int(x, "norm bound")
     if x < 1:
         raise DomainError("norm bound must be >= 1")
     if x > system.limit:
@@ -651,7 +634,7 @@ class Sweep:
 
 
 def _normalize_descriptor(desc) -> tuple[tuple[int, int], ...]:
-    out = tuple(sorted((int(s), int(e)) for s, e in desc))
+    out = tuple(sorted((as_int(s, "descriptor site id"), as_int(e, "exponent")) for s, e in desc))
     if any(e < 1 for _, e in out):
         raise DomainError("descriptor exponents must be >= 1")
     ids = [s for s, _ in out]
@@ -1083,7 +1066,7 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
     if checkpoints is None:
         cps = (x,)
     else:
-        cps = tuple(sorted(set(int(c) for c in checkpoints) | {x}))
+        cps = tuple(sorted(set(as_int(c, "checkpoint") for c in checkpoints) | {x}))
         if any(c < 1 or c > x for c in cps):
             raise DomainError("checkpoints must lie in [1, x]")
     descs = tuple(_normalize_descriptor(d) for d in g_descriptors)

@@ -39,8 +39,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .abelian import ClassOrdering, GroupSpec, _factorize, canonical_ordering
-from .errors import DomainError, ResourceLimitError
+from .abelian import ClassOrdering, GroupSpec, _factorize, canonical_ordering, group_from_orders
+from .errors import DomainError, ResourceLimitError, as_int
 from .primes import is_prime, kronecker_prime, kronecker_primes, prime_array, sqrt_mod_primes
 
 MAX_DISCRIMINANT = 10**7
@@ -150,8 +150,7 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
 
 
 def form_pow(f: QuadForm, n: int, identity: QuadForm) -> QuadForm:
-    if n < 0:
-        return form_pow(f.inverse(), -n, identity)
+    """f composed with itself n >= 0 times."""
     out = identity
     base = f
     while n:
@@ -387,15 +386,8 @@ def _group_structure(forms, identity):
         coords_all = {f: coords_sylow[projection[f]] for f in forms}
         sylow_data.append((p, targets, coords_all))
 
-    rank = max(len(t) for _, t, _ in sylow_data)
-    descending = []
-    for j in range(rank):
-        dj = 1
-        for p, targets, _ in sylow_data:
-            if j < len(targets):
-                dj *= p ** targets[j]
-        descending.append(dj)
-    group = GroupSpec(tuple(reversed(descending)))
+    group = group_from_orders(p**t for p, targets, _ in sylow_data for t in targets)
+    rank = len(group.invariant_factors)
 
     coordinates = {}
     for f in forms:
@@ -613,7 +605,7 @@ def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     inverse, if a form reduces outside the class table, or if two primes of
     one residue mod |disc| reduce to different classes on that path.
     """
-    if limit < 2:
+    if as_int(limit, "site norm bound") < 2:
         raise DomainError("site stream needs limit >= 2")
     if limit > MAX_SITE_NORM:
         raise ResourceLimitError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import GroupSpec
-from .errors import DomainError
+from .errors import DomainError, as_int
 from .primes import prime_array
 from .quadratic import SYNTHETIC, SiteColumns
 
@@ -62,7 +62,7 @@ def synth_sites(model: SynthModel, limit: int) -> SiteColumns:
     label); iterating it yields ``PrimeSite``s, whose p is the norm and
     whose conjugate is the site itself.
     """
-    if limit < 2:
+    if as_int(limit, "site norm bound") < 2:
         raise DomainError("site stream needs limit >= 2")
     p = prime_array(limit)
     return SiteColumns(p, np.full(p.size, SYNTHETIC, dtype=np.int8), _labels(model, p.size))

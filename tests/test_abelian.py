@@ -1,7 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irrcensus.abelian import (
     GroupSpec,
@@ -14,10 +16,17 @@ from irrcensus.abelian import (
     is_minimal_zero_sum,
     structural_constants,
     trivial_group,
+    zero_sum_vectors,
 )
 from irrcensus.errors import DomainError, ResourceLimitError
 
-from helpers import davenport_by_sequence_search, types_by_bruteforce
+from helpers import (
+    davenport_by_sequence_search,
+    elements_of,
+    is_zero,
+    multiset_sum,
+    types_by_bruteforce,
+)
 
 
 def types_as_tuples(group):
@@ -31,8 +40,20 @@ def test_group_spec_validation():
         GroupSpec((4, 2))
     with pytest.raises(DomainError):
         GroupSpec((2, 3))
+    with pytest.raises(DomainError):
+        cyclic_group(0)
+    with pytest.raises(DomainError):
+        group_from_orders((2, 0))
     assert GroupSpec((2, 4)).h == 8
     assert trivial_group().h == 1
+
+
+@pytest.mark.parametrize("make", [GroupSpec, group_from_orders])
+def test_non_integral_orders_are_refused(make):
+    # int() would truncate 2.5 to 2 and build Z/2
+    with pytest.raises(DomainError, match=r"must be an integer, got 2\.5"):
+        make((2.5,))
+    assert make((2,)).invariant_factors == (2,)
 
 
 def test_group_from_orders_normalizes():
@@ -67,6 +88,46 @@ def test_is_minimal_zero_sum_z2():
         is_minimal_zero_sum(g, ordering, (0, 0))
     with pytest.raises(DomainError):
         is_minimal_zero_sum(g, ordering, (1, 0, 0))
+    with pytest.raises(DomainError):
+        is_minimal_zero_sum(g, ordering, (-1, 2))
+
+
+_SMALL_GROUPS = [
+    trivial_group(),
+    cyclic_group(2),
+    cyclic_group(3),
+    cyclic_group(4),
+    GroupSpec((2, 2)),
+    GroupSpec((2, 4)),
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), group=st.sampled_from(_SMALL_GROUPS))
+def test_zero_sum_vectors_match_multiset_sums(data, group):
+    mods = group.invariant_factors
+    elements = data.draw(st.lists(st.sampled_from(elements_of(group)), max_size=5), label="elements")
+    bounds = data.draw(
+        st.lists(st.integers(0, 3), min_size=len(elements), max_size=len(elements)), label="bounds"
+    )
+    # every sub-vector, expanded to its multiset of group elements
+    expected = [
+        v
+        for v in itertools.product(*(range(b + 1) for b in bounds))
+        if any(v) and is_zero(multiset_sum(mods, [e for e, k in zip(elements, v) for _ in range(k)]))
+    ]
+    assert list(zero_sum_vectors(group, elements, bounds)) == expected
+
+
+@pytest.mark.parametrize("group", [trivial_group(), GroupSpec((2, 4))])
+def test_zero_sum_vectors_of_empty_and_zero_bounds(group):
+    elements = elements_of(group)
+    assert list(zero_sum_vectors(group, [], [])) == []
+    assert list(zero_sum_vectors(group, elements, [0] * group.h)) == []
+    # one copy of each element: the identity alone is a zero sum
+    assert (1,) + (0,) * (group.h - 1) in zero_sum_vectors(group, elements, [1] * group.h)
+    with pytest.raises(DomainError, match="bounds"):
+        list(zero_sum_vectors(group, elements, [1] * (group.h + 1)))
 
 
 def test_enumerate_types_examples():

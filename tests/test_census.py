@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import re
 from array import array
 import tracemalloc
 from bisect import bisect_right
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irrcensus import census, cli, stats
-from irrcensus.abelian import TypeVector
+from irrcensus.abelian import TypeVector, structural_constants
 from irrcensus.errors import DomainError, ResourceLimitError
 from irrcensus.quadratic import SiteColumns
 from irrcensus.synth import SynthModel
@@ -1131,11 +1132,53 @@ def test_make_factorization_validation(sys5):
     assert fact.norm == 6
 
 
+# entry point -> (a call with one non-integral argument, that argument's repr);
+# int() would truncate each value, or a numpy call deep inside would fail
+_NON_INTEGRAL = {
+    "sweep x": (lambda s: census.sweep(s, 1e4), "10000.0"),
+    "sweep checkpoint": (lambda s: census.sweep(s, 10**4, checkpoints=[2500.5]), "2500.5"),
+    "sweep descriptor": (lambda s: census.sweep(s, 10**4, g_descriptors=(((0, 1.5),),)), "1.5"),
+    "census_rows x": (lambda s: census.census_rows(s, 1e3), "1000.0"),
+    "for_field limit": (lambda s: census.for_field(-5, 1e4), "10000.0"),
+    "for_synth limit": (lambda s: census.for_synth(SynthModel(cyclic_group(3), 1), 1e4), "10000.0"),
+    "make_factorization": (lambda s: census.make_factorization(s, [(0, 1.5)]), "1.5"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_NON_INTEGRAL))
+def test_non_integral_inputs_are_refused(sys5, key):
+    call, value = _NON_INTEGRAL[key]
+    with pytest.raises(DomainError, match=f"must be an integer, got {re.escape(value)}$"):
+        call(sys5)
+
+
+def test_sweep_refuses_checkpoints_it_cannot_honour(sys5):
+    swp = census.sweep(sys5, 1000, checkpoints=[100])
+    with pytest.raises(DomainError, match="is not a sweep checkpoint"):
+        swp.at(500)
+    for cp in (0, 1001):
+        with pytest.raises(DomainError, match=r"checkpoints must lie in \[1, x\]"):
+            census.sweep(sys5, 1000, checkpoints=[cp])
+
+
+def test_nu_refuses_a_class_outside_the_group(sys5):
+    # site 2 lies in class 2 of Z/2; read against the trivial group it does not fit
+    fact = census.make_factorization(sys5, [(2, 1)])
+    sc = structural_constants(trivial_group())
+    for nu in (census.nu_exact, census.nu_squarefull_formula):
+        with pytest.raises(DomainError, match="does not fit group of order 1"):
+            nu(fact, sc)
+
+
 def test_sweep_rejects_descriptor_site_out_of_range(sys5):
     # site -1 would alias the last site in a lookup but is never walked
     for site_id in (-1, len(sys5.sites)):
         with pytest.raises(DomainError):
             census.sweep(sys5, 100, g_descriptors=(((site_id, 1),),))
+    with pytest.raises(DomainError, match="exponents must be >= 1"):
+        census.sweep(sys5, 100, g_descriptors=(((0, 0),),))
+    with pytest.raises(DomainError, match="must be distinct"):
+        census.sweep(sys5, 100, g_descriptors=(((0, 1), (0, 2)),))
 
 
 def test_x_beyond_limit_rejected(sys5):

@@ -65,6 +65,8 @@ def test_parse_synth_requires_seed():
 def test_main_usage_error_exit_code(capsys):
     assert cli.main(["census", "--field", "-5"]) == 2
     assert "usage error" in capsys.readouterr().err
+    assert cli.main([]) == 2
+    assert "a subcommand is required" in capsys.readouterr().err
 
 
 def test_main_domain_error_exit_code(capsys):
@@ -228,6 +230,19 @@ def test_ek_writes_report_and_histogram(tmp_path):
     assert payload["constants"]["B_squared"] == "1/8"
     hist = (tmp_path / "rpt.hist.csv").read_text()
     assert hist.startswith("bin_low,bin_high,count")
+
+
+def test_ek_histogram_path_without_json_suffix(tmp_path):
+    # only a .json suffix is replaced; any other name gets .hist.csv appended
+    base = ["ek", "--field", "-5", "--x", "10000", "--out"]
+    assert cli.main(base + [str(tmp_path / "rpt.json")]) == 0
+    assert cli.main(base + [str(tmp_path / "rpt.txt")]) == 0
+    assert (tmp_path / "rpt.txt").read_bytes() == (tmp_path / "rpt.json").read_bytes()
+    hist = (tmp_path / "rpt.txt.hist.csv").read_bytes()
+    assert hist == (tmp_path / "rpt.hist.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rpt.hist.csv", "rpt.json", "rpt.txt", "rpt.txt.hist.csv"
+    ]
 
 
 def test_ek_deterministic(tmp_path):

@@ -362,6 +362,11 @@ SITES_GOLDEN = {
     -14: (2 * 10**5, 17940, "4b4f17ef7a7cc2af7c6e65d64553e8c1605896a14d5914db5d49876ce4c577a3"),
     -23: (2 * 10**5, 17974, "8ef1944e30a4ff61c4d52442b29687a1f4a351a3f7bc3e8408c80ac65567bb1a"),
     -30: (2 * 10**5, 17943, "07794aee0d94138f564baa597c2c8ba87c1ad950ca38f31c259bce9c035a2710"),
+    # mixed groups: the CRT step combines two Sylow subgroups (Z/6, Z/10),
+    # and an order-4 factor sits beside an order-2 one (Z/2 x Z/4)
+    -26: (2 * 10**5, 17932, "8aac5549cc3fc4fc6d8b51c72f417c1b0c15548f1cab0e986bf29a96af4671ac"),
+    -65: (2 * 10**5, 17955, "2fba6b51c6df8f6c4d2dbac081a56616b0346ff9e1c048744bc15aee8735b53d"),
+    -119: (2 * 10**5, 18034, "8c20f727fed3a21ea92f6ef9837f0fa21ef77cd45c2e75394e06a70fa3e6425c"),
     -1155: (2 * 10**5, 17887, "473c2501d3c44423dfa62fd47c45d609460e7c417cec95995f672ecc85982ff6"),
 }
 
@@ -688,6 +693,30 @@ def test_site_columns_are_read_only():
         cols.norm[0] = 1
     with pytest.raises(AttributeError):
         cols.norm = np.zeros(6, dtype=np.int64)
+
+
+def test_site_columns_refuse_unequal_lengths():
+    norm = np.array([2, 3, 5], dtype=np.int64)
+    for n_split, n_cls in ((2, 3), (3, 4)):
+        with pytest.raises(DomainError, match="equal lengths"):
+            SiteColumns(norm, np.zeros(n_split, dtype=np.int8), np.zeros(n_cls, dtype=np.uint8))
+
+
+def test_site_norm_bounds_refuse_before_allocating(monkeypatch):
+    cg = class_group(-5)
+
+    def allocate(*args):
+        raise AssertionError("the stream was built")
+
+    monkeypatch.setattr(quadratic, "_field_columns", allocate)
+    with pytest.raises(ResourceLimitError, match="memory budget"):
+        prime_sites_up_to(cg, quadratic.MAX_SITE_NORM + 1)
+    # a raised memory budget still stops where int64 site arithmetic ends
+    monkeypatch.setattr(quadratic, "MAX_SITE_NORM", 2 * quadratic._INT64_MAX_NORM)
+    with pytest.raises(ResourceLimitError, match="int64 site arithmetic"):
+        prime_sites_up_to(cg, quadratic._INT64_MAX_NORM + 1)
+    with pytest.raises(AssertionError, match="was built"):
+        prime_sites_up_to(cg, quadratic._INT64_MAX_NORM)
 
 
 def test_conjugate_and_order_checks_stay_loud(monkeypatch):

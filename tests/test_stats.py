@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +177,13 @@ def test_landau_small(sys5):
     assert devs[1] > devs[0]
 
 
+def test_landau_rejects_x_below_3(sys5):
+    for x in (2, 1, 0):
+        with pytest.raises(DomainError, match="needs x >= 3"):
+            stats.landau_check(sys5, x)
+    assert len(stats.landau_check(sys5, 3)) == 2
+
+
 def test_landau_rejects_x_beyond_stream_limit():
     # the sites above the limit are missing, so the sums would be short
     system = census.for_field(-5, 100)
@@ -203,6 +211,9 @@ def test_equidist_m1(sys5, sweep5):
     result = stats.equidist(sweep5.at(10**4), 1)
     assert result.deviation == 0.0
     assert result.counts == {0: result.n}
+    for m in (0, -2):
+        with pytest.raises(DomainError, match="modulus must be >= 1"):
+            stats.equidist(sweep5.at(10**4), m)
 
 
 def test_equidist_counts_sum(sys5, sweep5):
@@ -226,6 +237,16 @@ def test_histogram_conserves_mass(sys5, sweep5):
     csv_text = stats.histogram_csv(rows)
     assert csv_text.startswith("bin_low,bin_high,count\n")
     assert len(csv_text.strip().split("\n")) == 51
+
+
+def test_histogram_low_tail(sys5, sweep5):
+    # a centre far above every count standardizes all of them below HIST_LO
+    totals = sweep5.at(10**4)
+    sc = dataclasses.replace(sys5.constants, A=Fraction(100))
+    assert max(stats.standardize(nu, sc, totals.x) for nu in totals.nu_counts) < stats.HIST_LO
+    rows = stats.histogram(totals, sc)
+    assert rows[0] == ("-inf", stats.HIST_LO, totals.n_principal)
+    assert all(cnt == 0 for *_, cnt in rows[1:])
 
 
 def test_report_roundtrip(sys5, sweep5):

@@ -5,6 +5,7 @@ import pytest
 
 from irrcensus import census, stats
 from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
+from irrcensus.errors import DomainError
 from irrcensus.primes import is_prime
 from irrcensus.synth import SynthModel, _label, splitmix64, synth_sites
 
@@ -55,6 +56,14 @@ def test_synth_columns_match_scalar_labels(seed):
     got = [(s.id, s.p, s.norm, s.splitting, s.class_index, s.conjugate_id)
            for s in synth_sites(model, limit)]
     assert got == expected
+
+
+def test_synth_sites_refuse_a_limit_below_2():
+    model = SynthModel(group=cyclic_group(3), seed=1)
+    for limit in (1, 0, -5):
+        with pytest.raises(DomainError, match="limit >= 2"):
+            synth_sites(model, limit)
+    assert len(synth_sites(model, 2)) == 1
 
 
 def test_trivial_group_all_class_one():
