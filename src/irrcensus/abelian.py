@@ -168,7 +168,7 @@ class TypeVector:
     t: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "t", tuple(int(v) for v in self.t))
+        object.__setattr__(self, "t", tuple(as_int(v, "type component") for v in self.t))
 
     @property
     def length(self) -> int:

@@ -1,6 +1,10 @@
 """Prime generation and basic modular helpers.
 
-One segmented sieve produces the primes; the scalar helpers (``is_prime``,
+One segmented sieve produces the primes.  It sieves the odd numbers only,
+and each segment starts from a tiled pattern with the multiples of 3, 5, 7,
+11 and 13 already crossed off, so only the base primes from 17 on cross
+off in Python: half the mask of a sieve on every integer, and about a
+quarter of its writes.  The scalar helpers (``is_prime``,
 ``kronecker_prime``, ``sqrt_mod_prime``) serve single primes, and their
 array counterparts (``kronecker_primes``, ``sqrt_mod_primes``, both on
 ``pow_mod``) serve whole prime columns at once.  The array helpers spend
@@ -23,30 +27,55 @@ import numpy as np
 from .abelian import _factorize
 from .errors import DomainError
 
-SEGMENT_SIZE = 1 << 20
+SEGMENT_SIZE = 1 << 21
+
+# the odd numbers 2k + 1 are sieved by their index k; _WHEEL_PATTERN[k] says
+# whether 2k + 1 is prime to every wheel prime q, that is k != q // 2
+# (mod q), and it repeats with the period 3 * 5 * 7 * 11 * 13 = 15015 in k
+_WHEEL = (3, 5, 7, 11, 13)
+_WHEEL_PATTERN = np.logical_and.reduce(
+    [np.arange(math.prod(_WHEEL)) % q != q // 2 for q in _WHEEL]
+)
 
 
 def prime_segments(limit: int) -> Iterator[np.ndarray]:
     """Primes <= limit as ascending int64 arrays, one per sieve segment.
 
-    Each segment of ``SEGMENT_SIZE`` integers is crossed off by the base
-    primes <= isqrt(limit), which come from this same sieve one level down,
-    so memory stays O(SEGMENT_SIZE + sqrt(limit)).
+    A segmented sieve of Eratosthenes (Bays and Hudson, BIT 17, 1977) on
+    the odd numbers only.  Each segment covers ``SEGMENT_SIZE`` integers,
+    so half as many odd ones, and starts as a slice of the tiled
+    ``_WHEEL_PATTERN``, with the multiples of 3 to 13 already crossed off;
+    each base prime from 17 to isqrt(limit) then crosses off its odd
+    multiples from its square on, one strided write per segment.  The base
+    primes come from this same sieve one level down, so memory stays
+    O(SEGMENT_SIZE + sqrt(limit)).
     """
     if limit < 2:
         return
-    base = prime_array(math.isqrt(limit)).tolist()
-    for low in range(0, limit + 1, SEGMENT_SIZE):
-        high = min(low + SEGMENT_SIZE - 1, limit)
-        mask = np.ones(high - low + 1, dtype=bool)
-        if low == 0:
-            mask[:2] = False
-        for p in base:
-            if p * p > high:
-                break
-            start = max(p * p, -(-low // p) * p)
-            mask[start - low :: p] = False
-        yield (np.flatnonzero(mask) + low).astype(np.int64, copy=False)
+    n_odd = (limit + 1) // 2  # the odd numbers 1, 3, ..., up to limit
+    half = max(SEGMENT_SIZE // 2, 1)
+    period = _WHEEL_PATTERN.size
+    tiled = np.tile(_WHEEL_PATTERN, -(-(min(half, n_odd) + period) // period))
+    base = prime_array(math.isqrt(limit))
+    base = base[base > _WHEEL[-1]]
+    # the index of p^2, where p starts crossing off, and the index of p
+    first, offset = base * base // 2, base // 2
+    for k in range(0, n_odd, half):
+        size = min(half, n_odd - k)
+        mask = tiled[k % period : k % period + size].copy()
+        if 2 * k < _WHEEL[-1]:
+            # 1 is no prime, and the pattern crossed off each wheel prime
+            for v in (1,) + _WHEEL:
+                if k <= v // 2 < k + size:
+                    mask[v // 2 - k] = v > 1
+        n = int(np.searchsorted(first, k + size))
+        starts = np.maximum(first[:n] - k, (offset[:n] - k) % base[:n])
+        for start, p in zip(starts.tolist(), base[:n].tolist()):
+            mask[start::p] = False
+        out = np.flatnonzero(mask)
+        out *= 2
+        out += 2 * k + 1
+        yield np.concatenate(([2], out)) if k == 0 else out
 
 
 def prime_array(limit: int) -> np.ndarray:

@@ -6,20 +6,23 @@ composition, principality of an ideal is decidable by form reduction, the
 unit group is finite, and the regulator is 1.
 
 The prime-site stream is built in one vectorized pass over an int64 prime
-array (Cohen, GTM 138, ch. 1 and 5): the Kronecker symbol as a product of
-genus characters finds the ramified and split primes, square roots mod p
-by p mod 8 (a^((p+1)/4), Atkin's root, or Tonelli-Shanks with a
-reciprocity-table non-residue) give the split primes' forms, and a masked
-reduction loop the class of each site's form.  When every class has order
-at most 2 (all invariant factors 2, or h = 1), each genus is one class, so
-a split prime's class is a function of p mod |disc| (genus theory): it is
-read from a table filled by reducing the first prime of each residue, and
-the second prime of each residue is reduced as a check.  The result is a
-``SiteColumns`` of norms, splitting codes and 0-based classes that derives
-p, class_index and conjugate_id where they are printed; it has no random
-access, and iterating it builds ``PrimeSite``s a chunk at a time.  The
-scalar helpers (``splitting_type``, ``sqrt_mod_prime``, ``reduce_form``)
-are the per-prime reference of the tests.
+array (Cohen, GTM 138, ch. 1 and 5).  The Kronecker symbol (disc/p) is a
+character mod |disc|, so it is read from a table over r = p mod |disc|,
+filled from the first prime of each residue by ``kronecker_primes`` (a
+product of genus characters) and checked on the second; it finds the
+ramified and split primes.  Square roots mod p by p mod 8 (a^((p+1)/4),
+Atkin's root, or Tonelli-Shanks with a reciprocity-table non-residue) give
+the split primes' forms, and a masked reduction loop the class of each
+site's form.  When every class has order at most 2 (all invariant factors
+2, or h = 1), each genus is one class, so a split prime's class is a
+function of r too (genus theory): a second table over r takes it from
+reducing the first prime of each split residue, and the second prime of
+each residue is reduced as a check.  The result is a ``SiteColumns`` of
+norms, splitting codes and 0-based classes that derives p, class_index and
+conjugate_id where they are printed; it has no random access, and
+iterating it builds ``PrimeSite``s a chunk at a time.  The scalar helpers
+(``splitting_type``, ``sqrt_mod_prime``, ``reduce_form``) are the per-prime
+reference of the tests.
 
 ``write_int_csv`` is the CSV kernel of ``sites_to_csv`` and of the census.
 It formats int64 columns with one ``//`` per digit on whole columns, keeps
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -44,9 +48,14 @@ from .errors import DomainError, ResourceLimitError, as_int
 from .primes import is_prime, kronecker_prime, kronecker_primes, prime_array, sqrt_mod_primes
 
 MAX_DISCRIMINANT = 10**7
-MAX_SITE_NORM = 10**8
 # b < 2p and p^2 stay below 2**63 in the int64 site columns
 _INT64_MAX_NORM = 2**30
+#: Peak bytes per site of building a site stream, measured with tracemalloc
+#: at x = 1e7 and 1e8: 66 where every split prime's forms are reduced (34 on
+#: the residue-table path), and the 16 of the class tables that the sweep
+#: adds.
+BUILD_BYTES_PER_SITE = 66
+CLASS_TABLE_BYTES_PER_SITE = 16
 
 
 @dataclass(frozen=True)
@@ -276,18 +285,18 @@ class ClassGroup:
         return principal_form(self.field.discriminant)
 
 
-def _validate_d(d: int):
+def _validate_d(d: int) -> int:
+    d = as_int(d, "d")
     if d >= 0:
         raise DomainError(f"d must be negative, got {d}")
     if any(e > 1 for e in _factorize(-d).values()):
         raise DomainError(f"d must be squarefree, got {d}")
+    return d
 
 
 def _crt(pairs) -> int:
     r, m = 0, 1
     for r2, m2 in pairs:
-        if m2 == 1:
-            continue
         t = (r2 - r) * pow(m % m2, -1, m2) % m2
         r += m * t
         m *= m2
@@ -412,7 +421,7 @@ def class_group(d: int) -> ClassGroup:
     composition group, and fixes the isomorphism onto canonical coordinates
     with the principal form at the identity.
     """
-    _validate_d(d)
+    d = _validate_d(d)
     disc = d if d % 4 == 1 else 4 * d
     if -disc > MAX_DISCRIMINANT:
         raise ResourceLimitError(
@@ -510,56 +519,78 @@ def _pair_classes(cg: ClassGroup, p, dtype) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _residue_classes(cg: ClassGroup, p, dtype) -> np.ndarray:
-    """0-based class of both sites above each split prime p, for a class
-    group in which every class has order at most 2 (``_two_elementary``).
+def _residues(p, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, first, second): r = p mod m for the ascending primes p, in the
+    smallest unsigned type that holds m - 1, and the positions of the
+    first and of the second prime of each residue that occurs, the second
+    where there is one.
 
-    Genus theory (Gauss, Disquisitiones 229-234; Cox, Primes of the Form
-    x^2 + ny^2, 3): the genus of a prime ideal above p is read off the genus
-    characters at p, which depend on p mod |disc| only, and the genera are
-    the cosets of Cl^2, which is trivial here.  So the class is a function
-    of r = p mod |disc|, and an order-2 class is its own inverse, so both
-    conjugates carry it.  A table of length |disc| takes the class of the
-    smallest prime of each residue that occurs, reduced with both roots by
-    ``_pair_classes``.  The next prime of each residue, where there is one,
-    is reduced too, and a class that differs from the table's raises
-    ``DomainError``: the rule is checked where it is used.
+    A prime that shares a factor with m divides it, so its residue occurs
+    once, and every prime above m is a unit mod m.  So a prefix of more
+    than m primes that holds two primes of each of the phi(m) unit
+    residues holds every first and second prime: the prefix starts at 16m
+    primes and doubles until it does, or until it is the whole stream.  A
+    stable sort of the prefix keeps a residue's primes ascending, and on
+    r's type it is a radix sort.
     """
-    m = -cg.field.discriminant
-    r = p % m
-    # the positions of the first two primes of each residue: a stable sort
-    # keeps a residue's primes ascending, and on the smallest dtype that
-    # holds r it is a radix sort
-    order = np.argsort(r.astype(np.min_scalar_type(m - 1)), kind="stable")
-    start = np.flatnonzero(np.diff(r[order], prepend=-1))
-    runs = np.diff(start, append=p.size)
-    first, second = order[start], order[start[runs > 1] + 1]
-    classes = _pair_classes(cg, p[np.concatenate((first, second))], dtype)[0]
-    table = np.zeros(m, dtype=dtype)
-    table[r[first]] = classes[: first.size]
-    bad = np.flatnonzero(classes[first.size :] != table[r[second]])
+    r = (p % m).astype(np.min_scalar_type(m - 1))
+    units = math.prod((q - 1) * q ** (e - 1) for q, e in _factorize(m).items())
+    k = min(r.size, 16 * m)
+    while True:
+        order = np.argsort(r[:k], kind="stable")
+        ordered = r[order]
+        starts = np.ones(k, dtype=bool)  # where a residue's run begins
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        start = np.flatnonzero(starts)
+        runs = np.diff(start, append=k)
+        if k == r.size or np.count_nonzero(runs > 1) == units:
+            return r, order[start], order[start[runs > 1] + 1]
+        k = min(2 * k, r.size)
+
+
+def _residue_table(values, p, m, residues, what: str) -> np.ndarray:
+    """The table t of length m with t[q mod m] = ``values``(q) for every
+    prime q of ``p`` whose residue ``residues`` names.
+
+    ``residues`` is (r, first, second) as ``_residues`` gives them, or a
+    part of its first and second positions.  The table takes the values
+    at the first prime of each residue, and the second prime of each
+    residue, where there is one, is evaluated too: a value that differs
+    from the table's raises ``DomainError`` naming ``what``, so the rule
+    that the value is a function of q mod m is checked where it is used.
+    """
+    r, first, second = residues
+    got = values(p[np.concatenate((first, second))])
+    table = np.zeros(m, dtype=got.dtype)
+    table[r[first]] = got[: first.size]
+    bad = np.flatnonzero(got[first.size :] != table[r[second]])
     if bad.size:
         q = int(p[second[bad[0]]])
         raise DomainError(
-            f"the class of p={q} differs from that of the first prime = {q % m} "
-            f"(mod {m}): the site class is not a function of p mod |disc|"
+            f"the {what} of p={q} differs from that of the first prime = {q % m} "
+            f"(mod {m}): it is not a function of p mod |disc|"
         )
-    return table[r]
+    return table
 
 
 def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     """The site columns of Q(sqrt(d)) up to norm ``limit``, sorted by (norm, b).
 
-    One pass over the prime array: the Kronecker symbol (disc/p), a product
-    of genus characters, marks the ramified (0) and split (1) primes.  A
-    split prime's two sites take the square roots b in [0, 2p) of disc mod
-    4p, and each site's class is that of the reduced form (p, b, (b^2 -
-    disc) / 4p), checked inverse within each pair (``_pair_classes``).
-    When every class has order at most 2, a split prime's class is a
-    function of p mod |disc| instead, read from a table that reduces at
-    most two primes per residue (``_residue_classes``); the ramified
-    primes, one per prime dividing disc, are reduced in either case.  An
-    inert prime p <= sqrt(limit) gives one principal site of norm p^2.
+    One pass reads r = p mod |disc| for every prime p (``_residues``), and
+    the Kronecker symbol (disc/p), a character mod |disc| for a
+    fundamental discriminant (Davenport, Multiplicative Number Theory,
+    ch. 5), is read from a table over r (``_residue_table``): it marks
+    the ramified (0) and split (1) primes.  A split prime's two sites take
+    the square roots b in [0, 2p) of disc mod 4p, and each site's class is
+    that of the reduced form (p, b, (b^2 - disc) / 4p), checked inverse
+    within each pair (``_pair_classes``).  When every class has order at
+    most 2, a split prime's class is a function of r instead (genus
+    theory: Gauss, Disquisitiones 229-234; Cox, Primes of the Form x^2 +
+    ny^2, 3), and an order-2 class is its own inverse, so both sites carry
+    the class of a second table over r, which reduces at most two primes
+    per split residue.  The ramified primes, one per prime dividing disc,
+    are reduced in either case.  An inert prime p <= sqrt(limit) gives one
+    principal site of norm p^2.
 
     The columns are filled in place, each split prime's two sites side by
     side with the smaller b first, then the ramified and the inert sites,
@@ -568,28 +599,62 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     so the stable sort gives the (norm, b) order.
     """
     disc = cg.field.discriminant
+    dtype = np.min_scalar_type(cg.field.h - 1)
     p = prime_array(limit)
-    kron = kronecker_primes(disc, p)
-    p_split, p_ram = p[kron == 1], p[kron == 0]
-    p_inert = p[(kron < 0) & (p <= math.isqrt(limit))]
-    del p, kron
+    r, first, second = _residues(p, -disc)
+    kron = _residue_table(
+        lambda q: kronecker_primes(disc, q), p, -disc, (r, first, second), "Kronecker symbol"
+    )[r]
+    # positions, not a mask: a gather is cheaper than a boolean index that
+    # takes about half of the primes
+    split = np.flatnonzero(kron == 1)
+    p_split, p_ram = p[split], p[kron == 0]
+    small = np.searchsorted(p, math.isqrt(limit), side="right")
+    p_inert = p[:small][kron[:small] < 0]
+    pair = None
+    if _two_elementary(cg):
+        residues = (r, first[kron[first] == 1], second[kron[second] == 1])
+        classes = _residue_table(
+            lambda q: _pair_classes(cg, q, dtype)[0], p, -disc, residues, "class"
+        )[r[split]]
+        pair = classes, classes
+    del p, r, kron, split
     n2 = 2 * p_split.size
     n_forms = n2 + p_ram.size
     norm = np.empty(n_forms + p_inert.size, dtype=np.int64)
     norm[0:n2:2] = norm[1:n2:2] = p_split
     norm[n2:n_forms], norm[n_forms:] = p_ram, p_inert * p_inert
-    cls = np.zeros(norm.size, dtype=np.min_scalar_type(cg.field.h - 1))
-    if _two_elementary(cg):
-        cls[0:n2:2] = cls[1:n2:2] = _residue_classes(cg, p_split, cls.dtype)
-    else:
-        cls[0:n2:2], cls[1:n2:2] = _pair_classes(cg, p_split, cls.dtype)
+    cls = np.zeros(norm.size, dtype=dtype)
+    cls[0:n2:2], cls[1:n2:2] = pair or _pair_classes(cg, p_split, dtype)
     b_ram = np.where(p_ram == 2, 0 if disc % 8 == 0 else 2, p_ram if disc % 2 else 0)
-    cls[n2:n_forms] = _form_classes(cg, p_ram, b_ram, cls.dtype)
+    cls[n2:n_forms] = _form_classes(cg, p_ram, b_ram, dtype)
     splitting = np.repeat(
         np.array([SPLIT, RAMIFIED, INERT], dtype=np.int8), (n2, p_ram.size, p_inert.size)
     )
     order = np.argsort(norm, kind="stable")
     return SiteColumns(norm[order], splitting[order], cls[order])
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_site_memory(limit: int) -> None:
+    """Refuse a site stream to norm ``limit`` before anything is allocated:
+    a ``DomainError`` below 2, and a ``ResourceLimitError`` where its
+    estimated bytes exceed the physical memory.  The estimate takes
+    pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, 1962) sites, each at
+    ``BUILD_BYTES_PER_SITE`` plus ``CLASS_TABLE_BYTES_PER_SITE``."""
+    if as_int(limit, "site norm bound") < 2:
+        raise DomainError("site stream needs limit >= 2")
+    sites = 1.25506 * limit / math.log(limit)
+    need = math.ceil(sites * (BUILD_BYTES_PER_SITE + CLASS_TABLE_BYTES_PER_SITE))
+    have = _physical_memory()
+    if need > have:
+        raise ResourceLimitError(
+            f"site norm bound {limit} needs about {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
 
 
 def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
@@ -600,17 +665,16 @@ def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     The two sites above a split prime carry inverse classes; which
     conjugate gets the smaller id is fixed by the smaller square root b in
     [0, 2p).  When every class has order at most 2, both carry the same
-    class, found from p mod |disc| by a table of reduced representatives
-    (``_residue_classes``), and the b order is unobservable.  Raises ``DomainError`` if a pair's classes are not
-    inverse, if a form reduces outside the class table, or if two primes of
-    one residue mod |disc| reduce to different classes on that path.
+    class, read from p mod |disc| in a table of reduced representatives
+    (``_residue_table``), and the b order is unobservable.  Raises
+    ``ResourceLimitError`` before any allocation where the stream would
+    not fit in memory (``check_site_memory``) or where int64 site
+    arithmetic ends, and ``DomainError`` if a pair's classes are not
+    inverse, if a form reduces outside the class table, or if two primes
+    of one residue mod |disc| differ in their Kronecker symbol, or on
+    that path in their class.
     """
-    if as_int(limit, "site norm bound") < 2:
-        raise DomainError("site stream needs limit >= 2")
-    if limit > MAX_SITE_NORM:
-        raise ResourceLimitError(
-            f"site norm bound {limit} exceeds the memory budget {MAX_SITE_NORM}"
-        )
+    check_site_memory(limit)
     if limit > _INT64_MAX_NORM:
         raise ResourceLimitError(
             f"site norm bound {limit} exceeds {_INT64_MAX_NORM}, where int64 site arithmetic ends"

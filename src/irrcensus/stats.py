@@ -21,7 +21,7 @@ import numpy as np
 
 from .abelian import StructuralConstants
 from .census import SiteSystem, Sweep, Totals, _check_bound
-from .errors import DomainError
+from .errors import DomainError, as_int
 
 HIST_LO = -6.0
 HIST_HI = 6.0
@@ -182,7 +182,7 @@ class EquidistResult:
 
 def equidist(totals: Totals, m: int) -> EquidistResult:
     """Residue-class counts of the irreducible-divisor count mod m."""
-    if m < 1:
+    if as_int(m, "modulus") < 1:
         raise DomainError("modulus must be >= 1")
     counts = {a: 0 for a in range(m)}
     for nu, cnt in totals.nu_counts.items():

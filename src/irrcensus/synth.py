@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import GroupSpec
-from .errors import DomainError, as_int
 from .primes import prime_array
-from .quadratic import SYNTHETIC, SiteColumns
+from .quadratic import SYNTHETIC, SiteColumns, check_site_memory
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -62,7 +61,6 @@ def synth_sites(model: SynthModel, limit: int) -> SiteColumns:
     label); iterating it yields ``PrimeSite``s, whose p is the norm and
     whose conjugate is the site itself.
     """
-    if as_int(limit, "site norm bound") < 2:
-        raise DomainError("site stream needs limit >= 2")
+    check_site_memory(limit)
     p = prime_array(limit)
     return SiteColumns(p, np.full(p.size, SYNTHETIC, dtype=np.int8), _labels(model, p.size))

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from irrcensus import census, cli, stats
 from irrcensus.abelian import TypeVector, structural_constants
 from irrcensus.errors import DomainError, ResourceLimitError
-from irrcensus.quadratic import SiteColumns
+from irrcensus.quadratic import SiteColumns, class_group
 from irrcensus.synth import SynthModel
 from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
 
@@ -1142,6 +1142,9 @@ _NON_INTEGRAL = {
     "for_field limit": (lambda s: census.for_field(-5, 1e4), "10000.0"),
     "for_synth limit": (lambda s: census.for_synth(SynthModel(cyclic_group(3), 1), 1e4), "10000.0"),
     "make_factorization": (lambda s: census.make_factorization(s, [(0, 1.5)]), "1.5"),
+    "class_group d": (lambda s: class_group(-5.0), "-5.0"),
+    "equidist modulus": (lambda s: stats.equidist(census.sweep(s, 100).at(100), 2.5), "2.5"),
+    "TypeVector component": (lambda s: TypeVector((1.5, 0)), "1.5"),
 }
 
 

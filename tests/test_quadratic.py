@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irrcensus import census, primes, quadratic
+from irrcensus import census, primes, quadratic, synth
+from irrcensus.abelian import cyclic_group
 from irrcensus.errors import DomainError, ResourceLimitError
 from irrcensus.primes import (
     is_prime,
@@ -331,6 +332,22 @@ def test_site_columns_match_scalar_oracle(d, monkeypatch):
     assert list(cols) == expected
 
 
+@pytest.mark.parametrize("segment", [6, 1000])
+def test_prime_array_matches_is_prime_across_segments_and_the_wheel_period(segment, monkeypatch):
+    # 6 integers hold 3 odd ones, so 1 and the wheel primes 3..13 fall in
+    # different segments; with 1000 the segments start at every offset of
+    # the 15015-periodic wheel pattern and cross its period
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment)
+    limits = list(range(300))
+    if segment > 6:
+        limits += [15015 * k + e for k in (1, 2, 3) for e in range(-2, 3)]
+    expected = [p for p in range(max(limits) + 1) if is_prime(p)]
+    for limit in limits:
+        got = prime_array(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in expected if p <= limit], limit
+
+
 @pytest.mark.parametrize("d", [-5, -23, -7])
 def test_site_columns_at_merge_boundaries(d):
     # limits that end the stream exactly on a ramified prime, on a split
@@ -381,6 +398,19 @@ def test_sites_csv_golden_sha256(d):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+@pytest.mark.slow
+def test_site_columns_at_1e8_are_pinned():
+    # the d = -5 stream to 1e8: 5,761,963 sites, and the SHA-256 of its
+    # norm, splitting and class columns' bytes, in that order
+    cols = census.for_field(-5, 10**8).sites
+    assert len(cols) == 5761963
+    assert np.bincount(cols.cls).tolist() == [2880822, 2881141]
+    digest = hashlib.sha256()
+    for col in (cols.norm, cols.splitting, cols.cls):
+        digest.update(col.tobytes())
+    assert digest.hexdigest() == "8459159406444e49d25a9a0448103cfb2298363dd2ce8d24aa24522a1851bf2a"
+
+
 def _split_primes(cg, limit):
     p = prime_array(limit)
     return p[kronecker_primes(cg.field.discriminant, p) == 1]
@@ -419,8 +449,10 @@ def test_residue_rule_is_checked_where_a_class_has_order_above_two(d):
     # which the second prime of a residue shows
     cg = class_group(d)
     assert not quadratic._two_elementary(cg)
-    with pytest.raises(DomainError, match="not a function of p mod"):
-        quadratic._residue_classes(cg, _split_primes(cg, 10**4), np.uint8)
+    p, m = _split_primes(cg, 10**4), -cg.field.discriminant
+    classes = lambda q: quadratic._pair_classes(cg, q, np.uint8)[0]  # noqa: E731
+    with pytest.raises(DomainError, match="the class of p=.* not a function of p mod"):
+        quadratic._residue_table(classes, p, m, quadratic._residues(p, m), "class")
 
 
 def test_sites_csv_of_an_empty_stream_is_the_header():
@@ -660,20 +692,83 @@ def test_nonresidue_fallback_past_the_table(monkeypatch):
     _check_roots(a, p, sqrt_mod_primes(a, p))
 
 
-@pytest.mark.parametrize("disc", [
+_FUNDAMENTAL_DISCS = [
     -3, -23, -1155, -1000003, 5,  # 2-part 1
     -4, -20, -16004, 12,  # 2-part -4 (-16004 = -4 * 4001)
     -24, -56, 8,  # 2-part 8 (-24 = 8 * -3)
     -8, -40, -840, 24,  # 2-part -8 (24 = -8 * -3)
-])
-def test_kronecker_primes_match_scalar(disc):
+]
+
+
+def _primes_with_the_ramified(disc):
     # the ramified prime 1000003 lies past the sieve limit, so add it
     large = [1000003] if disc % 1000003 == 0 else []
-    p = np.concatenate((prime_array(3 * 10**4), np.array(large, dtype=np.int64)))
+    return np.concatenate((prime_array(3 * 10**4), np.array(large, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("disc", _FUNDAMENTAL_DISCS)
+def test_kronecker_primes_match_scalar(disc):
+    p = _primes_with_the_ramified(disc)
     got = kronecker_primes(disc, p)
     assert got.dtype == np.int8
     assert got.tolist() == [kronecker_prime(disc, q) for q in p.tolist()]
     assert {-1, 1} <= set(got.tolist())
+
+
+def _kronecker_table(disc, p):
+    m = abs(disc)
+    kron = lambda q: kronecker_primes(disc, q)  # noqa: E731
+    r, first, second = quadratic._residues(p, m)
+    return quadratic._residue_table(kron, p, m, (r, first, second), "Kronecker symbol")[r]
+
+
+@pytest.mark.parametrize("disc", _FUNDAMENTAL_DISCS)
+def test_kronecker_table_matches_scalar(disc):
+    # (disc / p) is a character mod |disc|: the table read at p mod |disc|
+    # gives every prime's symbol, the ramified ones included
+    p = _primes_with_the_ramified(disc)
+    got = _kronecker_table(disc, p)
+    assert got.dtype == np.int8
+    assert got.tolist() == [kronecker_prime(disc, q) for q in p.tolist()]
+
+
+def _first_two_by_residue(p, m):
+    first, second = {}, {}
+    for i, q in enumerate(p.tolist()):
+        if q % m in first:
+            second.setdefault(q % m, i)
+        first.setdefault(q % m, i)
+    return first, second
+
+
+@pytest.mark.parametrize("m", [3, 20, 4620, 10**6])
+def test_residues_find_the_first_two_primes_of_each_residue(m):
+    # the thinned stream keeps one prime = 1 (mod m) up to 200m, so for
+    # m = 3 and 20 the first prefix of 16m primes misses that residue's
+    # second prime and doubles; for 4620 (uint16 residues) and 10**6
+    # (uint32) the stream is shorter than 16m, and the prefix is all of it
+    p = prime_array(2 * 10**5)
+    ones = p[p % m == 1]
+    thinned = p[(p % m != 1) | np.isin(p, ones[:1]) | (p > 200 * m)]
+    for stream in (p, thinned):
+        r, first, second = quadratic._residues(stream, m)
+        assert r.dtype == np.min_scalar_type(m - 1) and r.tolist() == (stream % m).tolist()
+        want_first, want_second = _first_two_by_residue(stream, m)
+        assert sorted(first.tolist()) == sorted(want_first.values())
+        assert sorted(second.tolist()) == sorted(want_second.values())
+
+
+def test_a_wrong_kronecker_table_entry_is_refused(monkeypatch):
+    # the symbol at 29, the first prime = 9 (mod 20), is planted wrong; 89,
+    # the next prime of that residue, disagrees with the table
+    kronecker = quadratic.kronecker_primes
+
+    def planted(disc, q):
+        return np.where(q == 29, -kronecker(disc, q), kronecker(disc, q)).astype(np.int8)
+
+    monkeypatch.setattr(quadratic, "kronecker_primes", planted)
+    with pytest.raises(DomainError, match=r"Kronecker symbol of p=89 differs .* = 9 \(mod 20\)"):
+        prime_sites_up_to(class_group(-5), 100)
 
 
 @pytest.mark.parametrize("disc", [-12, -16, -36, 4, 0, -3 * 9 * 4])
@@ -709,10 +804,17 @@ def test_site_norm_bounds_refuse_before_allocating(monkeypatch):
         raise AssertionError("the stream was built")
 
     monkeypatch.setattr(quadratic, "_field_columns", allocate)
-    with pytest.raises(ResourceLimitError, match="memory budget"):
-        prime_sites_up_to(cg, quadratic.MAX_SITE_NORM + 1)
-    # a raised memory budget still stops where int64 site arithmetic ends
-    monkeypatch.setattr(quadratic, "MAX_SITE_NORM", 2 * quadratic._INT64_MAX_NORM)
+    monkeypatch.setattr(synth, "prime_array", allocate)
+    # pi(10**6) < 1.25506e6 / ln 1e6 = 90,844 sites at 82 bytes each
+    monkeypatch.setattr(quadratic, "_physical_memory", lambda: 7 * 10**6)
+    model = synth.SynthModel(cyclic_group(3), 1)
+    for build in (lambda x: prime_sites_up_to(cg, x), lambda x: synth.synth_sites(model, x)):
+        with pytest.raises(ResourceLimitError, match=r"about \d+ bytes, more than the 7000000"):
+            build(10**6)
+        with pytest.raises(AssertionError, match="was built"):
+            build(8 * 10**4)
+    # with memory to spare the stream still stops where int64 site arithmetic ends
+    monkeypatch.setattr(quadratic, "_physical_memory", lambda: 2**62)
     with pytest.raises(ResourceLimitError, match="int64 site arithmetic"):
         prime_sites_up_to(cg, quadratic._INT64_MAX_NORM + 1)
     with pytest.raises(AssertionError, match="was built"):
