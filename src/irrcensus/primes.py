@@ -53,7 +53,7 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
     if limit < 2:
         return
     n_odd = (limit + 1) // 2  # the odd numbers 1, 3, ..., up to limit
-    half = max(SEGMENT_SIZE // 2, 1)
+    half = SEGMENT_SIZE // 2
     period = _WHEEL_PATTERN.size
     tiled = np.tile(_WHEEL_PATTERN, -(-(min(half, n_odd) + period) // period))
     base = prime_array(math.isqrt(limit))

@@ -692,44 +692,29 @@ def test_nonresidue_fallback_past_the_table(monkeypatch):
     _check_roots(a, p, sqrt_mod_primes(a, p))
 
 
-_FUNDAMENTAL_DISCS = [
+@pytest.mark.parametrize("disc", [
     -3, -23, -1155, -1000003, 5,  # 2-part 1
     -4, -20, -16004, 12,  # 2-part -4 (-16004 = -4 * 4001)
     -24, -56, 8,  # 2-part 8 (-24 = 8 * -3)
     -8, -40, -840, 24,  # 2-part -8 (24 = -8 * -3)
-]
-
-
-def _primes_with_the_ramified(disc):
+])
+def test_kronecker_primes_match_scalar(disc):
     # the ramified prime 1000003 lies past the sieve limit, so add it
     large = [1000003] if disc % 1000003 == 0 else []
-    return np.concatenate((prime_array(3 * 10**4), np.array(large, dtype=np.int64)))
-
-
-@pytest.mark.parametrize("disc", _FUNDAMENTAL_DISCS)
-def test_kronecker_primes_match_scalar(disc):
-    p = _primes_with_the_ramified(disc)
+    p = np.concatenate((prime_array(3 * 10**4), np.array(large, dtype=np.int64)))
+    expected = [kronecker_prime(disc, q) for q in p.tolist()]
     got = kronecker_primes(disc, p)
     assert got.dtype == np.int8
-    assert got.tolist() == [kronecker_prime(disc, q) for q in p.tolist()]
-    assert {-1, 1} <= set(got.tolist())
-
-
-def _kronecker_table(disc, p):
+    assert got.tolist() == expected
+    assert {-1, 1} <= set(expected)
+    # (disc / p) is a character mod |disc|: the table filled at the first
+    # prime of each residue gives every prime's symbol, the ramified ones too
     m = abs(disc)
-    kron = lambda q: kronecker_primes(disc, q)  # noqa: E731
     r, first, second = quadratic._residues(p, m)
-    return quadratic._residue_table(kron, p, m, (r, first, second), "Kronecker symbol")[r]
-
-
-@pytest.mark.parametrize("disc", _FUNDAMENTAL_DISCS)
-def test_kronecker_table_matches_scalar(disc):
-    # (disc / p) is a character mod |disc|: the table read at p mod |disc|
-    # gives every prime's symbol, the ramified ones included
-    p = _primes_with_the_ramified(disc)
-    got = _kronecker_table(disc, p)
-    assert got.dtype == np.int8
-    assert got.tolist() == [kronecker_prime(disc, q) for q in p.tolist()]
+    kron = lambda q: kronecker_primes(disc, q)  # noqa: E731
+    table = quadratic._residue_table(kron, p, m, (r, first, second), "Kronecker symbol")
+    assert table.dtype == np.int8
+    assert table[r].tolist() == expected
 
 
 def _first_two_by_residue(p, m):
