@@ -8,16 +8,16 @@ unit group is finite, and the regulator is 1.
 The prime-site stream is built in one vectorized pass over an int64 prime
 array (Cohen, GTM 138, ch. 1 and 5).  The Kronecker symbol (disc/p) is a
 character mod |disc|, so it is read from a table over r = p mod |disc|,
-filled from the first prime of each residue by ``kronecker_primes`` (a
-product of genus characters) and checked on the second; it finds the
-ramified and split primes.  Square roots mod p by p mod 8 (a^((p+1)/4),
+filled by ``kronecker_primes`` (a product of genus characters) on a prefix
+of the primes that holds two of each residue, where the stream has them,
+and checked there; it finds the ramified and split primes.  Square roots mod p by p mod 8 (a^((p+1)/4),
 Atkin's root, or Tonelli-Shanks with a reciprocity-table non-residue) give
 the split primes' forms, and a masked reduction loop the class of each
 site's form.  When every class has order at most 2 (all invariant factors
 2, or h = 1), each genus is one class, so a split prime's class is a
 function of r too (genus theory): a second table over r takes it from
-reducing the first prime of each split residue, and the second prime of
-each residue is reduced as a check.  The result is a ``SiteColumns`` of
+reducing the split primes of the same prefix, checked the same way.  The
+result is a ``SiteColumns`` of
 norms, splitting codes and 0-based classes that derives p, class_index and
 conjugate_id where they are printed; it has no random access, and
 iterating it builds ``PrimeSite``s a chunk at a time.  The scalar helpers
@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import resource
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -51,10 +52,11 @@ MAX_DISCRIMINANT = 10**7
 # b < 2p and p^2 stay below 2**63 in the int64 site columns
 _INT64_MAX_NORM = 2**30
 #: Peak bytes per site of building a site stream, measured with tracemalloc
-#: at x = 1e7 and 1e8: 66 where every split prime's forms are reduced (34 on
-#: the residue-table path), and the 16 of the class tables that the sweep
-#: adds.
-BUILD_BYTES_PER_SITE = 66
+#: at x = 1e7 and 1e8: 66-67.2 where every split prime's forms are reduced
+#: (d = -23 and -119, and -1999999 and -2499990, whose |disc| is near
+#: MAX_DISCRIMINANT), 32.5 on the residue-table path; and the 16 of the
+#: class tables that the sweep adds.
+BUILD_BYTES_PER_SITE = 68
 CLASS_TABLE_BYTES_PER_SITE = 16
 
 
@@ -519,78 +521,71 @@ def _pair_classes(cg: ClassGroup, p, dtype) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _residues(p, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, first, second): r = p mod m for the ascending primes p, in the
-    smallest unsigned type that holds m - 1, and the positions of the
-    first and of the second prime of each residue that occurs, the second
-    where there is one.
+def _prefix(q, m) -> int:
+    """The length of a prefix of the ascending primes q that holds every
+    residue mod m of q, and two primes of each of the phi(m) unit
+    residues where q has them.
 
-    A prime that shares a factor with m divides it, so its residue occurs
-    once, and every prime above m is a unit mod m.  So a prefix of more
-    than m primes that holds two primes of each of the phi(m) unit
-    residues holds every first and second prime: the prefix starts at 16m
-    primes and doubles until it does, or until it is the whole stream.  A
-    stable sort of the prefix keeps a residue's primes ascending, and on
-    r's type it is a radix sort.
+    A prime that shares a factor with m divides it, so it is at most m and
+    lies among the first m primes, and every other prime is a unit mod m.
+    The prefix starts at 2m primes and doubles until it holds two primes
+    of each unit residue, or until it is all of q.
     """
-    r = (p % m).astype(np.min_scalar_type(m - 1))
-    units = math.prod((q - 1) * q ** (e - 1) for q, e in _factorize(m).items())
-    k = min(r.size, 16 * m)
-    while True:
-        order = np.argsort(r[:k], kind="stable")
-        ordered = r[order]
-        starts = np.ones(k, dtype=bool)  # where a residue's run begins
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        start = np.flatnonzero(starts)
-        runs = np.diff(start, append=k)
-        if k == r.size or np.count_nonzero(runs > 1) == units:
-            return r, order[start], order[start[runs > 1] + 1]
-        k = min(2 * k, r.size)
+    units = math.prod((f - 1) * f ** (e - 1) for f, e in _factorize(m).items())
+    k = min(q.size, 2 * m)
+    while k < q.size and np.count_nonzero(np.bincount(q[:k] % m, minlength=m) > 1) < units:
+        k = min(2 * k, q.size)
+    return k
 
 
-def _residue_table(values, p, m, residues, what: str) -> np.ndarray:
-    """The table t of length m with t[q mod m] = ``values``(q) for every
-    prime q of ``p`` whose residue ``residues`` names.
+def _by_residue(values, q, k, m, what: str) -> np.ndarray:
+    """``values``(q) for the ascending primes q, evaluated on the prefix
+    q[:k] and read past it from a table over r = q mod m that the prefix
+    fills, with r in the smallest unsigned type that holds m - 1; a prefix
+    that is all of q needs no table.
 
-    ``residues`` is (r, first, second) as ``_residues`` gives them, or a
-    part of its first and second positions.  The table takes the values
-    at the first prime of each residue, and the second prime of each
-    residue, where there is one, is evaluated too: a value that differs
-    from the table's raises ``DomainError`` naming ``what``, so the rule
-    that the value is a function of q mod m is checked where it is used.
+    Where two primes of the prefix with one residue differ in value, a
+    ``DomainError`` names the first prime of that residue, the first that
+    differs from it and ``what``: the rule that the value is a function of
+    q mod m is checked where the table is read.
     """
-    r, first, second = residues
-    got = values(p[np.concatenate((first, second))])
+    got = values(q[:k])
+    if k == q.size:
+        return got
+    r = (q % m).astype(np.min_scalar_type(m - 1))
     table = np.zeros(m, dtype=got.dtype)
-    table[r[first]] = got[: first.size]
-    bad = np.flatnonzero(got[first.size :] != table[r[second]])
+    table[r[:k]] = got
+    bad = np.flatnonzero(table[r[:k]] != got)
     if bad.size:
-        q = int(p[second[bad[0]]])
+        same = np.flatnonzero(r[:k] == r[bad[0]])
+        other = same[got[same] != got[same[0]]][0]
         raise DomainError(
-            f"the {what} of p={q} differs from that of the first prime = {q % m} "
-            f"(mod {m}): it is not a function of p mod |disc|"
+            f"the {what} of p={int(q[other])} differs from that of p={int(q[same[0]])}, "
+            f"the first prime = {int(r[other])} (mod {m}): it is not a function of p mod |disc|"
         )
-    return table
+    return table[r]
 
 
 def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     """The site columns of Q(sqrt(d)) up to norm ``limit``, sorted by (norm, b).
 
-    One pass reads r = p mod |disc| for every prime p (``_residues``), and
-    the Kronecker symbol (disc/p), a character mod |disc| for a
-    fundamental discriminant (Davenport, Multiplicative Number Theory,
-    ch. 5), is read from a table over r (``_residue_table``): it marks
-    the ramified (0) and split (1) primes.  A split prime's two sites take
-    the square roots b in [0, 2p) of disc mod 4p, and each site's class is
-    that of the reduced form (p, b, (b^2 - disc) / 4p), checked inverse
-    within each pair (``_pair_classes``).  When every class has order at
-    most 2, a split prime's class is a function of r instead (genus
-    theory: Gauss, Disquisitiones 229-234; Cox, Primes of the Form x^2 +
-    ny^2, 3), and an order-2 class is its own inverse, so both sites carry
-    the class of a second table over r, which reduces at most two primes
-    per split residue.  The ramified primes, one per prime dividing disc,
-    are reduced in either case.  An inert prime p <= sqrt(limit) gives one
-    principal site of norm p^2.
+    The Kronecker symbol (disc/p), a character mod |disc| for a
+    fundamental discriminant (Davenport, Multiplicative Number Theory, ch.
+    5), is evaluated on a prefix of the primes that holds every residue
+    mod |disc| (``_prefix``) and read past it from a table over r = p mod
+    |disc| (``_by_residue``): it marks the ramified (0) and split (1)
+    primes.  Where |disc| is large against the number of primes, the
+    prefix is the whole stream and there is no table.  A split prime's two
+    sites take the square roots b in [0, 2p) of disc mod 4p, and each
+    site's class is that of the reduced form (p, b, (b^2 - disc) / 4p),
+    checked inverse within each pair (``_pair_classes``).  When every
+    class has order at most 2, a split prime's class is a function of r
+    instead (genus theory: Gauss, Disquisitiones 229-234; Cox, Primes of
+    the Form x^2 + ny^2, 3), and an order-2 class is its own inverse, so
+    both sites carry one class, reduced for the split primes of the prefix
+    and read past it from a second table over r.  The ramified primes, one
+    per prime dividing disc, are reduced in either case.  An inert prime p
+    <= sqrt(limit) gives one principal site of norm p^2.
 
     The columns are filled in place, each split prime's two sites side by
     side with the smaller b first, then the ramified and the inert sites,
@@ -601,10 +596,8 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     disc = cg.field.discriminant
     dtype = np.min_scalar_type(cg.field.h - 1)
     p = prime_array(limit)
-    r, first, second = _residues(p, -disc)
-    kron = _residue_table(
-        lambda q: kronecker_primes(disc, q), p, -disc, (r, first, second), "Kronecker symbol"
-    )[r]
+    k = _prefix(p, -disc)
+    kron = _by_residue(lambda q: kronecker_primes(disc, q), p, k, -disc, "Kronecker symbol")
     # positions, not a mask: a gather is cheaper than a boolean index that
     # takes about half of the primes
     split = np.flatnonzero(kron == 1)
@@ -613,12 +606,10 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     p_inert = p[:small][kron[:small] < 0]
     pair = None
     if _two_elementary(cg):
-        residues = (r, first[kron[first] == 1], second[kron[second] == 1])
-        classes = _residue_table(
-            lambda q: _pair_classes(cg, q, dtype)[0], p, -disc, residues, "class"
-        )[r[split]]
+        n = np.searchsorted(split, k)  # the split primes of the prefix
+        classes = _by_residue(lambda q: _pair_classes(cg, q, dtype)[0], p_split, n, -disc, "class")
         pair = classes, classes
-    del p, r, kron, split
+    del p, kron, split
     n2 = 2 * p_split.size
     n_forms = n2 + p_ram.size
     norm = np.empty(n_forms + p_inert.size, dtype=np.int64)
@@ -635,25 +626,30 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     return SiteColumns(norm[order], splitting[order], cls[order])
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _available_memory() -> int:
+    """The physical memory, or the address-space limit of this process
+    (``RLIMIT_AS``, as ``ulimit -v`` sets it) where that is lower."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
 
 
 def check_site_memory(limit: int) -> None:
     """Refuse a site stream to norm ``limit`` before anything is allocated:
     a ``DomainError`` below 2, and a ``ResourceLimitError`` where its
-    estimated bytes exceed the physical memory.  The estimate takes
+    estimated bytes exceed the physical memory or the address-space limit
+    (``_available_memory``).  The estimate takes
     pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, 1962) sites, each at
     ``BUILD_BYTES_PER_SITE`` plus ``CLASS_TABLE_BYTES_PER_SITE``."""
     if as_int(limit, "site norm bound") < 2:
         raise DomainError("site stream needs limit >= 2")
     sites = 1.25506 * limit / math.log(limit)
     need = math.ceil(sites * (BUILD_BYTES_PER_SITE + CLASS_TABLE_BYTES_PER_SITE))
-    have = _physical_memory()
+    have = _available_memory()
     if need > have:
         raise ResourceLimitError(
-            f"site norm bound {limit} needs about {need} bytes, "
-            f"more than the {have} bytes of physical memory"
+            f"site norm bound {limit} needs about {need} bytes, more than the {have} "
+            "bytes of physical memory or address space this process may use"
         )
 
 
@@ -665,8 +661,8 @@ def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     The two sites above a split prime carry inverse classes; which
     conjugate gets the smaller id is fixed by the smaller square root b in
     [0, 2p).  When every class has order at most 2, both carry the same
-    class, read from p mod |disc| in a table of reduced representatives
-    (``_residue_table``), and the b order is unobservable.  Raises
+    class, a function of p mod |disc| (``_by_residue``), and the b order
+    is unobservable.  Raises
     ``ResourceLimitError`` before any allocation where the stream would
     not fit in memory (``check_site_memory``) or where int64 site
     arithmetic ends, and ``DomainError`` if a pair's classes are not

@@ -1,8 +1,11 @@
+import collections
 import dataclasses
 import hashlib
 import io
 import math
+import os
 import random
+import resource
 
 import numpy as np
 import pytest
@@ -446,13 +449,13 @@ def test_residue_classes_match_the_reduction(d, monkeypatch):
 @pytest.mark.parametrize("d", [-14, -23])
 def test_residue_rule_is_checked_where_a_class_has_order_above_two(d):
     # Z/4 and Z/3: primes of one residue mod |disc| lie in different classes,
-    # which the second prime of a residue shows
+    # which a second prime of the residue in the prefix shows
     cg = class_group(d)
     assert not quadratic._two_elementary(cg)
     p, m = _split_primes(cg, 10**4), -cg.field.discriminant
     classes = lambda q: quadratic._pair_classes(cg, q, np.uint8)[0]  # noqa: E731
     with pytest.raises(DomainError, match="the class of p=.* not a function of p mod"):
-        quadratic._residue_table(classes, p, m, quadratic._residues(p, m), "class")
+        quadratic._by_residue(classes, p, p.size // 2, m, "class")
 
 
 def test_sites_csv_of_an_empty_stream_is_the_header():
@@ -707,40 +710,41 @@ def test_kronecker_primes_match_scalar(disc):
     assert got.dtype == np.int8
     assert got.tolist() == expected
     assert {-1, 1} <= set(expected)
-    # (disc / p) is a character mod |disc|: the table filled at the first
-    # prime of each residue gives every prime's symbol, the ramified ones too
+    # (disc / p) is a character mod |disc|: the table filled from the prefix
+    # gives every prime's symbol, the ramified ones too
     m = abs(disc)
-    r, first, second = quadratic._residues(p, m)
     kron = lambda q: kronecker_primes(disc, q)  # noqa: E731
-    table = quadratic._residue_table(kron, p, m, (r, first, second), "Kronecker symbol")
-    assert table.dtype == np.int8
-    assert table[r].tolist() == expected
+    got = quadratic._by_residue(kron, p, quadratic._prefix(p, m), m, "Kronecker symbol")
+    assert got.dtype == np.int8
+    assert got.tolist() == expected
 
 
-def _first_two_by_residue(p, m):
-    first, second = {}, {}
-    for i, q in enumerate(p.tolist()):
-        if q % m in first:
-            second.setdefault(q % m, i)
-        first.setdefault(q % m, i)
-    return first, second
+def _prefix_by_counting(p, m):
+    units = [v for v in range(m) if math.gcd(v, m) == 1]
+    k = min(len(p), 2 * m)
+    while k < len(p):
+        counts = collections.Counter(q % m for q in p[:k].tolist())
+        if all(counts[v] >= 2 for v in units):
+            break
+        k = min(2 * k, len(p))
+    return k
 
 
 @pytest.mark.parametrize("m", [3, 20, 4620, 10**6])
-def test_residues_find_the_first_two_primes_of_each_residue(m):
+def test_prefix_holds_two_primes_of_each_unit_residue(m):
     # the thinned stream keeps one prime = 1 (mod m) up to 200m, so for
-    # m = 3 and 20 the first prefix of 16m primes misses that residue's
-    # second prime and doubles; for 4620 (uint16 residues) and 10**6
-    # (uint32) the stream is shorter than 16m, and the prefix is all of it
+    # m = 3 and 20 the first prefix of 2m primes misses that residue's
+    # second prime and doubles; for 4620 the thinned stream has no second
+    # prime = 1, and for 10**6 the stream is shorter than 2m, so the prefix
+    # is all of it
     p = prime_array(2 * 10**5)
     ones = p[p % m == 1]
     thinned = p[(p % m != 1) | np.isin(p, ones[:1]) | (p > 200 * m)]
     for stream in (p, thinned):
-        r, first, second = quadratic._residues(stream, m)
-        assert r.dtype == np.min_scalar_type(m - 1) and r.tolist() == (stream % m).tolist()
-        want_first, want_second = _first_two_by_residue(stream, m)
-        assert sorted(first.tolist()) == sorted(want_first.values())
-        assert sorted(second.tolist()) == sorted(want_second.values())
+        k = quadratic._prefix(stream, m)
+        assert k == _prefix_by_counting(stream, m)
+        assert set((stream[:k] % m).tolist()) == set((stream % m).tolist())
+        assert (k < stream.size) == (m <= 20 or stream is p and m == 4620), k
 
 
 def test_a_wrong_kronecker_table_entry_is_refused(monkeypatch):
@@ -752,8 +756,14 @@ def test_a_wrong_kronecker_table_entry_is_refused(monkeypatch):
         return np.where(q == 29, -kronecker(disc, q), kronecker(disc, q)).astype(np.int8)
 
     monkeypatch.setattr(quadratic, "kronecker_primes", planted)
-    with pytest.raises(DomainError, match=r"Kronecker symbol of p=89 differs .* = 9 \(mod 20\)"):
-        prime_sites_up_to(class_group(-5), 100)
+    # the 168 primes to 1000 are past the prefix of 40, which ends at 173
+    want = r"Kronecker symbol of p=89 differs from that of p=29, .* = 9 \(mod 20\)"
+    with pytest.raises(DomainError, match=want):
+        prime_sites_up_to(class_group(-5), 1000)
+    # the 25 primes to 100 are all of the prefix: each is evaluated and no
+    # table is read, so the planted symbol makes 29 inert
+    norms = prime_sites_up_to(class_group(-5), 100).norm.tolist()
+    assert 29 not in norms and 89 in norms
 
 
 @pytest.mark.parametrize("disc", [-12, -16, -36, 4, 0, -3 * 9 * 4])
@@ -790,16 +800,23 @@ def test_site_norm_bounds_refuse_before_allocating(monkeypatch):
 
     monkeypatch.setattr(quadratic, "_field_columns", allocate)
     monkeypatch.setattr(synth, "prime_array", allocate)
-    # pi(10**6) < 1.25506e6 / ln 1e6 = 90,844 sites at 82 bytes each
-    monkeypatch.setattr(quadratic, "_physical_memory", lambda: 7 * 10**6)
+    # pi(10**6) < 1.25506e6 / ln 1e6 = 90,844 sites at 84 bytes each: 7 MB
+    # of physical memory with no address-space limit refuses it, and so
+    # does an address-space limit of 7 MB on this machine's memory
     model = synth.SynthModel(cyclic_group(3), 1)
-    for build in (lambda x: prime_sites_up_to(cg, x), lambda x: synth.synth_sites(model, x)):
-        with pytest.raises(ResourceLimitError, match=r"about \d+ bytes, more than the 7000000"):
-            build(10**6)
-        with pytest.raises(AssertionError, match="was built"):
-            build(8 * 10**4)
+    physical = {"SC_PAGE_SIZE": 1000, "SC_PHYS_PAGES": 7000}.get
+    unlimited = lambda which: (resource.RLIM_INFINITY,) * 2  # noqa: E731
+    limited = lambda which: (7 * 10**6, resource.RLIM_INFINITY)  # noqa: E731
+    for sysconf, getrlimit in ((physical, unlimited), (os.sysconf, limited)):
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        monkeypatch.setattr(resource, "getrlimit", getrlimit)
+        for build in (lambda x: prime_sites_up_to(cg, x), lambda x: synth.synth_sites(model, x)):
+            with pytest.raises(ResourceLimitError, match=r"about \d+ bytes, more than the 7000000"):
+                build(10**6)
+            with pytest.raises(AssertionError, match="was built"):
+                build(8 * 10**4)
     # with memory to spare the stream still stops where int64 site arithmetic ends
-    monkeypatch.setattr(quadratic, "_physical_memory", lambda: 2**62)
+    monkeypatch.setattr(quadratic, "_available_memory", lambda: 2**62)
     with pytest.raises(ResourceLimitError, match="int64 site arithmetic"):
         prime_sites_up_to(cg, quadratic._INT64_MAX_NORM + 1)
     with pytest.raises(AssertionError, match="was built"):
