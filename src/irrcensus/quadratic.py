@@ -7,22 +7,23 @@ unit group is finite, and the regulator is 1.
 
 The prime-site stream is built in one vectorized pass over an int64 prime
 array (Cohen, GTM 138, ch. 1 and 5).  The Kronecker symbol (disc/p) is a
-character mod |disc|, so it is read from a table over r = p mod |disc|,
-filled by ``kronecker_primes`` (a product of genus characters) on a prefix
-of the primes that holds two of each residue, where the stream has them,
-and checked there; it finds the ramified and split primes.  Square roots mod p by p mod 8 (a^((p+1)/4),
+character mod |disc|: ``kronecker_primes`` (a product of genus characters)
+evaluates it on a prefix of the primes that holds two of each residue,
+where the stream has them, and the primes past the prefix read it from a
+table over r = p mod |disc| that the prefix fills and checks; it finds the
+ramified and split primes.  Square roots mod p by p mod 8 (a^((p+1)/4),
 Atkin's root, or Tonelli-Shanks with a reciprocity-table non-residue) give
 the split primes' forms, and a masked reduction loop the class of each
 site's form.  When every class has order at most 2 (all invariant factors
 2, or h = 1), each genus is one class, so a split prime's class is a
-function of r too (genus theory): a second table over r takes it from
-reducing the split primes of the same prefix, checked the same way.  The
-result is a ``SiteColumns`` of
-norms, splitting codes and 0-based classes that derives p, class_index and
-conjugate_id where they are printed; it has no random access, and
-iterating it builds ``PrimeSite``s a chunk at a time.  The scalar helpers
-(``splitting_type``, ``sqrt_mod_prime``, ``reduce_form``) are the per-prime
-reference of the tests.
+function of r too (genus theory): the split primes of the prefix are
+reduced, and those past it read their class from a second table over r.
+The result is a ``SiteColumns`` of norms, splitting codes and 0-based
+classes that derives p, class_index and conjugate_id where they are
+printed; it has no random access, and iterating it builds ``PrimeSite``s a
+chunk at a time.  The scalar helpers (``splitting_type``,
+``sqrt_mod_prime``, ``reduce_form``) are the per-prime reference of the
+tests.
 
 ``write_int_csv`` is the CSV kernel of ``sites_to_csv`` and of the census.
 It formats int64 columns with one ``//`` per digit on whole columns, keeps
