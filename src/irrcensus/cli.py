@@ -48,10 +48,16 @@ def _add_source(p: _Parser):
     )
 
 
-def _add_common(p: _Parser, fmt_default: str = "json"):
+def _add_stream(p: _Parser):
+    """The source of a site stream, its norm bound and a --group stream's seed."""
+    _add_source(p)
+    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None)
+
+
+def _add_output(p: _Parser, fmt_default: str = "json"):
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt_default)
-    p.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> _Parser:
@@ -60,40 +66,35 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("constants", help="structural constants of a class group")
     _add_source(p)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("census", help="principal-ideal census dump")
-    _add_source(p)
-    p.add_argument("--x", type=int, required=True)
-    _add_common(p, fmt_default="csv")
+    _add_stream(p)
+    _add_output(p, fmt_default="csv")
 
     p = sub.add_parser("ek", help="distribution report with histogram")
-    _add_source(p)
-    p.add_argument("--x", type=int, required=True)
+    _add_stream(p)
     p.add_argument("--m", type=int, default=2)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("equidist", help="residue classes of the divisor count")
-    _add_source(p)
-    p.add_argument("--x", type=int, required=True)
+    _add_stream(p)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("moments", help="central moments of the additive surrogate")
-    _add_source(p)
-    p.add_argument("--x", type=int, required=True)
+    _add_stream(p)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--kappa", type=_comma_list(float), default=None)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("check", help="density, reciprocal-sum and mean-value checks")
-    _add_source(p)
-    p.add_argument("--x", type=int, required=True)
-    _add_common(p)
+    _add_stream(p)
+    _add_output(p)
 
+    # it prints one status line per field and writes no file
     p = sub.add_parser("selftest", help="oracle-equivalence suite")
     p.add_argument("--x", type=int, default=10**4)
-    _add_common(p)
 
     return parser
 
@@ -118,7 +119,7 @@ def parse(argv) -> argparse.Namespace:
         if getattr(ns, flag, 1) < 1:
             raise UsageError(f"--{flag} must be >= 1")
     group = getattr(ns, "group", None)
-    if ns.subcommand != "constants" and group is not None and ns.seed is None:
+    if group is not None and "seed" in ns and ns.seed is None:
         raise UsageError("synthetic streams require an explicit --seed")
     if ns.subcommand == "check" and group is not None:
         raise UsageError("check requires --field (density constants need a field)")

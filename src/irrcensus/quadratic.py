@@ -13,11 +13,12 @@ where the stream has them, and the primes past the prefix read it from a
 table over r = p mod |disc| that the prefix fills and checks; it finds the
 ramified and split primes.  Square roots mod p by p mod 8 (a^((p+1)/4),
 Atkin's root, or Tonelli-Shanks with a reciprocity-table non-residue) give
-the split primes' forms, and a masked reduction loop the class of each
-site's form.  When every class has order at most 2 (all invariant factors
-2, or h = 1), each genus is one class, so a split prime's class is a
-function of r too (genus theory): the split primes of the prefix are
-reduced, and those past it read their class from a second table over r.
+the split primes' forms, and a masked reduction loop the class of the form
+of the smaller root; the conjugate site's class is its inverse.  When every
+class has order at most 2 (all invariant factors 2, or h = 1), each genus
+is one class, so a split prime's class is a function of r too (genus
+theory): the split primes of the prefix are reduced, and those past it
+read their class from a second table over r.
 The result is a ``SiteColumns`` of norms, splitting codes and 0-based
 classes that derives p, class_index and conjugate_id where they are
 printed; it has no random access, and iterating it builds ``PrimeSite``s a
@@ -53,11 +54,11 @@ MAX_DISCRIMINANT = 10**7
 # b < 2p and p^2 stay below 2**63 in the int64 site columns
 _INT64_MAX_NORM = 2**30
 #: Peak bytes per site of building a site stream, measured with tracemalloc
-#: at x = 1e7 and 1e8: 66-67.2 where every split prime's forms are reduced
-#: (d = -23 and -119, and -1999999 and -2499990, whose |disc| is near
-#: MAX_DISCRIMINANT), 32.5 on the residue-table path; and the 16 of the
-#: class tables that the sweep adds.
-BUILD_BYTES_PER_SITE = 68
+#: at x = 1e7 and 1e8: 51.0-52.5 where every split prime's smaller root is
+#: reduced (d = -23 and -119, and -1999999 and -2499990, whose |disc| is
+#: near MAX_DISCRIMINANT), 32.5 on the residue-table path (d = -5); and the
+#: 16 of the class tables that the sweep adds.
+BUILD_BYTES_PER_SITE = 53
 CLASS_TABLE_BYTES_PER_SITE = 16
 
 
@@ -316,39 +317,23 @@ def _subgroup_with(subgroup: set, x: QuadForm, identity: QuadForm) -> set:
     return out
 
 
-def _p_group_basis(members, order_exp, p, targets, identity):
-    """A basis of an abelian p-group realizing the prescribed cyclic orders.
-
-    Depth-first with backtracking: a candidate of order p^f extends the
-    current direct sum iff the generated subgroup grows by the full factor
-    p^f.  The structure theorem guarantees a basis exists, so the search
-    always succeeds.
-    """
-
-    def extend(current: set, chosen: list, idx: int):
-        if idx == len(targets):
-            return list(chosen)
-        f = targets[idx]
-        for x in members:
-            if order_exp[x] != f or x in current:
-                continue
-            bigger = _subgroup_with(current, x, identity)
-            if len(bigger) == len(current) * p**f:
-                chosen.append(x)
-                result = extend(bigger, chosen, idx + 1)
-                if result is not None:
-                    return result
-                chosen.pop()
-        return None
-
-    basis = extend({identity}, [], 0)
-    if basis is None:
-        raise DomainError("p-group basis search failed (non-abelian table?)")
-    return basis
-
-
 def _group_structure(forms, identity):
-    """Invariant factors and canonical coordinates from the composition group."""
+    """Invariant factors and canonical coordinates from the composition group.
+
+    Each Sylow p-subgroup G gets a basis greedily.  Its members go by
+    descending order, in sorted order within one order, and x of order p^e
+    joins the basis when p^(e-1) x, which generates the order-p subgroup of
+    <x>, lies outside the span S of the basis so far: then <x> meets S in
+    0, and S (+) <x> is p^e times larger.  The orders of the picks are G's
+    invariant factors.  While the scan is at order p^g, every pick has
+    order p^g or more, so the order-p elements of S are in p^(g-1) S.  An
+    independent x of order p^f above the next invariant p^g would make S
+    (+) <x> a subgroup of G with more invariants of p^f or more than G, so
+    none is picked.  While S has fewer invariants of p^g or more than G,
+    the order-p elements of p^(g-1) G have rank above that of S's, so one
+    of them, p^(g-1) y, lies outside S; y has order p^g and, as S only
+    grows, is still ahead in the scan.  No pick is ever undone.
+    """
     h = len(forms)
     if h == 1:
         return GroupSpec(()), {forms[0]: ()}
@@ -362,25 +347,21 @@ def _group_structure(forms, identity):
         members = sorted(set(projection.values()))
         if len(members) != pa:
             raise DomainError("Sylow subgroup has wrong order")
-        order_exp = {}
+        order = {}  # x of order p^e -> (e, p^(e-1) x); the identity's is itself
         for x in members:
-            e, y = 0, x
+            e, y, top = 0, x, x
             while y != identity:
-                y = form_pow(y, p, identity)
+                top, y = y, form_pow(y, p, identity)
                 e += 1
-            order_exp[x] = e
-        max_e = max(order_exp.values())
-        # number of cyclic factors with exponent >= i, from order-counting
-        counts = [
-            sum(1 for v in order_exp.values() if v <= i) for i in range(max_e + 1)
-        ]
-        logs = [round(math.log(c, p)) for c in counts]
-        at_least = [logs[i] - logs[i - 1] for i in range(1, max_e + 1)] + [0]
-        targets = []
-        for i in range(1, max_e + 1):
-            targets.extend([i] * (at_least[i - 1] - at_least[i]))
-        targets.sort(reverse=True)
-        basis = _p_group_basis(members, order_exp, p, targets, identity)
+            order[x] = e, top
+        basis, span = [], {identity}
+        for x in sorted(members, key=lambda x: -order[x][0]):
+            if order[x][1] not in span:
+                basis.append(x)
+                span = _subgroup_with(span, x, identity)
+        if len(span) != pa:
+            raise DomainError("Sylow basis does not span the Sylow subgroup")
+        targets = [order[x][0] for x in basis]
         coords_sylow: dict[QuadForm, tuple[int, ...]] = {}
         axes = []
         for b, f in zip(basis, targets):
@@ -439,6 +420,10 @@ def class_group(d: int) -> ClassGroup:
     class_index = {f: ordering.index_of[coordinates[f]] for f in forms}
     if class_index[identity] != 1:
         raise DomainError("principal form must map to class 1")
+    # the site build takes the inverse class for a split prime's second site
+    neg = ordering.neg_table()
+    if any(class_index[f.inverse()] - 1 != neg[class_index[f] - 1] for f in forms):
+        raise DomainError("the inverse of a reduced form is not in the inverse class")
     w = 6 if disc == -3 else 4 if disc == -4 else 2
     field = FieldSpec(d=d, discriminant=disc, w=w, h=len(forms))
     return ClassGroup(
@@ -482,9 +467,19 @@ def _reduce_forms(a, b, c):
 
 
 def _form_classes(cg: ClassGroup, p, b, dtype) -> np.ndarray:
-    """0-based class of the form (p, b, (b^2 - disc) / 4p) for each lane."""
+    """0-based class of the form (p, b, (b^2 - disc) / 4p) for each lane.
+
+    Raises ``DomainError`` where a reduced form's discriminant is not disc,
+    as when b is no square root of disc mod 4p, or where it is not in the
+    class table."""
     disc = cg.field.discriminant
-    a, rb, _ = _reduce_forms(p.copy(), b.copy(), (b * b - disc) // (4 * p))
+    a, rb, c = _reduce_forms(p.copy(), b.copy(), (b * b - disc) // (4 * p))
+    # 4ac fits: a reduced form of discriminant disc has a^2 <= -disc / 3 and
+    # c <= (a^2 - disc) / 4a
+    c *= 4 * a
+    bad = np.flatnonzero(rb * rb - c != disc)
+    if bad.size:
+        raise DomainError(f"form of p={int(p[bad[0]])} does not have discriminant {disc}")
     width = 2 * max(f.a for f in cg.forms) + 1
     table = sorted((f.a * width + f.b + width // 2, cg.class_index[f] - 1) for f in cg.forms)
     keys = np.array([k for k, _ in table], dtype=np.int64)
@@ -502,24 +497,19 @@ def _two_elementary(cg: ClassGroup) -> bool:
     return all(f == 2 for f in cg.group.invariant_factors)
 
 
-def _pair_classes(cg: ClassGroup, p, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """0-based classes of the two sites above each split prime p: the forms
-    (p, b, (b^2 - disc) / 4p) for the two square roots b in [0, 2p) of disc
-    mod 4p, the smaller b first.  Raises ``DomainError`` unless each pair's
-    classes are inverse."""
+def _root_classes(cg: ClassGroup, p, dtype) -> np.ndarray:
+    """0-based class of the site above each split prime p that takes the
+    smaller square root b in [0, 2p) of disc mod 4p: that of the form (p,
+    b, (b^2 - disc) / 4p).  The other site takes 2p - b, whose form is
+    equivalent to (p, -b, (b^2 - disc) / 4p), the inverse form, so its
+    class is the inverse class (``class_group`` checks that the inverse of
+    each reduced form lies in the inverse class)."""
     disc = cg.field.discriminant
     root = np.ones_like(p)  # 1 is the root at p = 2
     odd = p > 2
     root[odd] = sqrt_mod_primes(disc % p[odd], p[odd])
     root += np.where((root - disc) % 2 == 0, 0, p)
-    mate = 2 * p - root
-    root, mate = np.minimum(root, mate), np.maximum(root, mate)
-    lo, hi = _form_classes(cg, p, root, dtype), _form_classes(cg, p, mate, dtype)
-    neg = np.array(cg.ordering.neg_table(), dtype=np.int64)
-    bad = np.flatnonzero(hi != neg[lo])
-    if bad.size:
-        raise DomainError(f"conjugate classes of p={int(p[bad[0]])} are not inverse")
-    return lo, hi
+    return _form_classes(cg, p, np.minimum(root, 2 * p - root, out=root), dtype)
 
 
 def _prefix(q, m) -> int:
@@ -577,16 +567,17 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     |disc| (``_by_residue``): it marks the ramified (0) and split (1)
     primes.  Where |disc| is large against the number of primes, the
     prefix is the whole stream and there is no table.  A split prime's two
-    sites take the square roots b in [0, 2p) of disc mod 4p, and each
-    site's class is that of the reduced form (p, b, (b^2 - disc) / 4p),
-    checked inverse within each pair (``_pair_classes``).  When every
-    class has order at most 2, a split prime's class is a function of r
-    instead (genus theory: Gauss, Disquisitiones 229-234; Cox, Primes of
-    the Form x^2 + ny^2, 3), and an order-2 class is its own inverse, so
-    both sites carry one class, reduced for the split primes of the prefix
-    and read past it from a second table over r.  The ramified primes, one
-    per prime dividing disc, are reduced in either case.  An inert prime p
-    <= sqrt(limit) gives one principal site of norm p^2.
+    sites take the square roots b < 2p - b in [0, 2p) of disc mod 4p.  The
+    first site's class is that of the reduced form (p, b, (b^2 - disc) /
+    4p) (``_root_classes``), and the second's, the conjugate ideal's, is
+    its inverse, read from the inverse table (Cox, Primes of the Form x^2
+    + ny^2, 7).  When every class has order at most 2, a split prime's
+    class is a function of r instead (genus theory: Gauss, Disquisitiones
+    229-234; Cox, 3): it is reduced for the split primes of the prefix and
+    read past it from a second table over r, and the inverse table is the
+    identity.  The ramified primes, one per prime dividing disc, are
+    reduced in either case.  An inert prime p <= sqrt(limit) gives one
+    principal site of norm p^2.
 
     The columns are filled in place, each split prime's two sites side by
     side with the smaller b first, then the ramified and the inert sites,
@@ -605,19 +596,18 @@ def _field_columns(cg: ClassGroup, limit: int) -> SiteColumns:
     p_split, p_ram = p[split], p[kron == 0]
     small = np.searchsorted(p, math.isqrt(limit), side="right")
     p_inert = p[:small][kron[:small] < 0]
-    pair = None
-    if _two_elementary(cg):
-        n = np.searchsorted(split, k)  # the split primes of the prefix
-        classes = _by_residue(lambda q: _pair_classes(cg, q, dtype)[0], p_split, n, -disc, "class")
-        pair = classes, classes
+    # on the residue path the split primes of the prefix, else all of them
+    n = np.searchsorted(split, k) if _two_elementary(cg) else split.size
     del p, kron, split
+    classes = _by_residue(lambda q: _root_classes(cg, q, dtype), p_split, n, -disc, "class")
     n2 = 2 * p_split.size
     n_forms = n2 + p_ram.size
     norm = np.empty(n_forms + p_inert.size, dtype=np.int64)
     norm[0:n2:2] = norm[1:n2:2] = p_split
     norm[n2:n_forms], norm[n_forms:] = p_ram, p_inert * p_inert
     cls = np.zeros(norm.size, dtype=dtype)
-    cls[0:n2:2], cls[1:n2:2] = pair or _pair_classes(cg, p_split, dtype)
+    cls[0:n2:2] = classes
+    cls[1:n2:2] = np.array(cg.ordering.neg_table(), dtype=dtype)[classes]
     b_ram = np.where(p_ram == 2, 0 if disc % 8 == 0 else 2, p_ram if disc % 2 else 0)
     cls[n2:n_forms] = _form_classes(cg, p_ram, b_ram, dtype)
     splitting = np.repeat(
@@ -666,10 +656,10 @@ def prime_sites_up_to(cg: ClassGroup, limit: int) -> SiteColumns:
     is unobservable.  Raises
     ``ResourceLimitError`` before any allocation where the stream would
     not fit in memory (``check_site_memory``) or where int64 site
-    arithmetic ends, and ``DomainError`` if a pair's classes are not
-    inverse, if a form reduces outside the class table, or if two primes
-    of one residue mod |disc| differ in their Kronecker symbol, or on
-    that path in their class.
+    arithmetic ends, and ``DomainError`` if a reduced form has the wrong
+    discriminant or lies outside the class table, or if two primes of one
+    residue mod |disc| differ in their Kronecker symbol, or on that path
+    in their class.
     """
     check_site_memory(limit)
     if limit > _INT64_MAX_NORM:

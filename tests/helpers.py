@@ -116,25 +116,25 @@ def principal_form_coeffs(d: int) -> tuple[int, int, int]:
     return 1, 0, -d
 
 
-def principal_count_by_norm_form(d: int, x: int, w: int) -> int:
-    """Principal ideals of norm <= x, counted as norm-form lattice points up
-    to the w units."""
-    a2, ab, b2 = principal_form_coeffs(d)
-    count = 0
-    bmax = int(math.isqrt(4 * x)) + 2
-    for b in range(-bmax, bmax + 1):
-        # a^2 + ab*a*b + b2*b^2 <= x, solve over a by scanning a window
-        disc_b = ab * ab * b * b - 4 * a2 * (b2 * b * b - x)
-        if disc_b < 0:
-            continue
-        root = math.isqrt(disc_b)
-        lo = (-ab * b - root) // (2 * a2) - 2
-        hi = (-ab * b + root) // (2 * a2) + 2
-        for a in range(lo, hi + 1):
-            if a == 0 and b == 0:
-                continue
-            if a2 * a * a + ab * a * b + b2 * b * b <= x:
-                count += 1
+def class_count_by_norm_form(form, x: int, w: int) -> int:
+    """Ideals of norm <= x in the class of the reduced form (a, b, c): the
+    lattice points (u, v) != 0 with a u^2 + b uv + c v^2 <= x, up to the w
+    units.  For each v they are one interval of u, between the roots of
+    a u^2 + b v u + c v^2 - x: its float ends, widened by one, move in
+    while the exact integer form value exceeds x."""
+    import numpy as np
+
+    a, b, c = form
+    disc = b * b - 4 * a * c
+    vmax = math.isqrt(4 * a * x // -disc)
+    v = np.arange(-vmax, vmax + 1, dtype=np.int64)
+    root = np.sqrt((4 * a * x + disc * v * v).astype(float))
+    lo = np.floor((-b * v - root) / (2 * a)).astype(np.int64) - 1
+    hi = np.ceil((-b * v + root) / (2 * a)).astype(np.int64) + 1
+    for end, step in ((lo, 1), (hi, -1)):
+        while (out := (lo <= hi) & ((a * end + b * v) * end + c * v * v > x)).any():
+            end += step * out
+    count = int(np.maximum(hi - lo + 1, 0).sum()) - 1  # less (0, 0)
     assert count % w == 0
     return count // w
 

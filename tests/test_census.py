@@ -23,7 +23,12 @@ from irrcensus.quadratic import SiteColumns, class_group
 from irrcensus.synth import SynthModel
 from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
 
-from helpers import ideal_count_by_character, neumaier_prefix, principal_count_by_norm_form
+from helpers import (
+    class_count_by_norm_form,
+    ideal_count_by_character,
+    neumaier_prefix,
+    principal_form_coeffs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +197,7 @@ def test_census_counts_against_oracles(sys5_records, sys5):
     tot = swp.at(10**4)
     assert tot.n_ideals == ideal_count_by_character(-20, 10**4)
     # principal count: norm-form lattice points up to units
-    assert len(sys5_records) == principal_count_by_norm_form(-5, 10**4, 2)
+    assert len(sys5_records) == class_count_by_norm_form((1, 0, 5), 10**4, 2)
     assert tot.n_principal == len(sys5_records)
 
 
@@ -200,7 +205,35 @@ def test_census_counts_against_oracles(sys5_records, sys5):
 def test_principal_counts_other_fields(d, w):
     system = census.for_field(d, 2000)
     count = sum(1 for _ in census.enumerate_principal(system, 2000))
-    assert count == principal_count_by_norm_form(d, 2000, w)
+    assert count == class_count_by_norm_form(principal_form_coeffs(d), 2000, w)
+
+
+def _assert_class_counts_match_the_norm_forms(d, x, checkpoints):
+    # the ideals of a class are counted by the lattice points of its
+    # reduced form, so every class's count is exact at every checkpoint
+    cg = class_group(d)
+    swp = census.sweep(census.for_field(d, x), x, checkpoints=checkpoints)
+    for cp in checkpoints:
+        expected = [0] * cg.field.h
+        for f in cg.forms:
+            expected[cg.class_index[f] - 1] = class_count_by_norm_form((f.a, f.b, f.c), cp, cg.field.w)
+        assert list(swp.at(cp).class_counts) == expected, (d, cp)
+
+
+# the acceptance checkpoints at d = -5, and Z/3, Z/5, Z/7, Z/10 and Z/2 x Z/4,
+# where a split prime's two sites lie in inverse classes that are not equal
+@pytest.mark.parametrize("d,x,checkpoints", [
+    (-5, 10**7, (10**4, 10**5, 10**6, 10**7)),
+    *((d, 10**6, (10**6,)) for d in (-23, -47, -71, -119, -65)),
+])
+def test_class_counts_match_the_norm_forms(d, x, checkpoints):
+    _assert_class_counts_match_the_norm_forms(d, x, checkpoints)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [-5, -23])
+def test_class_counts_match_the_norm_forms_at_1e8(d):
+    _assert_class_counts_match_the_norm_forms(d, 10**8, (10**8,))
 
 
 def test_completeness_small_norms(sys5):
@@ -796,7 +829,7 @@ def test_small_x_principal_rows_and_harmonic_sums(sys5):
         for _, factors in principal
     ]
     for x in range(1, 301):
-        assert len(census.census_rows(sys5, x)) == principal_count_by_norm_form(-5, x, 2)
+        assert len(census.census_rows(sys5, x)) == class_count_by_norm_form((1, 0, 5), x, 2)
         want_p = [1.0 / n for n, _ in principal if n <= x]
         want_i = [1.0 / n for (n, _), irred in zip(principal, irreducible) if n <= x and irred]
         hs = census.harmonic_sums(sys5, x)

@@ -62,6 +62,21 @@ def test_parse_synth_requires_seed():
     assert cmd.seed == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--x", "10", "--out", "f.json"],
+    ["selftest", "--x", "10", "--format", "csv"],
+    ["selftest", "--x", "10", "--seed", "1"],
+    ["constants", "--group", "2", "--seed", "1"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    # selftest writes no file in any format and builds no synthetic stream,
+    # and constants builds no stream
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_main_usage_error_exit_code(capsys):
     assert cli.main(["census", "--field", "-5"]) == 2
     assert "usage error" in capsys.readouterr().err

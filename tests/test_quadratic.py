@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irrcensus import census, primes, quadratic, synth
-from irrcensus.abelian import cyclic_group
+from irrcensus.abelian import ClassOrdering, _factorize, cyclic_group
 from irrcensus.errors import DomainError, ResourceLimitError
 from irrcensus.primes import (
     is_prime,
@@ -112,6 +112,25 @@ def test_known_group_structures():
     assert class_group(-30).group.invariant_factors == (2, 2)
     assert class_group(-26).group.invariant_factors == (6,)
     assert class_group(-65).group.h == 8
+
+
+def test_class_group_coordinates_are_pinned():
+    # every squarefree d in [-2999, -1] (1,824 fields), and three whose
+    # 2-parts of rank 2 or 4 sit beside odd parts: Z/2 x Z/516, Z/2 x Z/400
+    # and Z/2 x Z/2 x Z/2 x Z/192 (h = 1536).  The SHA-256 runs over
+    # repr((d, invariant factors, sorted (a, b, c, coordinates, class
+    # index) of the reduced forms)), one field after another
+    big = {-1000001: (2, 516), -1999999: (2, 400), -2499990: (2, 2, 2, 192)}
+    squarefree = [d for d in range(-1, -3000, -1) if max(_factorize(-d).values(), default=1) == 1]
+    assert len(squarefree) == 1824
+    digest = hashlib.sha256()
+    for d in [*squarefree, *big]:
+        cg = class_group(d)
+        if d in big:
+            assert cg.group.invariant_factors == big[d]
+        rows = sorted((f.a, f.b, f.c, cg.coordinates[f], cg.class_index[f]) for f in cg.forms)
+        digest.update(repr((d, cg.group.invariant_factors, rows)).encode())
+    assert digest.hexdigest() == "4af0e8ad90b38f20f1784561ec78344392700b64c920fc552a579b9ae3e84347"
 
 
 def test_reduction_example():
@@ -453,7 +472,7 @@ def test_residue_rule_is_checked_where_a_class_has_order_above_two(d):
     cg = class_group(d)
     assert not quadratic._two_elementary(cg)
     p, m = _split_primes(cg, 10**4), -cg.field.discriminant
-    classes = lambda q: quadratic._pair_classes(cg, q, np.uint8)[0]  # noqa: E731
+    classes = lambda q: quadratic._root_classes(cg, q, np.uint8)  # noqa: E731
     with pytest.raises(DomainError, match="the class of p=.* not a function of p mod"):
         quadratic._by_residue(classes, p, p.size // 2, m, "class")
 
@@ -800,18 +819,21 @@ def test_site_norm_bounds_refuse_before_allocating(monkeypatch):
 
     monkeypatch.setattr(quadratic, "_field_columns", allocate)
     monkeypatch.setattr(synth, "prime_array", allocate)
-    # pi(10**6) < 1.25506e6 / ln 1e6 = 90,844 sites at 84 bytes each: 7 MB
-    # of physical memory with no address-space limit refuses it, and so
-    # does an address-space limit of 7 MB on this machine's memory
+    # pi(10**6) < 1.25506e6 / ln 1e6 = 90,844 sites, and 8e4 has 8,893: half
+    # the estimated bytes of 1e6, in whole kB, of physical memory with no
+    # address-space limit refuses 1e6 and builds 8e4, and so does an
+    # address-space limit of that size on this machine's memory
+    per_site = quadratic.BUILD_BYTES_PER_SITE + quadratic.CLASS_TABLE_BYTES_PER_SITE
+    pages = 90844 * per_site // 2000
     model = synth.SynthModel(cyclic_group(3), 1)
-    physical = {"SC_PAGE_SIZE": 1000, "SC_PHYS_PAGES": 7000}.get
+    physical = {"SC_PAGE_SIZE": 1000, "SC_PHYS_PAGES": pages}.get
     unlimited = lambda which: (resource.RLIM_INFINITY,) * 2  # noqa: E731
-    limited = lambda which: (7 * 10**6, resource.RLIM_INFINITY)  # noqa: E731
+    limited = lambda which: (pages * 1000, resource.RLIM_INFINITY)  # noqa: E731
     for sysconf, getrlimit in ((physical, unlimited), (os.sysconf, limited)):
         monkeypatch.setattr(os, "sysconf", sysconf)
         monkeypatch.setattr(resource, "getrlimit", getrlimit)
         for build in (lambda x: prime_sites_up_to(cg, x), lambda x: synth.synth_sites(model, x)):
-            with pytest.raises(ResourceLimitError, match=r"about \d+ bytes, more than the 7000000"):
+            with pytest.raises(ResourceLimitError, match=rf"about \d+ bytes, more than the {pages}000 "):
                 build(10**6)
             with pytest.raises(AssertionError, match="was built"):
                 build(8 * 10**4)
@@ -824,10 +846,17 @@ def test_site_norm_bounds_refuse_before_allocating(monkeypatch):
 
 
 def test_conjugate_and_order_checks_stay_loud(monkeypatch):
-    cg = class_group(-23)  # Z/3: the conjugate sites of a split prime lie in classes 2 and 3
-    monkeypatch.setattr(cg.ordering, "neg_table", lambda: [0, 1, 2])
-    with pytest.raises(DomainError, match="not inverse"):
-        prime_sites_up_to(cg, 100)
+    # Z/3: the conjugate sites of a split prime lie in classes 2 and 3, and
+    # the site build reads the second from the inverse table
+    with monkeypatch.context() as m:
+        m.setattr(ClassOrdering, "neg_table", lambda self: [0, 1, 2])
+        with pytest.raises(DomainError, match="not in the inverse class"):
+            class_group(-23)
+    # a Sylow basis whose span falls short of the subgroup
+    with monkeypatch.context() as m:
+        m.setattr(quadratic, "_subgroup_with", lambda subgroup, x, identity: set(subgroup))
+        with pytest.raises(DomainError, match="does not span the Sylow subgroup"):
+            class_group(-23)
     system = census.for_field(-5, 100)
     cols = system.sites
     swapped = SiteColumns(
@@ -842,6 +871,23 @@ def test_conjugate_and_order_checks_stay_loud(monkeypatch):
         dataclasses.replace(system, sites=list(cols))
     again = dataclasses.replace(system)
     assert again.sites is cols and again._norms == system._norms
+
+
+def test_a_wrong_square_root_is_refused(monkeypatch):
+    # at d = -23 the root 122 of 320, not of -23 = 308 (mod 331), gives the
+    # form (331, 209, 33) of discriminant -11, which reduces to (1, 1, 3):
+    # its (a, b) is that of the principal form (1, 1, 6), and the principal
+    # class is its own inverse, so only the discriminant shows it
+    cg = class_group(-23)
+    assert sqrt_mod_prime(-23, 331) in (89, 331 - 89)
+
+    def planted(a, p):
+        root = sqrt_mod_primes(a, p)
+        return np.where(p == 331, 122, root)
+
+    monkeypatch.setattr(quadratic, "sqrt_mod_primes", planted)
+    with pytest.raises(DomainError, match="p=331 does not have discriminant -23"):
+        prime_sites_up_to(cg, 10**4)
 
 
 def test_reduced_forms_are_reduced_and_primitive():
