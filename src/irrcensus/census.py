@@ -16,11 +16,14 @@ subset-count products, exhaustive sub-multiset search, and a
 squarefull/squarefree split), which the tests hold to exact agreement.
 
 ``_walk`` is the fast DFS, for the sweep and the census.  It visits in
-Python only the nodes that can have children and returns its recording,
-an int64 array of rows: walked nodes, ranges of leaves n*q with N(q)^2 >
-x // n (about 99% of all ideals at x = 1e7), and batches of penultimate
-sites.  ``sweep`` tallies it in numpy a slice of ``TALLY_CHUNK`` rows at
-a time into one band per checkpoint, counting the leaves per class with
+Python only the nodes that can have descendants three levels down, and
+the nodes of descriptor sites, and returns its recording, an int64 array
+of rows: walked nodes, ranges of leaves n*q with N(q)^2 > x // n (about
+99% of all ideals at x = 1e7), batches of penultimate sites, whose nodes
+have only leaves, and two-level batches of the sites one level up, whose
+nodes have only a batch and leaves.  ``sweep`` expands the batches and
+tallies the recording in numpy a slice of ``TALLY_CHUNK`` rows at a time
+into one band per checkpoint, counting the leaves per class with
 one lookup in a class-major site index (``SiteSystem._class_slices``) and
 summing their 1/N from the per-class prefix sums beside it, with exact
 integer float sums.  After the last slice it adds the bands up once into
@@ -604,13 +607,14 @@ class Sweep:
 
     ``visited`` counts the ideals counted one by one: the nodes the walk
     visits in Python and the ``batched`` nodes it leaves to the numpy
-    tally.  ``bulk`` counts the leaves counted in bulk, summed from the
-    lengths of the leaf ranges; ``visited + bulk`` equals
-    ``at(x).n_ideals``.  ``nu_states`` counts the distinct tuples of
-    per-class subset-count polynomials of the principal ideals, which is
-    how many times nu was summed over the types; every other principal
-    ideal or bulk-counted group of leaves read nu from the memo.  None of
-    the four enters a report.  Every float is the exactly rounded sum of
+    tally, those of both levels of the two-level batches among them.
+    ``bulk`` counts the leaves counted in bulk, summed from the lengths of
+    the leaf ranges; ``visited + bulk`` equals ``at(x).n_ideals``.
+    ``nu_states`` counts the distinct tuples of per-class subset-count
+    polynomials of the principal ideals, which is how many times nu was
+    summed over the types; every other principal ideal or bulk-counted
+    group of leaves read nu from the memo.  None of the four enters a
+    report.  Every float is the exactly rounded sum of
     its terms, so it does not depend on the order of the walk or of the
     tally.
     """
@@ -654,8 +658,9 @@ class _States:
     (1 + t + ... + t^k) over those sites, so it and omega_i follow from the
     counts.  Pushing a site of class cj with exponent e adds ``inc[cj][e]``
     (plus the site's descriptor bit), so a transition is one addition and
-    one lookup in ``ids``.  ``cls`` holds each state's class.  nu depends
-    only on the tuple of polynomials; ``nu_keys`` holds those met by
+    one lookup in ``ids``.  ``cls`` holds each state's class, an
+    ``array`` that numpy reads in place (``classes``).  nu depends only on
+    the tuple of polynomials; ``nu_keys`` holds those met by
     ``stats_many``, so its size is the number of nu states met.
     """
 
@@ -686,7 +691,7 @@ class _States:
             for desc in descs
         )
         self.keys = [0]
-        self.cls = [0]
+        self.cls = array("q", [0])
         self.ids = {0: 0}
         # per class: its site counts -> polynomial id; polynomial -> its id
         self.class_polys: list[dict] = [{} for _ in self.maxt]
@@ -699,6 +704,12 @@ class _States:
         self.keys.append(key)
         self.cls.append(c)
         return t
+
+    def classes(self, s: np.ndarray) -> np.ndarray:
+        """The classes of the states s, gathered from a view of ``cls``
+        that is dropped at once: ``add`` cannot grow an ``array`` while a
+        view of it lives."""
+        return np.frombuffer(self.cls, dtype=np.int64)[s]
 
     def push_many(self, s: np.ndarray, cj: np.ndarray, e: int) -> np.ndarray:
         """The states of nodes of states s times q^e, for q non-descriptor
@@ -771,15 +782,19 @@ def _byte_rows(a: np.ndarray) -> np.ndarray:
 
 
 #: Rows of the walk's recording that ``sweep`` tallies at once, which
-#: bounds the tally's temporaries by a slice instead of the recording.
-TALLY_CHUNK = 8192
+#: bounds the tally's temporaries by a slice instead of the recording.  At
+#: d = -5, x = 1e8 a row stands for about 5,000 ideals (28,313 rows), so a
+#: slice stands for about 10M; slices of 8192 rows peaked 25 MB higher.
+TALLY_CHUNK = 2048
 
 
 class _Tally:
     """The numpy tally of the walk's recording into checkpoint bands.
 
     ``flush`` takes a slice of the recording ``_walk`` returns, expands each
-    batch into its nodes n*q^e and their leaf ranges (``_expand``), splits
+    two-level batch into its nodes, their batches and their leaf ranges,
+    then each batch into its nodes n*q^e and their leaf ranges
+    (``_expand_batches``), splits
     every range at the checkpoints, counts its leaves per class with one
     (class, range) lookup, ``SiteSystem._class_slices``, tallies the
     principal ideals per (band, state) with ``bincount`` and adds the
@@ -838,11 +853,16 @@ class _Tally:
         return tuple(out)
 
     def flush(self, rows):
-        nodes, ranges, batches = (rows[rows[:, 5] == kind] for kind in range(3))
-        _, j, _, n, s, end = _expand(self.system, self.x, self.states, batches)
-        self.batched += n.size
-        units = [self._count_nodes(np.append(nodes[:, 0], n), np.append(nodes[:, 1], s))]
-        ranges = np.concatenate((ranges[:, :4].T, (n, s, j + 1, end)), axis=1)
+        nodes, ranges, batches, pairs = (rows[rows[:, 5] == kind] for kind in range(4))
+        first, second = _expand_batches(self.system, self.x, self.states, pairs, batches)
+        _, j1, _, n1, s1, split, end1 = first
+        _, j, _, n, s, end = second
+        self.batched += n1.size + n.size
+        n_all, s_all = (np.concatenate(col) for col in ((nodes[:, 0], n1, n), (nodes[:, 1], s1, s)))
+        units = [self._count_nodes(n_all, s_all)]
+        ranges = np.concatenate(
+            (ranges[:, :4].T, (n1, s1, split, end1), (n, s, j + 1, end)), axis=1
+        )
         self.bulk += int((ranges[3] - ranges[2]).sum())
         units.append(self._count_leaves(*self._pieces(*ranges[:, ranges[3] > ranges[2]])))
         self._tally_principal(*(np.concatenate(col) for col in zip(*units)))
@@ -851,7 +871,7 @@ class _Tally:
         """Count the nodes n of states s by class, each one ideal; return the
         principal ones as units of one ideal."""
         b = np.searchsorted(self.cps, n, "left")
-        c = np.array(self.states.cls, dtype=np.int64)[s]
+        c = self.states.classes(s)
         self._count_classes(b * self.h + c, None)
         principal = c == 0
         b, s, n = b[principal], s[principal], n[principal]
@@ -872,7 +892,7 @@ class _Tally:
     def _count_leaves(self, b, n, s, lo, hi):
         """Count the leaves of each piece per class; return its groups of
         principal leaves as one unit, a group per piece that has any."""
-        node_c = np.array(self.states.cls, dtype=np.int64)[s]
+        node_c = self.states.classes(s)
         classes = np.arange(self.h)[:, None]
         i, k = self.system._class_slices(classes, lo, hi)
         self._count_classes((b * self.h + self.cay[node_c, classes]).ravel(), k.ravel())
@@ -943,6 +963,22 @@ def _expand(system: SiteSystem, x: int, states: _States, batches: np.ndarray):
     return np.concatenate(out, axis=1)
 
 
+def _expand_batches(system: SiteSystem, x: int, states: _States, pairs, batches):
+    """Expand the two-level batches ``pairs`` (kind-3 rows of ``_walk``),
+    then the batches ``batches`` (kind-2 rows) and one batch per node of a
+    two-level batch.  Returns (first, second): first holds the nodes of the
+    two-level batches as ``_expand``'s columns with split before end (the
+    node's batch is the sites at [j + 1, split), all penultimate, and its
+    leaves those at [split, end)), and second the ``_expand`` columns of
+    every batch, whose row indexes ``batches`` and then first's nodes."""
+    row, j, e, n, s, end = _expand(system, x, states, pairs)
+    norms = system.sites.norm
+    squares = norms[: np.searchsorted(norms, math.isqrt(x), "right")] ** 2
+    split = np.maximum(np.searchsorted(squares, x // n, "right"), j + 1)
+    batches = np.concatenate((batches[:, :4], np.column_stack((n, s, j + 1, split))))
+    return (row, j, e, n, s, split, end), _expand(system, x, states, batches)
+
+
 def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     """The fast DFS over sites, for ``sweep`` and the census; the plain
     ``_principal_factorizations`` is its reference.
@@ -959,7 +995,13 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     leaves.  The test is monotone in q, so the penultimate sites form one
     range [s3, split), found by bisection on N(q_j) N(q_{j+1})^2, and the
     walk records that range as one batch row instead of walking it (the
-    special leaves of Deleglise-Rivat).  Batches start past the last
+    special leaves of Deleglise-Rivat).  One level up, a site q_j is
+    antepenultimate when N(q_j) N(q_{j+1}) N(q_{j+2})^2 > lim: then site
+    j + 1, and so every later site, is penultimate at each node n*q_j^e,
+    whose children are one batch and leaves.  Those sites form the range
+    [s4, s3), recorded as one row of two-level batches.  Deeper levels are
+    not batched: expanding them at once would hold whole levels of the
+    tree instead of a slice of rows.  Batches start past the last
     descriptor site, so no descriptor site falls in a batch or in a batched
     node's leaf range.
 
@@ -973,9 +1015,12 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     - kind 1, the leaves n*q for the sites q at stream positions [a, b),
       none of them a descriptor site;
     - kind 2, a batch: the nodes n*q^e for the penultimate sites q at
-      [a, b), and their leaves (``_expand``).
+      [a, b), and their leaves (``_expand``);
+    - kind 3, a two-level batch: the nodes n*q^e for the antepenultimate
+      sites q at [a, b), each with its batch and leaves
+      (``_expand_batches``).
 
-    A node's batch and leaf ranges are recorded after its walked
+    A node's batch rows and leaf ranges are recorded after its walked
     descendants, so the rows come in lexicographic order of the
     factorizations of their first ideals.
     """
@@ -989,11 +1034,13 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     nsites = len(norms)
     desc_sites = sorted(desc_bit)
     batch_lo = desc_sites[-1] + 1 if desc_sites else 0
-    # site j < split is penultimate at a node of norm n iff pen[j] > x // n
+    # site j < split is penultimate at a node of norm n iff pen[j] > x // n,
+    # and antepenultimate iff pen2[j] > x // n
     nsmall = bisect_right(norms, math.isqrt(x))
     pen = [
         norms[j] * norms[j + 1] ** 2 if j + 1 < nsites else math.inf for j in range(nsmall)
     ]
+    pen2 = [norms[j] * pen[j + 1] if j + 1 < nsmall else math.inf for j in range(nsmall)]
     rows = array("q")
     add = rows.extend
 
@@ -1028,12 +1075,15 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
             return
         end = bisect_right(norms, lim, start)
         split = bisect_right(norms, math.isqrt(lim), start, end)
-        s3 = split
+        s3 = s4 = split
         lo = batch_lo if batch_lo > start else start
         if lo < split:
             s3 = bisect_right(pen, lim, lo, split)
-        for j in range(start, s3):
+            s4 = bisect_right(pen2, lim, lo, s3)
+        for j in range(start, s4):
             descend(j, n, c, s, p)
+        if s4 < s3:
+            add((n, s, s4, s3, p, 3))
         if s3 < split:
             add((n, s, s3, split, p, 2))
         a = split
@@ -1118,35 +1168,58 @@ def _census_columns(system: SiteSystem, x: int):
     the norm; one ``stats_many`` call resolves their states.
 
     The nodes are the walked nodes ``_walk`` records and the batched nodes
-    of its batch rows.  Each takes its divisor counts per class D and its
-    squarefull norm from its parent's: delta is D[0] for a principal node
-    and D[0] + D[c] for a principal leaf of a node of class c.  The ideals
-    of one row are consecutive in the order of the rows, so a walked node
-    or leaf range sorts as its row index r, and a batched node n*q^e, then
-    its leaves, as (r, q, e) for the batch row r.  Rows of one tail that
-    tie in norm are equal, so one sort of norm * T + the tail's rank orders
-    every row.
+    of its kind-2 and kind-3 rows.  Each takes its divisor counts per class
+    D and its squarefull norm from its parent's: delta is D[0] for a
+    principal node and D[0] + D[c] for a principal leaf of a node of class
+    c.  The ideals of one row are consecutive in the order of the rows, so
+    each node and leaf range sorts by a place (r, j1, e1, j2, e2) in the
+    row r that holds it: a walked node or a leaf range row as (r, 0, 0, 0,
+    0); a node n*q^e of a kind-2 row, then its leaves, as (r, 0, 0, q, e);
+    and a node n*q1^e1 of a kind-3 row as (r, q1, e1, 0, 0), the nodes of
+    its batch, each then its leaves, as (r, q1, e1, q2, e2), and its own
+    leaves as (r, q1, e1, split, 0), past every site of its batch.  Rows of
+    one tail that tie in norm are equal, so one sort of norm * T + the
+    tail's rank orders every row.
     """
     _check_bound(system, x)
     states = _States(system, ())
     rows = _walk(system, x, states)
     R, kind = len(rows), rows[:, 5]
-    batch = np.flatnonzero(kind == 2)
-    row, j, e, n, s, end = _expand(system, x, states, rows[batch])
-    # the batched nodes follow the recorded rows, each a child of its batch's
-    # walked node; the leaves of a range row u, or of a batched node u, are
-    # the sites at stream positions [a, z) times the node v
-    place = np.concatenate(((np.arange(R), 0 * kind, 0 * kind), (batch[row], j, e)), axis=1)
-    ranged = np.flatnonzero(kind == 1)
-    u = np.concatenate((ranged, np.arange(R, R + n.size)))
-    a, z, v = np.concatenate((rows[ranged, 2:5].T, (j + 1, end, u[ranged.size :])), axis=1)
-    n, s, j, e, parent = np.concatenate((rows[:, :5].T, (n, s, j, e, rows[batch[row], 4])), axis=1)
+    ranged, batch, pair = (np.flatnonzero(kind == k) for k in (1, 2, 3))
+    (row1, j1, e1, n1, s1, split, end1), (row2, j2, e2, n2, s2, end2) = _expand_batches(
+        system, x, states, rows[pair], rows[batch]
+    )
+    r1 = pair[row1]
+    # the batches: one per kind-2 row, then one per node of a kind-3 row;
+    # their nodes' places start with the batch's (r, q1, e1)
+    head = np.concatenate(((batch, 0 * batch, 0 * batch), (r1, j1, e1)), axis=1)
+    # the nodes: the recorded rows (kind 0 only), then those of the kind-3
+    # rows, then those of the batches
+    N1, N2 = n1.size, n2.size
+    first, second = np.arange(R, R + N1), np.arange(R + N1, R + N1 + N2)
+    n, s, j, e = np.concatenate((rows[:, :4].T, (n1, s1, j1, e1), (n2, s2, j2, e2)), axis=1)
+    parent = np.concatenate(
+        (rows[:, 4], rows[r1, 4], np.concatenate((rows[batch, 4], first))[row2])
+    )
+    node = np.concatenate((kind == 0, np.ones(N1 + N2, dtype=bool)))
+    place = np.zeros((5, n.size), dtype=np.int64)
+    place[0, :R] = np.arange(R)
+    place[:3, first] = r1, j1, e1
+    place[:3, second] = head[:, row2]
+    place[3:, second] = j2, e2
+    # the leaf ranges: the leaves of node v are the sites at stream
+    # positions [a, z) times v
+    first_leaves = place[:, first]
+    first_leaves[3] = split
+    rplace = np.concatenate((place[:, ranged], first_leaves, place[:, second]), axis=1)
+    a, z, v = np.concatenate(
+        (rows[ranged, 2:5].T, (split, end1, first), (j2 + 1, end2, second)), axis=1
+    )
     norms, cls0 = system.sites.norm, system.sites.cls
     cay = np.array(states.cay, dtype=np.int64)
     D = np.zeros((n.size, len(cay)), dtype=np.int64)
     D[0, 0] = 1
     sf = np.ones(n.size, dtype=np.int64)
-    node = np.concatenate((kind == 0, np.ones(n.size - R, dtype=bool)))
     todo = np.flatnonzero(node)[1:]
     while todo.size:
         # the nodes whose parent is done (D[p, 0] >= 1 counts its divisor
@@ -1163,17 +1236,17 @@ def _census_columns(system: SiteSystem, x: int):
         sf[at] = sf[p] * np.where(e[at] > 1, norms[j[at]] ** e[at], 1)
     # the tails: the principal nodes, then the ranges' principal leaves, the
     # sites of the class inverse to the node's
-    cls = np.array(states.cls, dtype=np.int64)
-    hit = node & (cls[s] == 0)
-    c = cls[s[v]]
+    cls = states.classes(s)
+    hit = node & (cls == 0)
+    c = cls[v]
     pc = states.inverse[c]
     ia, k = system._class_slices(pc, a, z)
-    u, v, c, pc, ia, k = (col[k > 0] for col in (u, v, c, pc, ia, k))
+    rplace, v, c, pc, ia, k = (col[..., k > 0] for col in (rplace, v, c, pc, ia, k))
     tail_s = np.concatenate((s[hit], states.push_many(s[v], pc, 1)))
     delta = np.concatenate((D[hit, 0], D[v, 0] + D[v, c]))
     tail_sf = np.concatenate((sf[hit], sf[v]))
-    # stable, so a batched node's tail stays before its leaves'
-    order = np.lexsort(np.concatenate((place[:, hit], place[:, u]), axis=1)[::-1])
+    # stable, so a node's tail stays before its leaves'
+    order = np.lexsort(np.concatenate((place[:, hit], rplace), axis=1)[::-1])
     T = order.size
     rank = np.argsort(order)
     # one int64 per row: norm * T + rank stays below x**2 + x, as T <= x

@@ -469,17 +469,17 @@ def _reduce_forms(a, b, c):
 def _form_classes(cg: ClassGroup, p, b, dtype) -> np.ndarray:
     """0-based class of the form (p, b, (b^2 - disc) / 4p) for each lane.
 
-    Raises ``DomainError`` where a reduced form's discriminant is not disc,
-    as when b is no square root of disc mod 4p, or where it is not in the
-    class table."""
+    Raises ``DomainError`` where b is no square root of disc mod 4p, before
+    any lane is reduced: (p, b, c) then has no integer c of discriminant
+    disc, and the floored c could make the form indefinite, which
+    ``_reduce_forms`` cannot reduce.  Raises it too where a reduced form is
+    not in the class table."""
     disc = cg.field.discriminant
-    a, rb, c = _reduce_forms(p.copy(), b.copy(), (b * b - disc) // (4 * p))
-    # 4ac fits: a reduced form of discriminant disc has a^2 <= -disc / 3 and
-    # c <= (a^2 - disc) / 4a
-    c *= 4 * a
-    bad = np.flatnonzero(rb * rb - c != disc)
+    c, r = np.divmod(b * b - disc, 4 * p)
+    bad = np.flatnonzero(r)
     if bad.size:
         raise DomainError(f"form of p={int(p[bad[0]])} does not have discriminant {disc}")
+    a, rb, c = _reduce_forms(p.copy(), b.copy(), c)
     width = 2 * max(f.a for f in cg.forms) + 1
     table = sorted((f.a * width + f.b + width // 2, cg.class_index[f] - 1) for f in cg.forms)
     keys = np.array([k for k, _ in table], dtype=np.int64)

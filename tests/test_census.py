@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from irrcensus import census, cli, stats
 from irrcensus.abelian import TypeVector, structural_constants
 from irrcensus.errors import DomainError, ResourceLimitError
-from irrcensus.quadratic import SiteColumns, class_group
+from irrcensus.primes import prime_array
+from irrcensus.quadratic import SYNTHETIC, SiteColumns, class_group
 from irrcensus.synth import SynthModel
 from irrcensus.abelian import cyclic_group, group_from_orders, trivial_group
 
@@ -378,7 +379,7 @@ def test_sweep_counters_anchor_1e6(sweep5_1e6):
     # the walk's counters and the ideal counts of the 1e6 reference sweep
     swp = sweep5_1e6
     walked = swp.visited - swp.batched
-    assert (walked, swp.batched, swp.bulk, swp.nu_states) == (4299, 22535, 1378150, 65)
+    assert (walked, swp.batched, swp.bulk, swp.nu_states) == (1260, 25574, 1378150, 65)
     tot = swp.at(10**6)
     assert (tot.n_ideals, tot.n_principal, tot.irreducible_count) == (1404984, 702491, 126020)
 
@@ -656,6 +657,46 @@ def test_penultimate_rule_at_equality(reference_walks):
             _assert_sweep_matches(system, records, ideals, bound, cps=(bound // 2,))
 
 
+def _batch_rows(system, x, node):
+    """{kind: (a, b)} of the batch rows (kinds 2 and 3) of the walked node
+    of norm ``node`` and site 0 (the root for node 1) at bound x, with no
+    descriptor."""
+    rows = census._walk(system, x, census._States(system, ())).tolist()
+    p = next(r for r, row in enumerate(rows) if row[0] == node and row[2] <= 0 and row[5] == 0)
+    return {kind: (a, b) for _, _, a, b, parent, kind in rows if parent == p and kind > 1}
+
+
+def test_two_level_rule_at_equality(reference_walks):
+    # x = n N(q_j) N(q_{j+1}) N(q_{j+2})^2 at the root (n = 1) or at the
+    # node of site 0 (n = 2): at x, site j is not antepenultimate (the
+    # bound of its node n*q_j is exactly N(q_{j+1}) N(q_{j+2})^2, so
+    # q_{j+1} is walked below it), and at x - 1 it is
+    system, records, ideals, _ = reference_walks["-5"]
+    norms = system._norms
+    for n, j in ((1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)):
+        x = n * norms[j] * norms[j + 1] * norms[j + 2] ** 2
+        assert x <= REFERENCE_X
+        assert all(a > j for a, _ in _batch_rows(system, x, n).values())
+        a, b = _batch_rows(system, x - 1, n)[3]
+        assert a <= j < b
+        for bound in (x - 1, x, x + 1):
+            _assert_sweep_matches(system, records, ideals, bound, cps=(bound // 2,))
+            want = [_record_row(rec) for _, rec in records if rec.norm <= bound]
+            assert census.census_rows(system, bound) == sorted(want, key=lambda row: row[0])
+
+
+@pytest.mark.parametrize("key", ["-5", "-1155", "(2, 4)"])
+def test_two_level_batches_occur_in_the_reference_sweeps(reference_walks, key):
+    # the differential tests above run kind-3 rows, with and without
+    # descriptors, on a cyclic and a Z/2^3 field and on Z/2xZ/4
+    system, records, ideals, _ = reference_walks[key]
+    x = REFERENCE_X
+    for descs in ((), (((0, 2),), ((1, 1), (3, 1)))):
+        rows = census._walk(system, x, census._States(system, descs))
+        assert np.count_nonzero(rows[:, 5] == 3)
+        _assert_sweep_matches(system, records, ideals, x, cps=(x // 3,), descs=descs)
+
+
 @pytest.mark.parametrize("key", ["-105", "-1155", "(2, 4)"])
 def test_penultimate_batches_on_order_8_groups(reference_walks, key):
     # Z/2^3 fields and a synthetic Z/2xZ/4 stream, with checkpoints among
@@ -676,9 +717,10 @@ def _walked_states(system, x, descs):
     those of its walked and batched nodes and of their principal leaves."""
     states = census._States(system, descs)
     rows = census._walk(system, x, states)
-    batched = census._expand(system, x, states, rows[rows[:, 5] == 2])[4]
-    nodes = np.concatenate((rows[rows[:, 5] == 0, 1], batched))
-    states.push_many(nodes, states.inverse[np.array(states.cls)[nodes]], 1)
+    kind = rows[:, 5]
+    first, second = census._expand_batches(system, x, states, rows[kind == 3], rows[kind == 2])
+    nodes = np.concatenate((rows[kind == 0, 1], first[4], second[4]))
+    states.push_many(nodes, states.inverse[states.classes(nodes)], 1)
     return states, [s for s, c in enumerate(states.cls) if c == 0]
 
 
@@ -753,33 +795,76 @@ def _record_row(rec):
     )
 
 
+#: the kind of a leaf of each kind of node
+_LEAF_OF = {
+    "walked": "leaf", "batched": "batched leaf", "outer": "outer leaf", "inner": "inner leaf"
+}
+
+
 def _row_kind(norms, x, fact):
     """The kind of ``_walk`` row that holds this ideal at bound x, by the
-    walk's rules: a walked node, a batched node, a leaf of a batched node,
-    or a leaf of a walked node."""
+    walk's rules: a walked node, a node of a batch ("batched"), a node of
+    a two-level batch ("outer"), a node of an outer node's batch
+    ("inner"), or a leaf of any of them."""
     kind, n = "walked", 1
     for en in fact.entries:
         lim = x // n
-        q = en.norm
-        last = en.site_id + 1 == len(norms)
+        q, j = en.norm, en.site_id
         if q * q > lim:
-            kind = "leaf" if kind == "walked" else "batched leaf"
-        elif kind == "walked" and (last or q * norms[en.site_id + 1] ** 2 > lim):
-            kind = "batched"
+            kind = _LEAF_OF[kind]
+        elif kind == "outer":
+            kind = "inner"
+        elif kind == "walked":
+            if j + 1 == len(norms) or q * norms[j + 1] ** 2 > lim:
+                kind = "batched"
+            elif j + 2 == len(norms) or q * norms[j + 1] * norms[j + 2] ** 2 > lim:
+                kind = "outer"
         n *= q**en.exponent
     return kind
 
 
-#: x: the sets of row kinds that some norm's unequal rows come from
+#: x: the sets of row kinds that some norm's unequal rows come from; at
+#: 225 every pair of kinds that ties below 300 ties
 STRADDLES = {
-    12: {("batched", "walked"), ("batched", "batched leaf"), ("batched leaf", "leaf")},
+    12: {("batched", "batched leaf"), ("batched", "outer"), ("batched leaf", "outer leaf")},
     54: {
-        ("batched", "walked"),
         ("batched", "batched leaf"),
+        ("batched", "inner"),
+        ("batched", "inner", "outer"),
+        ("batched", "inner", "outer", "outer leaf"),
+        ("batched", "inner leaf"),
+        ("batched", "outer"),
+        ("batched", "outer", "walked"),
+        ("batched leaf", "inner leaf"),
+        ("batched leaf", "inner leaf", "outer leaf"),
+        ("batched leaf", "leaf", "outer leaf"),
+        ("batched leaf", "outer leaf"),
+        ("inner", "outer leaf"),
+        ("leaf", "outer"),
+        ("leaf", "outer leaf"),
+    },
+    225: {
+        ("batched", "batched leaf"),
+        ("batched", "batched leaf", "inner"),
+        ("batched", "inner"),
+        ("batched", "inner", "outer"),
+        ("batched", "inner", "outer", "outer leaf"),
+        ("batched", "inner leaf"),
+        ("batched", "leaf", "outer", "walked"),
+        ("batched", "outer"),
+        ("batched", "walked"),
+        ("batched leaf", "inner leaf"),
+        ("batched leaf", "inner leaf", "outer leaf"),
         ("batched leaf", "leaf"),
-        ("batched", "leaf"),
+        ("batched leaf", "leaf", "outer leaf"),
+        ("batched leaf", "outer leaf"),
+        ("inner", "inner leaf"),
+        ("inner", "outer"),
+        ("inner", "outer leaf"),
+        ("inner leaf", "outer leaf"),
+        ("leaf", "outer leaf"),
         ("leaf", "walked"),
-        ("batched", "leaf", "walked"),
+        ("outer", "walked"),
     },
 }
 
@@ -803,6 +888,27 @@ def test_census_rows_match_enumeration(reference_walks, x):
             if len(kinds) > 1 and len({row for row, _ in tied}) > 1:
                 straddles.add(kinds)
     assert straddles >= STRADDLES.get(x, set())
+
+
+@pytest.mark.parametrize("orders", [(), (2,)])
+def test_census_order_where_a_norm_is_an_earlier_norm_squared(orders):
+    # no field or synthetic stream has a site of norm N(q)^2 beside q, so
+    # there the leaves n*q_k of a node of a two-level batch never tie with
+    # the nodes n*q_j^2 of its batch, which precede them; this stream has
+    # the primes to 3000 and their squares as norms
+    x = 3000
+    p = prime_array(x)
+    norm = np.sort(np.concatenate((p, p[p * p <= x] ** 2)))
+    group = group_from_orders(orders)
+    cls = (np.arange(norm.size) % group.h).astype(np.uint8)
+    sites = SiteColumns(norm, np.full(norm.size, SYNTHETIC, dtype=np.int8), cls)
+    system = census.SiteSystem(group=group, sites=sites, limit=x)
+    records = list(census.enumerate_principal(system, x))
+    for bound in range(100, x + 1, 100):
+        want = [_record_row(rec) for _, rec in records if rec.norm <= bound]
+        assert census.census_rows(system, bound) == sorted(want, key=lambda row: row[0])
+    ideals, _ = _ideal_norms_and_classes(system, x)
+    _assert_sweep_matches(system, records, ideals, x, cps=(x // 3,), descs=(((0, 2),),))
 
 
 @pytest.mark.parametrize("x", [1, 300, REFERENCE_X])

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import resource
+import warnings
 
 import numpy as np
 import pytest
@@ -888,6 +889,24 @@ def test_a_wrong_square_root_is_refused(monkeypatch):
     monkeypatch.setattr(quadratic, "sqrt_mod_primes", planted)
     with pytest.raises(DomainError, match="p=331 does not have discriminant -23"):
         prime_sites_up_to(cg, 10**4)
+
+
+@pytest.mark.parametrize("d", [-23, -47, -71, -119])
+@pytest.mark.parametrize("shift", [1, 3])
+def test_wrong_square_roots_are_refused_before_reducing(monkeypatch, d, shift):
+    # every root shifted by 1 or 3: some lanes' floored c makes the form
+    # indefinite, where reducing would divide by a = 0; the lanes are
+    # refused before any is reduced, so no numpy warning is raised
+    def planted(a, p):
+        return (sqrt_mod_primes(a, p) + shift) % p
+
+    monkeypatch.setattr(quadratic, "sqrt_mod_primes", planted)
+    cg = class_group(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # d = 1 (mod 4) is the discriminant
+        with pytest.raises(DomainError, match=f"does not have discriminant {d}"):
+            prime_sites_up_to(cg, 10**4)
 
 
 def test_reduced_forms_are_reduced_and_primitive():
