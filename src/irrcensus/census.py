@@ -941,9 +941,9 @@ class _Tally:
 
 
 def _expand(system: SiteSystem, x: int, states: _States, batches: np.ndarray):
-    """The nodes n*q_j^e <= x, e >= 1, of each batch row (n, state, s3,
-    split, ...) and site j in [s3, split), as int64 columns (row, j, e,
-    norm, state, end): the node's leaves are the sites at [j + 1, end)."""
+    """The nodes n*q_j^e <= x, e >= 1, of each batch row (n, state, a, b,
+    ...) and site j in [a, b), as int64 columns (row, j, e, norm, state,
+    end): the node's children are the sites at [j + 1, end)."""
     norms = system.sites.norm
     counts = batches[:, 3] - batches[:, 2]
     row = np.repeat(np.arange(len(batches)), counts)

@@ -466,20 +466,28 @@ def _reduce_forms(a, b, c):
     return a, b, c
 
 
-def _form_classes(cg: ClassGroup, p, b, dtype) -> np.ndarray:
-    """0-based class of the form (p, b, (b^2 - disc) / 4p) for each lane.
-
-    Raises ``DomainError`` where b is no square root of disc mod 4p, before
-    any lane is reduced: (p, b, c) then has no integer c of discriminant
-    disc, and the floored c could make the form indefinite, which
-    ``_reduce_forms`` cannot reduce.  Raises it too where a reduced form is
-    not in the class table."""
-    disc = cg.field.discriminant
+def _third_coefficients(p, b, disc) -> np.ndarray:
+    """(b^2 - disc) / 4p for each lane, which makes (p, b, c) a form of
+    discriminant disc.  Raises ``DomainError`` where b is no square root of
+    disc mod 4p, before any lane is reduced: the floored c could make the
+    form indefinite, which ``_reduce_forms`` cannot reduce."""
     c, r = np.divmod(b * b - disc, 4 * p)
     bad = np.flatnonzero(r)
     if bad.size:
         raise DomainError(f"form of p={int(p[bad[0]])} does not have discriminant {disc}")
-    a, rb, c = _reduce_forms(p.copy(), b.copy(), c)
+    return c
+
+
+def _form_classes(cg: ClassGroup, p, b, dtype) -> np.ndarray:
+    """0-based class of the form (p, b, (b^2 - disc) / 4p) for each lane.
+
+    Raises ``DomainError`` where b is no square root of disc mod 4p (see
+    ``_third_coefficients``) or where a reduced form is not in the class
+    table."""
+    disc = cg.field.discriminant
+    # c passes as a temporary, freed once ``_reduce_forms`` replaces it: a
+    # name held here kept 66 MB more at d = -23, x = 1e8
+    a, rb, c = _reduce_forms(p.copy(), b.copy(), _third_coefficients(p, b, disc))
     width = 2 * max(f.a for f in cg.forms) + 1
     table = sorted((f.a * width + f.b + width // 2, cg.class_index[f] - 1) for f in cg.forms)
     keys = np.array([k for k, _ in table], dtype=np.int64)
