@@ -5,12 +5,12 @@ columns (``quadratic.SiteColumns``); the walks read the norms and classes
 through ``memoryview``s of numpy columns, with no per-site copy.
 
 Ideals of norm <= x are enumerated by depth-first search over the prime
-sites in increasing norm order.  Each node carries its state as an int id
-(``_States``): per class, Omega and the counts of its sites by exponent,
-which fix the class, omega and each class's subset-count polynomial.  nu
-is a sum over the types of products of those polynomials' coefficients.
-``_States.stats_many`` resolves a list of states at once with numpy, once
-per tally chunk in the sweep and once per walk in the census.  nu is also
+sites in increasing norm order.  Each node carries its state as a row of
+uint64 words (``_States``): per class, Omega and the counts of its sites
+by exponent, which fix the class, omega and each class's subset-count
+polynomial.  nu is a sum over the types of products of those polynomials'
+coefficients.  ``_States.stats_many`` resolves the distinct states of a
+tally slice, or of the census, at once with numpy.  nu is also
 computed three independent ways from a factorization (per-class
 subset-count products, exhaustive sub-multiset search, and a
 squarefull/squarefree split), which the tests hold to exact agreement.
@@ -611,12 +611,10 @@ class Sweep:
     ``bulk`` counts the leaves counted in bulk, summed from the lengths of
     the leaf ranges; ``visited + bulk`` equals ``at(x).n_ideals``.
     ``nu_states`` counts the distinct tuples of per-class subset-count
-    polynomials of the principal ideals, which is how many times nu was
-    summed over the types; every other principal ideal or bulk-counted
-    group of leaves read nu from the memo.  None of the four enters a
-    report.  Every float is the exactly rounded sum of
-    its terms, so it does not depend on the order of the walk or of the
-    tally.
+    polynomials, on which nu depends, met among the principal ideals.
+    None of the four enters a report.  Every float is the exactly rounded
+    sum of its terms, so it does not depend on the order of the walk or
+    of the tally.
     """
 
     system: SiteSystem
@@ -648,25 +646,31 @@ def _normalize_descriptor(desc) -> tuple[tuple[int, int], ...]:
 
 
 class _States:
-    """The node states of one walk, interned as int ids.
+    """The node states of one walk, one row of uint64 words each.
 
-    A state is packed into one int, 8 bits per field: per class i, Omega_i
-    and the number of its sites with exponent k for k = 1..m_i, where
-    m_i = ``max_type_component[i]`` and larger exponents count as m_i; and
-    above those, one bit per descriptor site dividing the node.  The class's
+    A state's key packs 8-bit fields: per class i, Omega_i and the number
+    of its sites with exponent k for k = 1..m_i, where m_i =
+    ``max_type_component[i]`` and larger exponents count as m_i; and above
+    those, one bit per descriptor site dividing the node.  The class's
     subset-count polynomial truncated at degree m_i is the product of
     (1 + t + ... + t^k) over those sites, so it and omega_i follow from the
     counts.  Pushing a site of class cj with exponent e adds ``inc[cj][e]``
-    (plus the site's descriptor bit), so a transition is one addition and
-    one lookup in ``ids``.  ``cls`` holds each state's class, an
-    ``array`` that numpy reads in place (``classes``).  nu depends only on
-    the tuple of polynomials; ``nu_keys`` holds those met by
+    (plus the site's descriptor bit).
+
+    Row s of ``words`` is state s's key as ``nw`` little-endian words, and
+    ``cls[s]`` its class: ``array``s that numpy reads in place.  No state
+    is interned.  The walk appends a row per walked node, ``push_many``
+    the rows it pushes in numpy, and ``truncate`` drops those again.
+    Adding ``inc_words`` word by word equals the int addition, because no
+    field passes 255: every norm is >= 2, so Omega_i <= 62.  nu depends
+    only on the tuple of polynomials; ``nu_keys`` holds those met by
     ``stats_many``, so its size is the number of nu states met.
     """
 
     def __init__(self, system: SiteSystem, descs):
         sc = system.constants
         self.cay = system.ordering.cayley()
+        self.table = np.array(self.cay, dtype=np.int64)
         self.inverse = np.array([row.index(0) for row in self.cay], dtype=np.int64)
         # one row per type, in sorted order, and each type's bytes
         self.types = np.array([tv.t for tv in sc.sorted_types], dtype=np.intp)
@@ -681,7 +685,14 @@ class _States:
         norms = system._norms
         desc_sites = sorted({sid for desc in descs for sid, _ in desc})
         self.desc_bit = {sid: 1 << self.offsets[-1] + i for i, sid in enumerate(desc_sites)}
-        self.nbytes = self.offsets[-1] // 8 + (len(desc_sites) + 7) // 8
+        self.nw = (self.offsets[-1] + len(desc_sites) + 63) // 64
+        # inc_words[cj, e] is inc[cj][e] as a row of words
+        inc = np.zeros((len(self.cay), 64, 8 * self.nw), dtype=np.uint8)
+        c, e = np.arange(len(self.cay))[:, None], np.arange(1, 64)
+        first = np.array(self.offsets[:-1])[:, None] // 8
+        inc[c, e, first] = e
+        inc[c, e, first + np.minimum(e, np.array(self.maxt)[:, None])] = 1
+        self.inc_words = inc.view(np.uint64)
         # per descriptor: (bit of its site, g-value if it divides, if not)
         self.desc_info = tuple(
             tuple(
@@ -690,53 +701,52 @@ class _States:
             )
             for desc in descs
         )
-        self.keys = [0]
+        self.words = array("Q", bytes(8 * self.nw))
         self.cls = array("q", [0])
-        self.ids = {0: 0}
         # per class: its site counts -> polynomial id; polynomial -> its id
         self.class_polys: list[dict] = [{} for _ in self.maxt]
         self.polys: list[dict] = [{} for _ in self.maxt]
         self.nu_keys: set = set()
 
-    def add(self, key: int, c: int) -> int:
-        """The id of a state not in ``ids``, of class c."""
-        t = self.ids[key] = len(self.keys)
-        self.keys.append(key)
-        self.cls.append(c)
-        return t
+    def rows(self, s: np.ndarray) -> np.ndarray:
+        """The words of the states s, a row each, gathered from a view of
+        ``words`` dropped at once: an ``array`` cannot grow while viewed."""
+        return np.frombuffer(self.words, dtype=np.uint64).reshape(-1, self.nw)[s]
 
     def classes(self, s: np.ndarray) -> np.ndarray:
-        """The classes of the states s, gathered from a view of ``cls``
-        that is dropped at once: ``add`` cannot grow an ``array`` while a
-        view of it lives."""
+        """The classes of the states s, gathered as ``rows`` does."""
         return np.frombuffer(self.cls, dtype=np.int64)[s]
 
-    def push_many(self, s: np.ndarray, cj: np.ndarray, e: int) -> np.ndarray:
-        """The states of nodes of states s times q^e, for q non-descriptor
-        sites of classes cj, looked up once per distinct pair."""
-        h = len(self.cay)
-        pairs, inverse = np.unique(s * h + cj, return_inverse=True)
-        out = []
-        for sj, cc in map(divmod, pairs.tolist(), itertools.repeat(h)):
-            key = self.keys[sj] + self.inc[cc][e]
-            t = self.ids.get(key)
-            if t is None:
-                c = self.cls[sj]
-                for _ in range(e):
-                    c = self.cay[c][cc]
-                t = self.add(key, c)
-            out.append(t)
-        return np.array(out, dtype=np.int64)[inverse]
+    def keys(self, s: np.ndarray) -> np.ndarray:
+        """The states s's keys as values that ``np.unique`` compares whole:
+        the word itself where a key has one, else the row's bytes."""
+        rows = self.rows(s)
+        return rows[:, 0] if self.nw == 1 else rows.view(f"V{8 * self.nw}").ravel()
 
-    def stats_many(self, ids: list[int]) -> tuple[np.ndarray, ...]:
+    def push_many(self, s: np.ndarray, cj: np.ndarray, e: int) -> np.ndarray:
+        """The states of the nodes of states s times q^e, for q
+        non-descriptor sites of classes cj, appended as new rows."""
+        t = len(self.cls)
+        c = self.classes(s)
+        for _ in range(e):
+            c = self.table[c, cj]
+        # ``frombytes`` takes only buffers of one-byte items
+        self.words.frombytes((self.rows(s) + self.inc_words[cj, e]).view(np.uint8))
+        self.cls.frombytes(c.view(np.uint8))
+        return np.arange(t, len(self.cls))
+
+    def truncate(self, n: int):
+        """Drop the states from id n on."""
+        del self.words[n * self.nw :], self.cls[n:]
+
+    def stats_many(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
         """(nu, omega, Omega, m, irreducible, g) of a principal ideal of
-        each state in ``ids`` from its key's bytes, a row each; m = max(0,
+        each state key in ``keys`` (see ``keys``), a row each; m = max(0,
         Omega_i - omega_i), g has a column per descriptor.  nu sums int64
         terms, one per type, which the product of the state's polynomials'
         coefficient sums bounds; that product must stay below 2**62."""
-        n, h = len(ids), len(self.maxt)
-        raw = b"".join([self.keys[s].to_bytes(self.nbytes, "little") for s in ids])
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, self.nbytes)
+        n, h = len(keys), len(self.maxt)
+        rows = np.ascontiguousarray(keys).view(np.uint8).reshape(n, 8 * self.nw)
         starts = [off // 8 for off in self.offsets[:-1]]
         wide = rows[:, : self.offsets[-1] // 8].astype(np.int64)
         Omega = wide[:, starts]
@@ -794,14 +804,14 @@ class _Tally:
     ``flush`` takes a slice of the recording ``_walk`` returns, expands each
     two-level batch into its nodes, their batches and their leaf ranges,
     then each batch into its nodes n*q^e and their leaf ranges
-    (``_expand_batches``), splits
-    every range at the checkpoints, counts its leaves per class with one
-    (class, range) lookup, ``SiteSystem._class_slices``, tallies the
-    principal ideals per (band, state) with ``bincount`` and adds the
-    slice's float terms into the exact sums at once.  Each term is the
-    float the walked tally would add: 1.0/n for a principal node,
-    the difference of two ``_class_prefix`` entries over n for a group of
-    principal leaves of one range and band, and g*k for each group of k.
+    (``_expand_batches``), splits every range at the checkpoints, counts its
+    leaves per class with one (class, range) lookup,
+    ``SiteSystem._class_slices``, tallies the principal ideals per (band,
+    state) with ``bincount`` and adds the slice's float terms into the exact
+    sums at once.  Each term is the float the walked tally would add: 1.0/n
+    for a principal node, the difference of two ``_class_prefix`` entries
+    over n for a group of principal leaves of one range and band, and g*k
+    for each group of k.
 
     Band b holds the ideals of norm in (cps[b - 1], cps[b]]: its ideals per
     class in row b of ``class_counts``, a ``Counter`` each of nu values and
@@ -812,9 +822,7 @@ class _Tally:
     """
 
     def __init__(self, system: SiteSystem, x: int, cps, states: _States):
-        self.system = system
-        self.x = x
-        self.states = states
+        self.system, self.x, self.states = system, x, states
         self.h = len(states.cay)
         self.class_counts = np.zeros((len(cps), self.h), dtype=np.int64)
         self.nu_counts = [Counter() for _ in cps]
@@ -823,7 +831,7 @@ class _Tally:
         self.sums = [[0] * len(cps) for _ in range(2 + len(states.desc_info))]
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
-        self.cay = np.array(states.cay, dtype=np.int64)
+        self.walked = len(states.cls)
         self.batched = self.bulk = 0
 
     def totals(self) -> tuple[Totals, ...]:
@@ -840,19 +848,23 @@ class _Tally:
             profile_counts.update(self.profile_counts[b])
             principal, irreducible, *g_sums = (v[b] / scale for v in sums)
             out.append(Totals(
-                x=cp,
-                h=self.h,
-                class_counts=tuple(class_counts[b]),
-                nu_counts=dict(nu_counts),
-                profile_counts=dict(profile_counts),
-                g_sums=tuple(g_sums),
-                harmonic_principal=principal,
-                harmonic_irreducible=irreducible,
-                irreducible_count=irred_counts[b],
+                x=cp, h=self.h, class_counts=tuple(class_counts[b]),
+                nu_counts=dict(nu_counts), profile_counts=dict(profile_counts),
+                g_sums=tuple(g_sums), harmonic_principal=principal,
+                harmonic_irreducible=irreducible, irreducible_count=irred_counts[b],
             ))
         return tuple(out)
 
     def flush(self, rows):
+        ub, us, uk, ut = self._units(rows)
+        # the states pushed for the slice are dropped once their keys are read
+        keys = self.states.keys(us)
+        self.states.truncate(self.walked)
+        self._tally_principal(ub, keys, uk, ut)
+
+    def _units(self, rows):
+        """Count the ideals of the recording's slice ``rows`` by class;
+        return its principal ideals as units (band, state, count, 1/N sum)."""
         nodes, ranges, batches, pairs = (rows[rows[:, 5] == kind] for kind in range(4))
         first, second = _expand_batches(self.system, self.x, self.states, pairs, batches)
         _, j1, _, n1, s1, split, end1 = first
@@ -865,7 +877,7 @@ class _Tally:
         )
         self.bulk += int((ranges[3] - ranges[2]).sum())
         units.append(self._count_leaves(*self._pieces(*ranges[:, ranges[3] > ranges[2]])))
-        self._tally_principal(*(np.concatenate(col) for col in zip(*units)))
+        return (np.concatenate(col) for col in zip(*units))
 
     def _count_nodes(self, n, s):
         """Count the nodes n of states s by class, each one ideal; return the
@@ -895,7 +907,7 @@ class _Tally:
         node_c = self.states.classes(s)
         classes = np.arange(self.h)[:, None]
         i, k = self.system._class_slices(classes, lo, hi)
-        self._count_classes((b * self.h + self.cay[node_c, classes]).ravel(), k.ravel())
+        self._count_classes((b * self.h + self.states.table[node_c, classes]).ravel(), k.ravel())
         # the leaves of the class inverse to their node's are principal
         pc = self.states.inverse[node_c]
         piece = np.arange(pc.size)
@@ -903,12 +915,8 @@ class _Tally:
         sel = k > 0
         i, k, pc = i[sel], k[sel], pc[sel]
         prefix = self.system._class_prefix
-        return (
-            b[sel],
-            self.states.push_many(s[sel], pc, 1),
-            k,
-            (prefix[i + k] - prefix[i]) / n[sel],
-        )
+        s = self.states.push_many(s[sel], pc, 1)
+        return b[sel], s, k, (prefix[i + k] - prefix[i]) / n[sel]
 
     def _count_classes(self, keys, weights):
         # float64 bincount weights are exact: a chunk holds far fewer than
@@ -916,11 +924,11 @@ class _Tally:
         counts = np.bincount(keys, weights=weights, minlength=self.class_counts.size)
         self.class_counts += counts.reshape(self.class_counts.shape).astype(np.int64)
 
-    def _tally_principal(self, ub, us, uk, ut):
-        """Add the units: uk principal ideals of state us in band ub,
-        whose 1/N sum is ut."""
-        ustates, inv = np.unique(us, return_inverse=True)
-        nu, omega, _, m, irreducible, g = self.states.stats_many(ustates.tolist())
+    def _tally_principal(self, ub, keys, uk, ut):
+        """Add the units: uk principal ideals of state key ``keys`` in band
+        ub, whose 1/N sum is ut."""
+        keys, inv = np.unique(keys, return_inverse=True)
+        nu, omega, _, m, irreducible, g = self.states.stats_many(keys)
         nus = nu.tolist()
         profiles = list(zip(map(tuple, omega.tolist()), m.tolist()))
         irreds = irreducible.tolist()
@@ -948,8 +956,7 @@ def _expand(system: SiteSystem, x: int, states: _States, batches: np.ndarray):
     counts = batches[:, 3] - batches[:, 2]
     row = np.repeat(np.arange(len(batches)), counts)
     j = np.arange(row.size) + np.repeat(batches[:, 2] - np.cumsum(counts) + counts, counts)
-    q = norms[j]
-    cj = system.sites.cls[j]
+    q, cj = norms[j], system.sites.cls[j]
     n, parent = batches[row, 0] * q, batches[row, 1]
     out = [np.empty((6, 0), dtype=np.int64)]
     e = 1
@@ -1005,7 +1012,7 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     descriptor site, so no descriptor site falls in a batch or in a batched
     node's leaf range.
 
-    A node carries its state (see ``_States``) as an int id.  The walk
+    A walked node appends its state's row to ``states``.  The walk
     returns its recording, an int64 (R, 6) array of rows (n, state, a, b,
     P, kind), a zero-copy view of the ``array`` it fills.  P is the row
     index of the walked node n:
@@ -1024,13 +1031,12 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     descendants, so the rows come in lexicographic order of the
     factorizations of their first ideals.
     """
-    norms = system._norms
-    cls0 = system._cls0
-    cay = states.cay
-    keys = states.keys
-    ids = states.ids
-    inc = states.inc
-    desc_bit = states.desc_bit
+    norms, cls0 = system._norms, system._cls0
+    cay, inc, desc_bit = states.cay, states.inc, states.desc_bit
+    nb = 8 * states.nw
+    put = states.words.frombytes
+    walked = states.cls
+    put_class = walked.append
     nsites = len(norms)
     desc_sites = sorted(desc_bit)
     batch_lo = desc_sites[-1] + 1 if desc_sites else 0
@@ -1044,30 +1050,31 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     rows = array("q")
     add = rows.extend
 
-    def descend(j: int, n: int, c: int, s: int, p: int):
+    def descend(j: int, n: int, c: int, key: int, p: int):
         """Walk every node n*q^e (e >= 1) for site j, whose n*q <= x."""
         q = norms[j]
         cj = cls0[j]
-        key = keys[s] + desc_bit.get(j, 0)
+        key += desc_bit.get(j, 0)
         inc_j = inc[cj]
         e = 1
         n2 = n * q
         c2 = cay[c][cj]
         while True:
-            s2 = ids.get(key + inc_j[e])
-            if s2 is None:
-                s2 = states.add(key + inc_j[e], c2)
-            add((n2, s2, j, e, p, 0))
-            children(j + 1, n2, c2, s2, len(rows) // 6 - 1)
+            key2 = key + inc_j[e]
+            put(key2.to_bytes(nb, "little"))
+            put_class(c2)
+            add((n2, len(walked) - 1, j, e, p, 0))
+            children(j + 1, n2, c2, key2, len(rows) // 6 - 1)
             n2 *= q
             if n2 > x:
                 break
             e += 1
             c2 = cay[c2][cj]
 
-    def children(start: int, n: int, c: int, s: int, p: int):
-        """Every descendant of node n, of row index p, whose new sites lie
-        at positions >= start."""
+    def children(start: int, n: int, c: int, key: int, p: int):
+        """Every descendant of node n, of key ``key`` and row index p, whose
+        new sites lie at positions >= start; n's state is the last one."""
+        s = len(walked) - 1
         if start >= nsites:
             return
         lim = x // n
@@ -1081,7 +1088,7 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
             s3 = bisect_right(pen, lim, lo, split)
             s4 = bisect_right(pen2, lim, lo, s3)
         for j in range(start, s4):
-            descend(j, n, c, s, p)
+            descend(j, n, c, key, p)
         if s4 < s3:
             add((n, s, s4, s3, p, 3))
         if s3 < split:
@@ -1092,7 +1099,7 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
                 break
             if d > a:
                 add((n, s, a, d, p, 1))
-            descend(d, n, c, s, p)
+            descend(d, n, c, key, p)
             a = d + 1
         if end > a:
             add((n, s, a, end, p, 1))
@@ -1138,15 +1145,8 @@ def sweep(system: SiteSystem, x: int, checkpoints=None, g_descriptors=()) -> Swe
             f"sweep lost ideals: {visited} visited + {bulk} bulk != {n_ideals} counted"
         )
     return Sweep(
-        system=system,
-        x=x,
-        checkpoints=cps,
-        g_descriptors=descs,
-        totals=totals,
-        visited=visited,
-        batched=tally.batched,
-        bulk=bulk,
-        nu_states=len(tally.states.nu_keys),
+        system=system, x=x, checkpoints=cps, g_descriptors=descs, totals=totals,
+        visited=visited, batched=tally.batched, bulk=bulk, nu_states=len(states.nu_keys),
     )
 
 
@@ -1216,7 +1216,7 @@ def _census_columns(system: SiteSystem, x: int):
         (rows[ranged, 2:5].T, (split, end1, first), (j2 + 1, end2, second)), axis=1
     )
     norms, cls0 = system.sites.norm, system.sites.cls
-    cay = np.array(states.cay, dtype=np.int64)
+    cay = states.table
     D = np.zeros((n.size, len(cay)), dtype=np.int64)
     D[0, 0] = 1
     sf = np.ones(n.size, dtype=np.int64)
@@ -1258,8 +1258,8 @@ def _census_columns(system: SiteSystem, x: int):
     key += np.repeat(rank, np.concatenate((np.ones(T - k.size, dtype=np.int64), k)))
     key.sort()
     norm, tail = np.divmod(key, T)
-    ustates, inv = np.unique(tail_s[order], return_inverse=True)
-    nu, omega, Omega, _, irreducible, _ = states.stats_many(ustates.tolist())
+    keys, inv = np.unique(states.keys(tail_s[order]), return_inverse=True)
+    nu, omega, Omega, _, irreducible, _ = states.stats_many(keys)
     per_state = np.column_stack((np.ones_like(nu), omega, Omega, nu))[inv].T
     return norm, tail, np.vstack((per_state, delta[order], irreducible[inv], tail_sf[order]))
 

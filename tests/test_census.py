@@ -714,7 +714,8 @@ def test_penultimate_batches_on_order_8_groups(reference_walks, key):
 
 def _walked_states(system, x, descs):
     """A recording walk's ``_States`` and the ids of its principal states:
-    those of its walked and batched nodes and of their principal leaves."""
+    those of its walked and batched nodes and of their principal leaves,
+    one row each, so equal states recur."""
     states = census._States(system, descs)
     rows = census._walk(system, x, states)
     kind = rows[:, 5]
@@ -731,14 +732,14 @@ def test_stats_many_ignores_order_and_chunking(reference_walks, data):
     system = reference_walks[key][0]
     descs = (((0, 2),), ((1, 1), (3, 1)))
     states, ids = _walked_states(system, REFERENCE_X, descs)
-    whole = states.stats_many(ids)
+    whole = states.stats_many(states.keys(ids))
     rnd = data.draw(st.randoms(use_true_random=False), label="order and chunks")
     perm = list(range(len(ids)))
     rnd.shuffle(perm)
     cuts = sorted(rnd.sample(range(1, len(ids)), rnd.randint(0, 6)))
     again, _ = _walked_states(system, REFERENCE_X, descs)
     parts = [
-        again.stats_many([ids[i] for i in perm[lo:hi]])
+        again.stats_many(again.keys([ids[i] for i in perm[lo:hi]]))
         for lo, hi in zip([0, *cuts], [*cuts, len(ids)])
     ]
     back = np.argsort(perm)
@@ -759,10 +760,73 @@ def test_stats_many_guards_int64():
     # product of the coefficient sums passes 2**62, so nu could wrap
     system = census.for_synth(SynthModel(group=group_from_orders((2, 4)), seed=29), 100)
     states = census._States(system, ())
-    planted = states.add(sum(255 << off + 8 for off in states.offsets[:-1]), 0)
-    states.stats_many([0])
+    planted = sum(255 << off + 8 for off in states.offsets[:-1])
+    states.words.frombytes(planted.to_bytes(8 * states.nw, "little"))
+    states.cls.append(0)
+    states.stats_many(states.keys([0]))
     with pytest.raises(ResourceLimitError, match=r"2\*\*62"):
-        states.stats_many([0, planted])
+        states.stats_many(states.keys([0, 1]))
+
+
+def test_stats_many_of_no_states(reference_walks, monkeypatch):
+    # a tally slice can hold no principal ideal, as slices of one row do:
+    # then no state is resolved, here with keys of several words
+    system = reference_walks["(2, 4)"][0]
+    states = census._States(system, ())
+    assert states.nw > 1
+    states.stats_many(states.keys([0]))
+    stats = states.stats_many(states.keys(np.zeros(0, dtype=np.int64)))
+    assert [col.shape[0] for col in stats] == [0] * 6
+    assert len(states.nu_keys) == 1
+    descs = (((0, 2),), ((1, 1), (3, 1)))
+    want = census.sweep(system, REFERENCE_X, (REFERENCE_X // 3,), descs)
+    monkeypatch.setattr(census, "TALLY_CHUNK", 1)
+    got = census.sweep(system, REFERENCE_X, (REFERENCE_X // 3,), descs)
+    assert got.totals == want.totals
+    assert (got.visited, got.nu_states) == (want.visited, want.nu_states)
+
+
+@pytest.mark.parametrize("key", ["-119", "(2, 4)"])
+def test_pushed_rows_equal_the_int_keys(monkeypatch, key):
+    # every row push_many appends during a sweep with descriptors is the
+    # int sum of its parent's key and the site's increment, and its class
+    # the parent's class times the site's class e times; resolving the
+    # distinct keys of a slice gives what resolving all of them gives
+    x = 10**5
+    if key == "-119":
+        system = census.for_field(-119, x)
+    else:
+        system = census.for_synth(SynthModel(group=group_from_orders((2, 4)), seed=29), x)
+    cay = system.ordering.cayley()
+    push, tally = census._States.push_many, census._Tally._tally_principal
+    exponents = Counter()
+
+    def checked_push(states, s, cj, e):
+        parents = [int.from_bytes(row.tobytes(), "little") for row in states.rows(s)]
+        parent_cls = states.classes(s).tolist()
+        t = push(states, s, cj, e)
+        assert t.size == s.size
+        for row, c, parent, pc, cc in zip(
+            states.rows(t), states.classes(t).tolist(), parents, parent_cls, cj.tolist()
+        ):
+            assert int.from_bytes(row.tobytes(), "little") == parent + states.inc[cc][e]
+            for _ in range(e):
+                pc = cay[pc][cc]
+            assert c == pc
+        exponents[e] += t.size
+        return t
+
+    def checked_tally(self, ub, keys, uk, ut):
+        distinct, inv = np.unique(keys, return_inverse=True)
+        for got, want in zip(self.states.stats_many(distinct), self.states.stats_many(keys)):
+            assert np.array_equal(got[inv], want)
+        return tally(self, ub, keys, uk, ut)
+
+    monkeypatch.setattr(census._States, "push_many", checked_push)
+    monkeypatch.setattr(census._Tally, "_tally_principal", checked_tally)
+    descs = (((0, 2),), ((1, 1), (3, 1)))
+    census.sweep(system, x, checkpoints=(x // 3,), g_descriptors=descs)
+    assert exponents[1] and sum(k for e, k in exponents.items() if e > 1)
 
 
 @pytest.mark.parametrize("key", ["(3, 3)", "-1155"])
