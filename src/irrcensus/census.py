@@ -655,16 +655,14 @@ class _States:
     subset-count polynomial truncated at degree m_i is the product of
     (1 + t + ... + t^k) over those sites, so it and omega_i follow from the
     counts.  Pushing a site of class cj with exponent e adds ``inc[cj][e]``
-    (plus the site's descriptor bit).
-
-    Row s of ``words`` is state s's key as ``nw`` little-endian words, and
-    ``cls[s]`` its class: ``array``s that numpy reads in place.  No state
-    is interned.  The walk appends a row per walked node, ``push_many``
-    the rows it pushes in numpy, and ``truncate`` drops those again.
-    Adding ``inc_words`` word by word equals the int addition, because no
-    field passes 255: every norm is >= 2, so Omega_i <= 62.  nu depends
-    only on the tuple of polynomials; ``nu_keys`` holds those met by
-    ``stats_many``, so its size is the number of nu states met.
+    (plus the site's descriptor bit).  Row s of ``words`` is state s's key
+    as ``nw`` little-endian words and ``cls[s]`` its class, ``array``s
+    that numpy reads in place.  No state is interned: the walk appends a
+    row per walked node, and ``push_many`` the rows it pushes in numpy,
+    which ``truncate`` drops again.  Adding ``inc_words`` word by word
+    equals the int addition, because no field passes 255: every norm is
+    >= 2, so Omega_i <= 62.  nu depends only on the tuple of polynomials;
+    ``nu_keys`` holds those met by ``stats_many``.
     """
 
     def __init__(self, system: SiteSystem, descs):
@@ -687,12 +685,8 @@ class _States:
         self.desc_bit = {sid: 1 << self.offsets[-1] + i for i, sid in enumerate(desc_sites)}
         self.nw = (self.offsets[-1] + len(desc_sites) + 63) // 64
         # inc_words[cj, e] is inc[cj][e] as a row of words
-        inc = np.zeros((len(self.cay), 64, 8 * self.nw), dtype=np.uint8)
-        c, e = np.arange(len(self.cay))[:, None], np.arange(1, 64)
-        first = np.array(self.offsets[:-1])[:, None] // 8
-        inc[c, e, first] = e
-        inc[c, e, first + np.minimum(e, np.array(self.maxt)[:, None])] = 1
-        self.inc_words = inc.view(np.uint64)
+        raw = b"".join(k.to_bytes(8 * self.nw, "little") for row in self.inc for k in row)
+        self.inc_words = np.frombuffer(raw, dtype=np.uint64).reshape(len(self.cay), 64, self.nw)
         # per descriptor: (bit of its site, g-value if it divides, if not)
         self.desc_info = tuple(
             tuple(
@@ -718,10 +712,9 @@ class _States:
         return np.frombuffer(self.cls, dtype=np.int64)[s]
 
     def keys(self, s: np.ndarray) -> np.ndarray:
-        """The states s's keys as values that ``np.unique`` compares whole:
-        the word itself where a key has one, else the row's bytes."""
+        """The keys of the states s, as values ``np.unique`` compares whole."""
         rows = self.rows(s)
-        return rows[:, 0] if self.nw == 1 else rows.view(f"V{8 * self.nw}").ravel()
+        return rows[:, 0] if self.nw == 1 else _byte_rows(rows.view(np.uint8))
 
     def push_many(self, s: np.ndarray, cj: np.ndarray, e: int) -> np.ndarray:
         """The states of the nodes of states s times q^e, for q
@@ -831,6 +824,8 @@ class _Tally:
         self.sums = [[0] * len(cps) for _ in range(2 + len(states.desc_info))]
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
+        # built before any slice pushes its states, whose rows would add to its peak
+        self.prefix = system._class_prefix
         self.walked = len(states.cls)
         self.batched = self.bulk = 0
 
@@ -848,10 +843,15 @@ class _Tally:
             profile_counts.update(self.profile_counts[b])
             principal, irreducible, *g_sums = (v[b] / scale for v in sums)
             out.append(Totals(
-                x=cp, h=self.h, class_counts=tuple(class_counts[b]),
-                nu_counts=dict(nu_counts), profile_counts=dict(profile_counts),
-                g_sums=tuple(g_sums), harmonic_principal=principal,
-                harmonic_irreducible=irreducible, irreducible_count=irred_counts[b],
+                x=cp,
+                h=self.h,
+                class_counts=tuple(class_counts[b]),
+                nu_counts=dict(nu_counts),
+                profile_counts=dict(profile_counts),
+                g_sums=tuple(g_sums),
+                harmonic_principal=principal,
+                harmonic_irreducible=irreducible,
+                irreducible_count=irred_counts[b],
             ))
         return tuple(out)
 
@@ -914,9 +914,8 @@ class _Tally:
         i, k = i[pc, piece] + pc, k[pc, piece]
         sel = k > 0
         i, k, pc = i[sel], k[sel], pc[sel]
-        prefix = self.system._class_prefix
         s = self.states.push_many(s[sel], pc, 1)
-        return b[sel], s, k, (prefix[i + k] - prefix[i]) / n[sel]
+        return b[sel], s, k, (self.prefix[i + k] - self.prefix[i]) / n[sel]
 
     def _count_classes(self, keys, weights):
         # float64 bincount weights are exact: a chunk holds far fewer than
@@ -956,7 +955,8 @@ def _expand(system: SiteSystem, x: int, states: _States, batches: np.ndarray):
     counts = batches[:, 3] - batches[:, 2]
     row = np.repeat(np.arange(len(batches)), counts)
     j = np.arange(row.size) + np.repeat(batches[:, 2] - np.cumsum(counts) + counts, counts)
-    q, cj = norms[j], system.sites.cls[j]
+    q = norms[j]
+    cj = system.sites.cls[j]
     n, parent = batches[row, 0] * q, batches[row, 1]
     out = [np.empty((6, 0), dtype=np.int64)]
     e = 1
@@ -1035,8 +1035,8 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     cay, inc, desc_bit = states.cay, states.inc, states.desc_bit
     nb = 8 * states.nw
     put = states.words.frombytes
-    walked = states.cls
-    put_class = walked.append
+    classes = states.cls
+    put_class = classes.append
     nsites = len(norms)
     desc_sites = sorted(desc_bit)
     batch_lo = desc_sites[-1] + 1 if desc_sites else 0
@@ -1063,7 +1063,7 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
             key2 = key + inc_j[e]
             put(key2.to_bytes(nb, "little"))
             put_class(c2)
-            add((n2, len(walked) - 1, j, e, p, 0))
+            add((n2, len(classes) - 1, j, e, p, 0))
             children(j + 1, n2, c2, key2, len(rows) // 6 - 1)
             n2 *= q
             if n2 > x:
@@ -1073,8 +1073,8 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
 
     def children(start: int, n: int, c: int, key: int, p: int):
         """Every descendant of node n, of key ``key`` and row index p, whose
-        new sites lie at positions >= start; n's state is the last one."""
-        s = len(walked) - 1
+        new sites lie at positions >= start; n's state is the last in ``states``."""
+        s = len(classes) - 1
         if start >= nsites:
             return
         lim = x // n
