@@ -656,20 +656,19 @@ class _States:
     (1 + t + ... + t^k) over those sites, so it and omega_i follow from the
     counts.  Pushing a site of class cj with exponent e adds ``inc[cj][e]``
     (plus the site's descriptor bit).  Row s of ``words`` is state s's key
-    as ``nw`` little-endian words and ``cls[s]`` its class, ``array``s
-    that numpy reads in place.  No state is interned: the walk appends a
-    row per walked node, and ``push_many`` the rows it pushes in numpy,
-    which ``truncate`` drops again.  Adding ``inc_words`` word by word
-    equals the int addition, because no field passes 255: every norm is
-    >= 2, so Omega_i <= 62.  nu depends only on the tuple of polynomials;
-    ``nu_keys`` holds those met by ``stats_many``.
+    as ``nw`` little-endian words, and ``cls[s]`` its class.  No state is
+    interned: the walk appends a row per walked node, ``push_many`` the
+    rows it pushes in numpy, which ``truncate`` drops, and ``distinct``
+    finds equal rows.  Adding ``inc_words`` word by word equals the int
+    addition, as no field passes 255: every norm is >= 2, so Omega_i <= 62.
+    nu depends only on the tuple of polynomials; ``nu_keys`` holds those
+    met by ``stats_many``.
     """
 
     def __init__(self, system: SiteSystem, descs):
         sc = system.constants
-        self.cay = system.ordering.cayley()
-        self.table = np.array(self.cay, dtype=np.int64)
-        self.inverse = np.array([row.index(0) for row in self.cay], dtype=np.int64)
+        self.table = np.array(system.ordering.cayley(), dtype=np.int64)
+        self.inverse = np.argmin(self.table, axis=1)  # the identity is class 0
         # one row per type, in sorted order, and each type's bytes
         self.types = np.array([tv.t for tv in sc.sorted_types], dtype=np.intp)
         self.type_bytes = set(_byte_rows(self.types.astype(np.uint8)).tolist())
@@ -686,7 +685,7 @@ class _States:
         self.nw = (self.offsets[-1] + len(desc_sites) + 63) // 64
         # inc_words[cj, e] is inc[cj][e] as a row of words
         raw = b"".join(k.to_bytes(8 * self.nw, "little") for row in self.inc for k in row)
-        self.inc_words = np.frombuffer(raw, dtype=np.uint64).reshape(len(self.cay), 64, self.nw)
+        self.inc_words = np.frombuffer(raw, dtype=np.uint64).reshape(len(self.table), 64, self.nw)
         # per descriptor: (bit of its site, g-value if it divides, if not)
         self.desc_info = tuple(
             tuple(
@@ -695,6 +694,8 @@ class _States:
             )
             for desc in descs
         )
+        # an odd multiplier, which with the shift mixes the words of a row
+        self.mix = np.uint64(0x9E3779B97F4A7C15)
         self.words = array("Q", bytes(8 * self.nw))
         self.cls = array("q", [0])
         # per class: its site counts -> polynomial id; polynomial -> its id
@@ -711,10 +712,17 @@ class _States:
         """The classes of the states s, gathered as ``rows`` does."""
         return np.frombuffer(self.cls, dtype=np.int64)[s]
 
-    def keys(self, s: np.ndarray) -> np.ndarray:
-        """The keys of the states s, as values ``np.unique`` compares whole."""
-        rows = self.rows(s)
-        return rows[:, 0] if self.nw == 1 else _byte_rows(rows.view(np.uint8))
+    def distinct(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of ``rows`` and each row's index among them, told
+        apart by a hash of their words, or by their bytes on a collision."""
+        keys = rows[:, 0]
+        for word in rows.T[1:]:
+            keys = (keys ^ keys >> 29) * self.mix + word
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        if self.nw > 1 and not np.array_equal(rows[first][inv], rows):
+            keys = _byte_rows(rows.view(np.uint8))
+            _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        return rows[first], inv
 
     def push_many(self, s: np.ndarray, cj: np.ndarray, e: int) -> np.ndarray:
         """The states of the nodes of states s times q^e, for q
@@ -732,14 +740,13 @@ class _States:
         """Drop the states from id n on."""
         del self.words[n * self.nw :], self.cls[n:]
 
-    def stats_many(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(nu, omega, Omega, m, irreducible, g) of a principal ideal of
-        each state key in ``keys`` (see ``keys``), a row each; m = max(0,
+    def stats_many(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(nu, omega, Omega, m, irreducible, g) of a principal ideal of the
+        state of each row of words in ``rows``, a row each; m = max(0,
         Omega_i - omega_i), g has a column per descriptor.  nu sums int64
         terms, one per type, which the product of the state's polynomials'
         coefficient sums bounds; that product must stay below 2**62."""
-        n, h = len(keys), len(self.maxt)
-        rows = np.ascontiguousarray(keys).view(np.uint8).reshape(n, 8 * self.nw)
+        n, h, rows = len(rows), len(self.maxt), rows.view(np.uint8)
         starts = [off // 8 for off in self.offsets[:-1]]
         wide = rows[:, : self.offsets[-1] // 8].astype(np.int64)
         Omega = wide[:, starts]
@@ -816,7 +823,7 @@ class _Tally:
 
     def __init__(self, system: SiteSystem, x: int, cps, states: _States):
         self.system, self.x, self.states = system, x, states
-        self.h = len(states.cay)
+        self.h = len(states.table)
         self.class_counts = np.zeros((len(cps), self.h), dtype=np.int64)
         self.nu_counts = [Counter() for _ in cps]
         self.profile_counts = [Counter() for _ in cps]
@@ -856,15 +863,6 @@ class _Tally:
         return tuple(out)
 
     def flush(self, rows):
-        ub, us, uk, ut = self._units(rows)
-        # the states pushed for the slice are dropped once their keys are read
-        keys = self.states.keys(us)
-        self.states.truncate(self.walked)
-        self._tally_principal(ub, keys, uk, ut)
-
-    def _units(self, rows):
-        """Count the ideals of the recording's slice ``rows`` by class;
-        return its principal ideals as units (band, state, count, 1/N sum)."""
         nodes, ranges, batches, pairs = (rows[rows[:, 5] == kind] for kind in range(4))
         first, second = _expand_batches(self.system, self.x, self.states, pairs, batches)
         _, j1, _, n1, s1, split, end1 = first
@@ -877,7 +875,11 @@ class _Tally:
         )
         self.bulk += int((ranges[3] - ranges[2]).sum())
         units.append(self._count_leaves(*self._pieces(*ranges[:, ranges[3] > ranges[2]])))
-        return (np.concatenate(col) for col in zip(*units))
+        ub, us, uk, ut = (np.concatenate(col) for col in zip(*units))
+        # the states pushed for the slice are dropped once their rows are read
+        rows = self.states.rows(us)
+        self.states.truncate(self.walked)
+        self._tally_principal(ub, rows, uk, ut)
 
     def _count_nodes(self, n, s):
         """Count the nodes n of states s by class, each one ideal; return the
@@ -923,11 +925,11 @@ class _Tally:
         counts = np.bincount(keys, weights=weights, minlength=self.class_counts.size)
         self.class_counts += counts.reshape(self.class_counts.shape).astype(np.int64)
 
-    def _tally_principal(self, ub, keys, uk, ut):
-        """Add the units: uk principal ideals of state key ``keys`` in band
-        ub, whose 1/N sum is ut."""
-        keys, inv = np.unique(keys, return_inverse=True)
-        nu, omega, _, m, irreducible, g = self.states.stats_many(keys)
+    def _tally_principal(self, ub, rows, uk, ut):
+        """Add the units: uk principal ideals of the state of row ``rows`` in
+        band ub, whose 1/N sum is ut."""
+        rows, inv = self.states.distinct(rows)
+        nu, omega, _, m, irreducible, g = self.states.stats_many(rows)
         nus = nu.tolist()
         profiles = list(zip(map(tuple, omega.tolist()), m.tolist()))
         irreds = irreducible.tolist()
@@ -1032,11 +1034,9 @@ def _walk(system: SiteSystem, x: int, states: _States) -> np.ndarray:
     factorizations of their first ideals.
     """
     norms, cls0 = system._norms, system._cls0
-    cay, inc, desc_bit = states.cay, states.inc, states.desc_bit
-    nb = 8 * states.nw
-    put = states.words.frombytes
-    classes = states.cls
-    put_class = classes.append
+    cay, inc, desc_bit = system.ordering.cayley(), states.inc, states.desc_bit
+    nb, put = 8 * states.nw, states.words.frombytes
+    classes, put_class = states.cls, states.cls.append
     nsites = len(norms)
     desc_sites = sorted(desc_bit)
     batch_lo = desc_sites[-1] + 1 if desc_sites else 0
@@ -1258,8 +1258,8 @@ def _census_columns(system: SiteSystem, x: int):
     key += np.repeat(rank, np.concatenate((np.ones(T - k.size, dtype=np.int64), k)))
     key.sort()
     norm, tail = np.divmod(key, T)
-    keys, inv = np.unique(states.keys(tail_s[order]), return_inverse=True)
-    nu, omega, Omega, _, irreducible, _ = states.stats_many(keys)
+    rows, inv = states.distinct(states.rows(tail_s[order]))
+    nu, omega, Omega, _, irreducible, _ = states.stats_many(rows)
     per_state = np.column_stack((np.ones_like(nu), omega, Omega, nu))[inv].T
     return norm, tail, np.vstack((per_state, delta[order], irreducible[inv], tail_sf[order]))
 

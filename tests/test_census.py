@@ -732,14 +732,14 @@ def test_stats_many_ignores_order_and_chunking(reference_walks, data):
     system = reference_walks[key][0]
     descs = (((0, 2),), ((1, 1), (3, 1)))
     states, ids = _walked_states(system, REFERENCE_X, descs)
-    whole = states.stats_many(states.keys(ids))
+    whole = states.stats_many(states.rows(ids))
     rnd = data.draw(st.randoms(use_true_random=False), label="order and chunks")
     perm = list(range(len(ids)))
     rnd.shuffle(perm)
     cuts = sorted(rnd.sample(range(1, len(ids)), rnd.randint(0, 6)))
     again, _ = _walked_states(system, REFERENCE_X, descs)
     parts = [
-        again.stats_many(again.keys([ids[i] for i in perm[lo:hi]]))
+        again.stats_many(again.rows([ids[i] for i in perm[lo:hi]]))
         for lo, hi in zip([0, *cuts], [*cuts, len(ids)])
     ]
     back = np.argsort(perm)
@@ -763,9 +763,9 @@ def test_stats_many_guards_int64():
     planted = sum(255 << off + 8 for off in states.offsets[:-1])
     states.words.frombytes(planted.to_bytes(8 * states.nw, "little"))
     states.cls.append(0)
-    states.stats_many(states.keys([0]))
+    states.stats_many(states.rows([0]))
     with pytest.raises(ResourceLimitError, match=r"2\*\*62"):
-        states.stats_many(states.keys([0, 1]))
+        states.stats_many(states.rows([0, 1]))
 
 
 def test_stats_many_of_no_states(reference_walks, monkeypatch):
@@ -774,8 +774,10 @@ def test_stats_many_of_no_states(reference_walks, monkeypatch):
     system = reference_walks["(2, 4)"][0]
     states = census._States(system, ())
     assert states.nw > 1
-    states.stats_many(states.keys([0]))
-    stats = states.stats_many(states.keys(np.zeros(0, dtype=np.int64)))
+    states.stats_many(states.rows([0]))
+    rows, inv = states.distinct(states.rows(np.zeros(0, dtype=np.int64)))
+    assert rows.shape == (0, states.nw) and inv.size == 0
+    stats = states.stats_many(rows)
     assert [col.shape[0] for col in stats] == [0] * 6
     assert len(states.nu_keys) == 1
     descs = (((0, 2),), ((1, 1), (3, 1)))
@@ -816,17 +818,39 @@ def test_pushed_rows_equal_the_int_keys(monkeypatch, key):
         exponents[e] += t.size
         return t
 
-    def checked_tally(self, ub, keys, uk, ut):
-        distinct, inv = np.unique(keys, return_inverse=True)
-        for got, want in zip(self.states.stats_many(distinct), self.states.stats_many(keys)):
+    def checked_tally(self, ub, rows, uk, ut):
+        distinct, inv = self.states.distinct(rows)
+        assert np.array_equal(distinct[inv], rows)
+        assert np.unique(distinct, axis=0).shape == distinct.shape
+        for got, want in zip(self.states.stats_many(distinct), self.states.stats_many(rows)):
             assert np.array_equal(got[inv], want)
-        return tally(self, ub, keys, uk, ut)
+        return tally(self, ub, rows, uk, ut)
 
     monkeypatch.setattr(census._States, "push_many", checked_push)
     monkeypatch.setattr(census._Tally, "_tally_principal", checked_tally)
     descs = (((0, 2),), ((1, 1), (3, 1)))
     census.sweep(system, x, checkpoints=(x // 3,), g_descriptors=descs)
     assert exponents[1] and sum(k for e, k in exponents.items() if e > 1)
+
+
+@pytest.mark.parametrize("mix", [None, 0, 2**63])
+def test_distinct_rows_survive_hash_collisions(reference_walks, mix):
+    # ``distinct`` tells rows apart by a hash of their words and checks the
+    # hash's groups against the rows: with a multiplier that drops every
+    # word but the last (0) or keeps one bit (2**63), rows collide, and
+    # their bytes still tell them apart
+    system = reference_walks["(2, 4)"][0]
+    states, ids = _walked_states(system, REFERENCE_X, (((0, 2),), ((1, 1), (3, 1))))
+    rows = states.rows(ids)
+    if mix is not None:
+        states.mix = np.uint64(mix)
+        keys = rows[:, 0]
+        for word in rows.T[1:]:
+            keys = (keys ^ keys >> 29) * states.mix + word
+        assert len(np.unique(keys)) < len(np.unique(rows, axis=0))
+    distinct, inv = states.distinct(rows)
+    assert np.array_equal(distinct[inv], rows)
+    assert distinct.shape == np.unique(rows, axis=0).shape
 
 
 @pytest.mark.parametrize("key", ["(3, 3)", "-1155"])
