@@ -804,14 +804,14 @@ class _Tally:
     ``flush`` takes a slice of the recording ``_walk`` returns, expands each
     two-level batch into its nodes, their batches and their leaf ranges,
     then each batch into its nodes n*q^e and their leaf ranges
-    (``_expand_batches``), splits every range at the checkpoints, counts its
-    leaves per class with one (class, range) lookup,
-    ``SiteSystem._class_slices``, tallies the principal ideals per (band,
-    state) with ``bincount`` and adds the slice's float terms into the exact
-    sums at once.  Each term is the float the walked tally would add: 1.0/n
-    for a principal node, the difference of two ``_class_prefix`` entries
-    over n for a group of principal leaves of one range and band, and g*k
-    for each group of k.
+    (``_expand_batches``), splits
+    every range at the checkpoints, counts its leaves per class with one
+    (class, range) lookup, ``SiteSystem._class_slices``, tallies the
+    principal ideals per (band, state) with ``bincount`` and adds the
+    slice's float terms into the exact sums at once.  Each term is the
+    float the walked tally would add: 1.0/n for a principal node,
+    the difference of two ``_class_prefix`` entries over n for a group of
+    principal leaves of one range and band, and g*k for each group of k.
 
     Band b holds the ideals of norm in (cps[b - 1], cps[b]]: its ideals per
     class in row b of ``class_counts``, a ``Counter`` each of nu values and
