@@ -541,6 +541,11 @@ def harmonic_sums(system: SiteSystem, x: int, exact: bool = False) -> HarmonicSu
 #: Every finite float times 2**1074 is an integer.
 _SCALE_BITS = 1074
 
+#: Terms that one pass of ``_add_exact`` sums at most.  A signed 26-bit half
+#: is below 2**27 in magnitude, so a float64 sum of fewer than 2**26 of them
+#: is an exact integer.
+_EXACT_CHUNK = 1 << 25
+
 
 def _add_exact(sums: list, values: np.ndarray, labels: np.ndarray):
     """Add each finite float64 of ``values`` exactly into ``sums[label]``, a
@@ -548,33 +553,39 @@ def _add_exact(sums: list, values: np.ndarray, labels: np.ndarray):
 
     A float times 2**1074 is its 53-bit significand shifted left by
     max(biased exponent - 1, 0).  The significands, signed, are cut into
-    26-bit halves and summed per (label, exponent) in int64, which cannot
-    overflow below 2**36 terms; only the few group sums become Python ints.
-    The int is the exact sum whatever the order of the terms, and
-    ``int / (1 << _SCALE_BITS)`` rounds it once.
+    26-bit halves, and each half is summed per (label, exponent) by one
+    float64 ``bincount``, exact on ``_EXACT_CHUNK`` terms at a time; only
+    the few group sums become Python ints.  The int is the exact sum
+    whatever the order of the terms, and ``int / (1 << _SCALE_BITS)``
+    rounds it once.
     """
-    if not values.size:
-        return
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    key = bits >> 52
-    key &= 0x7FF
-    mant = bits & ((1 << 52) - 1)
-    mant[key > 0] += 1 << 52
-    np.negative(mant, out=mant, where=bits < 0)
-    key -= 1
-    np.maximum(key, 0, out=key)
-    key += labels * 2048
-    order = np.argsort(key)
-    key = key[order]
-    mant = mant[order]
-    del order
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    hi = np.add.reduceat(mant >> 26, starts)
-    mant &= (1 << 26) - 1
-    lo = np.add.reduceat(mant, starts)
-    for k, a, b in zip(key[starts].tolist(), hi.tolist(), lo.tolist()):
-        label, shift = divmod(k, 2048)
-        sums[label] += ((a << 26) + b) << shift
+    for lo in range(0, bits.size, _EXACT_CHUNK):
+        chunk = bits[lo : lo + _EXACT_CHUNK]
+        shift = chunk >> 52
+        shift &= 0x7FF
+        mant = chunk & ((1 << 52) - 1)
+        # the implicit bit of a normal float
+        mant |= np.minimum(shift, 1) << 52
+        np.negative(mant, out=mant, where=chunk < 0)
+        shift -= 1
+        np.maximum(shift, 0, out=shift)
+        least = int(shift.min())
+        span = int(shift.max()) - least + 1
+        # the key of (label, shift) is label * span + shift - least
+        key = shift
+        key += labels[lo : lo + _EXACT_CHUNK] * span - least
+        high = np.bincount(key, weights=mant >> 26)
+        mant &= (1 << 26) - 1
+        low = np.bincount(key, weights=mant)
+        groups = np.flatnonzero((high != 0) | (low != 0))
+        for k, a, b in zip(
+            groups.tolist(),
+            high[groups].astype(np.int64).tolist(),
+            low[groups].astype(np.int64).tolist(),
+        ):
+            label, k = divmod(k, span)
+            sums[label] += ((a << 26) + b) << k + least
 
 
 @dataclass(frozen=True)
@@ -669,9 +680,16 @@ class _States:
         sc = system.constants
         self.table = np.array(system.ordering.cayley(), dtype=np.int64)
         self.inverse = np.argmin(self.table, axis=1)  # the identity is class 0
-        # one row per type, in sorted order, and each type's bytes
+        # power[c, e] is the class of a site of class c to the power e < 64:
+        # the powers repeat with period the group's exponent, the first k
+        # with every class to the power k the identity
+        power = [np.zeros(len(self.table), dtype=np.int64)]
+        while len(power) == 1 or power[-1].any():
+            power.append(self.table[power[-1], np.arange(len(self.table))])
+        self.power = np.stack(power[:-1], axis=1)[:, np.arange(64) % (len(power) - 1)]
+        # one row per type, in sorted order, and each type's bytes as words
         self.types = np.array([tv.t for tv in sc.sorted_types], dtype=np.intp)
-        self.type_bytes = set(_byte_rows(self.types.astype(np.uint8)).tolist())
+        self.type_words = _words(self.types.astype(np.uint8))
         self.maxt = sc.max_type_component
         self.offsets = [0, *itertools.accumulate(8 * (m + 1) for m in self.maxt)]
         # every norm is >= 2 (``SiteSystem`` checks it), so exponents stay below 64
@@ -712,25 +730,35 @@ class _States:
         """The classes of the states s, gathered as ``rows`` does."""
         return np.frombuffer(self.cls, dtype=np.int64)[s]
 
-    def distinct(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of ``rows`` and each row's index among them, told
-        apart by a hash of their words, or by their bytes on a collision."""
-        keys = rows[:, 0]
-        for word in rows.T[1:]:
+    def group_rows(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(first, inv) for a 2-D uint64 array: the index of one row of each
+        distinct value, and each row's index among those.  Rows are keyed
+        by one uint64, a hash of their words (the word itself for one
+        word), and told apart by their words on a collision."""
+        keys = words[:, 0]
+        for word in words.T[1:]:
             keys = (keys ^ keys >> 29) * self.mix + word
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        if self.nw > 1 and not np.array_equal(rows[first][inv], rows):
-            keys = _byte_rows(rows.view(np.uint8))
-            _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        # any row of a group serves as its first: they are equal
+        distinct, inv = np.unique(keys, return_inverse=True)
+        first = np.empty(distinct.size, dtype=np.intp)
+        first[inv] = np.arange(inv.size)
+        if words.shape[1] > 1 and not np.array_equal(words[first][inv], words):
+            _, first, inv = np.unique(words, axis=0, return_index=True, return_inverse=True)
+        return first, inv.ravel()
+
+    def distinct(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of ``rows`` and each row's index among them."""
+        first, inv = self.group_rows(rows)
         return rows[first], inv
 
-    def push_many(self, s: np.ndarray, cj: np.ndarray, e: int) -> np.ndarray:
+    def push_many(self, s: np.ndarray, cj: np.ndarray, e) -> np.ndarray:
         """The states of the nodes of states s times q^e, for q
-        non-descriptor sites of classes cj, appended as new rows."""
+        non-descriptor sites of classes cj and exponents e (an array, a row
+        each, or one int), appended as new rows.  Two gathers: the
+        increments ``inc_words[cj, e]``, and the classes of the products
+        with ``power[cj, e]``, the class of q^e."""
         t = len(self.cls)
-        c = self.classes(s)
-        for _ in range(e):
-            c = self.table[c, cj]
+        c = self.table[self.classes(s), self.power[cj, e]]
         # ``frombytes`` takes only buffers of one-byte items
         self.words.frombytes((self.rows(s) + self.inc_words[cj, e]).view(np.uint8))
         self.cls.frombytes(c.view(np.uint8))
@@ -754,27 +782,39 @@ class _States:
         poly = np.empty((n, h), dtype=np.intp)
         bound = np.ones(n)
         for i, (off, m) in enumerate(zip(self.offsets, self.maxt)):
-            counts = _byte_rows(rows[:, off // 8 + 1 : off // 8 + 1 + m])
-            fields, inverse = np.unique(counts, return_inverse=True)
+            counts = rows[:, off // 8 + 1 : off // 8 + 1 + m]
+            first, inverse = self.group_rows(_words(counts))
             memo, polys = self.class_polys[i], self.polys[i]
-            for field in fields.tolist():
+            fields = list(map(tuple, counts[first].tolist()))
+            for field in fields:
                 if field not in memo:
                     # the class's sites of exponent k (k = m: or more, which
                     # truncates at degree m the same way)
                     exps = [k for k, count in enumerate(field, 1) for _ in range(count)]
                     coeffs = tuple(_bounded_subset_counts(exps, m))
                     memo[field] = polys.setdefault(coeffs, len(polys))
-            poly[:, i] = np.array([memo[f] for f in fields.tolist()], dtype=np.intp)[inverse]
+            poly[:, i] = np.array([memo[f] for f in fields], dtype=np.intp)[inverse]
             bound *= np.array([float(sum(c)) for c in polys])[poly[:, i]]
-        self.nu_keys.update(map(tuple, poly.tolist()))
         if np.any(bound >= 2.0**62):
             raise ResourceLimitError("nu of a state may pass the int64 bound 2**62")
-        # a row per type: gathering rows is far faster than a 2-D fancy index
-        terms = np.ones((len(self.types), n), dtype=np.int64)
-        for i, polys in enumerate(self.polys):
-            terms *= np.array(list(polys), dtype=np.int64)[poly[:, i]].T[self.types[:, i]]
-        Omega_bytes = _byte_rows(rows[:, starts]).tolist()
-        irreducible = np.array([b in self.type_bytes for b in Omega_bytes], dtype=bool)
+        # nu depends on the tuple of polynomials alone: sum its terms once
+        # per distinct tuple, with a row per type (gathering rows is far
+        # faster than a 2-D fancy index)
+        first, inv = self.group_rows(poly.view(np.uint64))
+        poly = poly[first]
+        self.nu_keys.update(map(tuple, poly.tolist()))
+        terms = np.ones((len(self.types), len(poly)), dtype=np.int64)
+        for i, (polys, m) in enumerate(zip(self.polys, self.maxt)):
+            coeffs = np.array(list(polys), dtype=np.int64).reshape(len(polys), m + 1)
+            terms *= coeffs[poly[:, i]].T[self.types[:, i]]
+        nu = terms.sum(axis=0)[inv]
+        # irreducible: the Omega vector is a type, found by grouping the
+        # types' rows with the states'
+        T = len(self.types)
+        _, inv = self.group_rows(np.concatenate((self.type_words, _words(rows[:, starts]))))
+        is_type = np.zeros(T + n, dtype=bool)
+        is_type[inv[:T]] = True
+        irreducible = is_type[inv[T:]]
         g = np.ones((n, len(self.desc_info)))
         for d, entries in enumerate(self.desc_info):
             # multiplied in descriptor order from 1.0, as a scalar loop would
@@ -782,13 +822,15 @@ class _States:
                 byte, k = divmod(bit.bit_length() - 1, 8)
                 g[:, d] *= np.where(rows[:, byte] >> k & 1, g_in, g_out)
         m = np.maximum((Omega - omega).max(axis=1), 0)
-        return terms.sum(axis=0), omega, Omega, m, irreducible, g
+        return nu, omega, Omega, m, irreducible, g
 
 
-def _byte_rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D uint8 array as one bytes value each, so that
-    ``np.unique`` compares whole rows, far faster than with ``axis=0``."""
-    return np.ascontiguousarray(a).view(f"V{a.shape[1]}").ravel()
+def _words(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 array as rows of little-endian uint64 words,
+    zero-padded, for ``_States.group_rows``."""
+    out = np.zeros((a.shape[0], -(-a.shape[1] // 8) * 8), dtype=np.uint8)
+    out[:, : a.shape[1]] = a
+    return out.view(np.uint64)
 
 
 #: Rows of the walk's recording that ``sweep`` tallies at once, which
@@ -801,24 +843,35 @@ TALLY_CHUNK = 2048
 class _Tally:
     """The numpy tally of the walk's recording into checkpoint bands.
 
-    ``flush`` takes a slice of the recording ``_walk`` returns, expands each
-    two-level batch into its nodes, their batches and their leaf ranges,
-    then each batch into its nodes n*q^e and their leaf ranges
-    (``_expand_batches``), splits
-    every range at the checkpoints, counts its leaves per class with one
-    (class, range) lookup, ``SiteSystem._class_slices``, tallies the
-    principal ideals per (band, state) with ``bincount`` and adds the
-    slice's float terms into the exact sums at once.  Each term is the
-    float the walked tally would add: 1.0/n for a principal node,
-    the difference of two ``_class_prefix`` entries over n for a group of
-    principal leaves of one range and band, and g*k for each group of k.
+    ``flush`` resolves a slice of the recording ``_walk`` returns in a
+    number of numpy passes that does not depend on the data:
+
+    - ``_expand_batches`` expands each two-level batch into its nodes,
+      their batches and their leaf ranges, then each batch into its nodes
+      n*q^e and their leaf ranges, each level with one ``_expand`` call;
+    - ``_count_nodes`` counts the nodes per (band, class) with one
+      ``bincount``;
+    - ``_pieces`` splits every leaf range at the checkpoints, and
+      ``_count_leaves`` counts its leaves per class with one (class, range)
+      lookup, ``SiteSystem._class_slices``, and one ``bincount``;
+    - ``_tally_principal`` resolves the distinct states of the principal
+      units (``_States.distinct`` and ``stats_many``), counts the units
+      per (band, nu value), per (band, profile) and per band of the
+      irreducible ones with one ``bincount`` each, and adds the float terms
+      of the slice into the exact sums with one ``_add_exact`` call per
+      quantity.
+
+    Each term is the float the walked tally would add: 1.0/n for a
+    principal node, the difference of two ``_class_prefix`` entries over n
+    for a group of principal leaves of one range and band, and g*k for
+    each group of k.
 
     Band b holds the ideals of norm in (cps[b - 1], cps[b]]: its ideals per
     class in row b of ``class_counts``, a ``Counter`` each of nu values and
-    of (omega, m) profiles, its irreducible count, and in ``sums`` its float
-    sums times 2**1074 as Python ints, one list per quantity (principal
-    1/N, irreducible 1/N, then each g-descriptor).  ``totals`` adds the
-    bands up once every slice is in.
+    of (omega, m) profiles, its irreducible count in ``irred_counts``, and
+    in ``sums`` its float sums times 2**1074 as Python ints, one list per
+    quantity (principal 1/N, irreducible 1/N, then each g-descriptor).
+    ``totals`` adds the bands up once every slice is in.
     """
 
     def __init__(self, system: SiteSystem, x: int, cps, states: _States):
@@ -827,7 +880,7 @@ class _Tally:
         self.class_counts = np.zeros((len(cps), self.h), dtype=np.int64)
         self.nu_counts = [Counter() for _ in cps]
         self.profile_counts = [Counter() for _ in cps]
-        self.irred_counts = [0] * len(cps)
+        self.irred_counts = np.zeros(len(cps), dtype=np.int64)
         self.sums = [[0] * len(cps) for _ in range(2 + len(states.desc_info))]
         self.cps = np.array(cps, dtype=np.int64)
         self.norms = system.sites.norm
@@ -841,7 +894,7 @@ class _Tally:
         the bands in checkpoint order, each float rounded once."""
         class_counts = np.cumsum(self.class_counts, axis=0).tolist()
         sums = [list(itertools.accumulate(band_sums)) for band_sums in self.sums]
-        irred_counts = list(itertools.accumulate(self.irred_counts))
+        irred_counts = np.cumsum(self.irred_counts).tolist()
         nu_counts, profile_counts = Counter(), Counter()
         scale = 1 << _SCALE_BITS
         out = []
@@ -927,49 +980,62 @@ class _Tally:
 
     def _tally_principal(self, ub, rows, uk, ut):
         """Add the units: uk principal ideals of the state of row ``rows`` in
-        band ub, whose 1/N sum is ut."""
-        rows, inv = self.states.distinct(rows)
-        nu, omega, _, m, irreducible, g = self.states.stats_many(rows)
-        nus = nu.tolist()
-        profiles = list(zip(map(tuple, omega.tolist()), m.tolist()))
-        irreds = irreducible.tolist()
-        counts = np.bincount(ub * len(nus) + inv, weights=uk)
-        for key in np.flatnonzero(counts).tolist():
-            b, u = divmod(key, len(nus))
-            k = int(counts[key])
-            self.nu_counts[b][nus[u]] += k
-            self.profile_counts[b][profiles[u]] += k
-            if irreds[u]:
-                self.irred_counts[b] += k
+        band ub, whose 1/N sum is ut.  One ``bincount`` each counts them per
+        (band, nu value), per (band, profile) and per band of the
+        irreducible ones, so a band's Counters take one update per distinct
+        nu value and profile of the slice; one ``_add_exact`` call per
+        quantity adds its float terms."""
+        states, B = self.states, len(self.cps)
+        rows, inv = states.distinct(rows)
+        nu, omega, _, m, irreducible, g = states.stats_many(rows)
+        nus, nu_id = np.unique(nu, return_inverse=True)
+        profile = np.column_stack((omega, m)).astype(np.uint8)
+        first, profile_id = states.group_rows(_words(profile))
+        keys = [(tuple(p[:-1]), p[-1]) for p in profile[first].tolist()]
+        for counters, ids, names in (
+            (self.nu_counts, nu_id, nus.tolist()),
+            (self.profile_counts, profile_id, keys),
+        ):
+            counts = np.bincount(ids[inv] * B + ub, weights=uk)
+            hit = np.flatnonzero(counts)
+            for key, k in zip(hit.tolist(), counts[hit].astype(np.int64).tolist()):
+                u, b = divmod(key, B)
+                counters[b][names[u]] += k
+        irred = irreducible[inv]
+        self.irred_counts += np.bincount(ub[irred], weights=uk[irred], minlength=B).astype(np.int64)
         harm_principal, harm_irred, *g_sums = self.sums
         _add_exact(harm_principal, ut, ub)
-        irred = irreducible[inv]
         _add_exact(harm_irred, ut[irred], ub[irred])
-        for d, band_sums in enumerate(g_sums):
-            _add_exact(band_sums, g[inv, d] * uk, ub)
+        for band_sums, g_d in zip(g_sums, g.T):
+            _add_exact(band_sums, g_d.take(inv) * uk, ub)
 
 
 def _expand(system: SiteSystem, x: int, states: _States, batches: np.ndarray):
     """The nodes n*q_j^e <= x, e >= 1, of each batch row (n, state, a, b,
     ...) and site j in [a, b), as int64 columns (row, j, e, norm, state,
-    end): the node's children are the sites at [j + 1, end)."""
+    end): the node's children are the sites at [j + 1, end).  A loop over
+    the sites that take one more exponent finds each site's largest, E;
+    then one ``repeat`` lays out the E nodes of every site, and one
+    ``push_many`` call, with an exponent per row, pushes their states."""
     norms = system.sites.norm
     counts = batches[:, 3] - batches[:, 2]
     row = np.repeat(np.arange(len(batches)), counts)
     j = np.arange(row.size) + np.repeat(batches[:, 2] - np.cumsum(counts) + counts, counts)
     q = norms[j]
-    cj = system.sites.cls[j]
-    n, parent = batches[row, 0] * q, batches[row, 1]
-    out = [np.empty((6, 0), dtype=np.int64)]
-    e = 1
-    while n.size:
-        s = states.push_many(parent, cj, e)
-        end = np.maximum(np.searchsorted(norms, x // n, "right"), j + 1)
-        out.append(np.stack((row, j, np.full(n.size, e), n, s, end)))
-        more = n <= x // q
-        row, n, parent, j, q, cj = row[more], n[more] * q[more], parent[more], j[more], q[more], cj[more]
-        e += 1
-    return np.concatenate(out, axis=1)
+    top = batches[row, 0] * q
+    E = np.ones(j.size, dtype=np.int64)
+    more = np.flatnonzero(top <= x // q)
+    while more.size:
+        E[more] += 1
+        top[more] *= q[more]
+        more = more[top[more] <= x // q[more]]
+    site = np.repeat(np.arange(j.size), E)
+    e = np.arange(site.size) - np.repeat(np.cumsum(E) - E, E) + 1
+    row, j = row[site], j[site]
+    n = batches[row, 0] * q[site] ** e
+    s = states.push_many(batches[row, 1], system.sites.cls[j], e)
+    end = np.maximum(np.searchsorted(norms, x // n, "right"), j + 1)
+    return np.stack((row, j, e, n, s, end))
 
 
 def _expand_batches(system: SiteSystem, x: int, states: _States, pairs, batches):

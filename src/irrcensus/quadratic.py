@@ -528,11 +528,24 @@ def _prefix(q, m) -> int:
     A prime that shares a factor with m divides it, so it is at most m and
     lies among the first m primes, and every other prime is a unit mod m.
     The prefix starts at 2m primes and doubles until it holds two primes
-    of each unit residue, or until it is all of q.
+    of each unit residue, or until it is all of q.  The residues are
+    computed a buffer at a time into the smallest unsigned type that holds
+    m - 1, with no int64 temporary the size of the prefix, and those met
+    twice are counted on them sorted: ``bincount`` would widen them to
+    int64.
     """
     units = math.prod((f - 1) * f ** (e - 1) for f, e in _factorize(m).items())
+
+    def twice(k: int) -> int:
+        r = np.empty(k, dtype=np.min_scalar_type(m - 1))
+        np.remainder(q[:k], m, out=r, casting="unsafe")
+        r.sort()
+        pair = r[1:] == r[:-1]
+        # a residue met twice or more starts a run of equal neighbours
+        return np.count_nonzero(pair[1:] & ~pair[:-1]) + int(pair[:1].sum())
+
     k = min(q.size, 2 * m)
-    while k < q.size and np.count_nonzero(np.bincount(q[:k] % m, minlength=m) > 1) < units:
+    while k < q.size and twice(k) < units:
         k = min(2 * k, q.size)
     return k
 

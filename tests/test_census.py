@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -11,6 +12,7 @@ import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -403,14 +405,22 @@ _TERMS = st.one_of(
 )
 
 
+def _exact_chunk(chunk):
+    """``_add_exact`` summing ``chunk`` terms a pass (None: the module's)."""
+    if chunk is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(census, "_EXACT_CHUNK", chunk)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data(), terms=st.lists(_TERMS, max_size=60))
 def test_exact_sum_ignores_order_and_chunking(data, terms):
     # the sum of any permutation of the terms, fed to _add_exact as any mix
-    # of one-term calls and longer chunks, rounds to the exact sum
+    # of one-term calls and longer chunks, rounds to the exact sum, also
+    # where each call sums its terms 3 at a time
     want = float(sum(map(Fraction, terms)))
     perm = data.draw(st.permutations(terms), label="order")
-    sums = [0]
+    sums = {None: [0], 3: [0]}
     lo = 0
     while lo < len(perm):
         hi = data.draw(st.integers(lo + 1, len(perm)), label="chunk end")
@@ -418,11 +428,14 @@ def test_exact_sum_ignores_order_and_chunking(data, terms):
             chunks = [perm[lo:hi]]
         else:
             chunks = [[v] for v in perm[lo:hi]]
-        for chunk in chunks:
-            labels = np.zeros(len(chunk), dtype=np.int64)
-            census._add_exact(sums, np.array(chunk, dtype=np.float64), labels)
+        for part in chunks:
+            labels = np.zeros(len(part), dtype=np.int64)
+            for chunk, got in sums.items():
+                with _exact_chunk(chunk):
+                    census._add_exact(got, np.array(part, dtype=np.float64), labels)
         lo = hi
-    assert (sums[0] / (1 << census._SCALE_BITS)).hex() == want.hex()
+    for got in sums.values():
+        assert (got[0] / (1 << census._SCALE_BITS)).hex() == want.hex()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -432,16 +445,18 @@ def test_exact_sum_ignores_order_and_chunking(data, terms):
 )
 def test_exact_sums_by_label_merge(terms, split):
     # labelled terms go to their own sums; adding up two partial sums gives
-    # the sum of all their terms
+    # the sum of all their terms, also where each call sums 3 at a time
     values = np.array([v for v, _ in terms], dtype=np.float64)
     labels = np.array([k for _, k in terms], dtype=np.int64)
-    first = [0] * 4
-    second = [0] * 4
-    census._add_exact(first, values[:split], labels[:split])
-    census._add_exact(second, values[split:], labels[split:])
-    for k, (a, b) in enumerate(zip(first, second)):
-        want = float(sum(Fraction(v) for v, label in terms if label == k))
-        assert ((a + b) / (1 << census._SCALE_BITS)).hex() == want.hex()
+    for chunk in (None, 3):
+        first = [0] * 4
+        second = [0] * 4
+        with _exact_chunk(chunk):
+            census._add_exact(first, values[:split], labels[:split])
+            census._add_exact(second, values[split:], labels[split:])
+        for k, (a, b) in enumerate(zip(first, second)):
+            want = float(sum(Fraction(v) for v, label in terms if label == k))
+            assert ((a + b) / (1 << census._SCALE_BITS)).hex() == want.hex()
 
 
 _POSITIVE = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False)
@@ -791,9 +806,10 @@ def test_stats_many_of_no_states(reference_walks, monkeypatch):
 @pytest.mark.parametrize("key", ["-119", "(2, 4)"])
 def test_pushed_rows_equal_the_int_keys(monkeypatch, key):
     # every row push_many appends during a sweep with descriptors is the
-    # int sum of its parent's key and the site's increment, and its class
-    # the parent's class times the site's class e times; resolving the
-    # distinct keys of a slice gives what resolving all of them gives
+    # int sum of its parent's key and the site's increment at the row's own
+    # exponent, and its class the parent's class times the site's class
+    # e_row times; resolving the distinct keys of a slice gives what
+    # resolving all of them gives
     x = 10**5
     if key == "-119":
         system = census.for_field(-119, x)
@@ -806,16 +822,17 @@ def test_pushed_rows_equal_the_int_keys(monkeypatch, key):
     def checked_push(states, s, cj, e):
         parents = [int.from_bytes(row.tobytes(), "little") for row in states.rows(s)]
         parent_cls = states.classes(s).tolist()
+        e_rows = np.broadcast_to(e, s.shape).tolist()
         t = push(states, s, cj, e)
         assert t.size == s.size
-        for row, c, parent, pc, cc in zip(
-            states.rows(t), states.classes(t).tolist(), parents, parent_cls, cj.tolist()
+        for row, c, parent, pc, cc, er in zip(
+            states.rows(t), states.classes(t).tolist(), parents, parent_cls, cj.tolist(), e_rows
         ):
-            assert int.from_bytes(row.tobytes(), "little") == parent + states.inc[cc][e]
-            for _ in range(e):
+            assert int.from_bytes(row.tobytes(), "little") == parent + states.inc[cc][er]
+            for _ in range(er):
                 pc = cay[pc][cc]
             assert c == pc
-        exponents[e] += t.size
+            exponents[er] += 1
         return t
 
     def checked_tally(self, ub, rows, uk, ut):
@@ -831,6 +848,67 @@ def test_pushed_rows_equal_the_int_keys(monkeypatch, key):
     descs = (((0, 2),), ((1, 1), (3, 1)))
     census.sweep(system, x, checkpoints=(x // 3,), g_descriptors=descs)
     assert exponents[1] and sum(k for e, k in exponents.items() if e > 1)
+
+
+@pytest.mark.parametrize("source", [-119, (2, 4)])
+def test_power_table_matches_the_cayley_chain(source):
+    # push_many reads the class of q^e from power[c, e]: Z/10 and Z/2xZ/4
+    system = _system_of(source, 10**3)
+    states = census._States(system, ())
+    cay = system.ordering.cayley()
+    assert states.power.shape == (len(cay), 64)
+    for c in range(len(cay)):
+        p = 0
+        for e in range(64):
+            assert states.power[c, e] == p
+            p = cay[p][c]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tally_principal_matches_a_scalar_loop(reference_walks, data):
+    # _tally_principal counts its units with a few bincounts and adds its
+    # float terms in one _add_exact call: a loop over the units, one state
+    # at a time, gives the same Counters, irreducible counts and exact
+    # sums, on h = 2 and Z/2xZ/4 states with descriptor bits
+    key = data.draw(st.sampled_from(["-5", "(2, 4)"]), label="system")
+    system = reference_walks[key][0]
+    descs = (((0, 2),), ((1, 1), (3, 1)))
+    states, ids = _walked_states(system, REFERENCE_X, descs)
+    cps = (REFERENCE_X // 4, REFERENCE_X // 2, REFERENCE_X)
+    unit = st.tuples(
+        st.integers(0, len(cps) - 1),
+        st.sampled_from(ids[:: max(1, len(ids) // 40)]),
+        st.integers(1, 10**6),
+        _POSITIVE,
+    )
+    units = data.draw(st.lists(unit, max_size=60), label="units")
+    ub, us, uk = (np.array([u[i] for u in units], dtype=np.int64) for i in range(3))
+    ut = np.array([u[3] for u in units], dtype=np.float64)
+    tally = census._Tally(system, REFERENCE_X, cps, states)
+    tally._tally_principal(ub, states.rows(us), uk, ut)
+
+    sc = system.constants
+    nu_counts = [Counter() for _ in cps]
+    profile_counts = [Counter() for _ in cps]
+    irreducible_counts = [0] * len(cps)
+    sums = [[Fraction(0)] * len(cps) for _ in range(2 + len(descs))]
+    for b, s, k, t in units:
+        nu, omega, Omega, m, irreducible, g = (col[0] for col in states.stats_many(states.rows([s])))
+        assert irreducible == (TypeVector(tuple(Omega.tolist())) in sc.types)
+        nu_counts[b][int(nu)] += k
+        profile_counts[b][tuple(omega.tolist()), int(m)] += k
+        sums[0][b] += Fraction(t)
+        if irreducible:
+            irreducible_counts[b] += k
+            sums[1][b] += Fraction(t)
+        for d in range(len(descs)):
+            sums[2 + d][b] += Fraction(float(g[d] * k))
+    assert tally.nu_counts == nu_counts
+    assert tally.profile_counts == profile_counts
+    assert tally.irred_counts.tolist() == irreducible_counts
+    scale = 1 << census._SCALE_BITS
+    assert tally.sums == [[int(v * scale) for v in band_sums] for band_sums in sums]
 
 
 @pytest.mark.parametrize("mix", [None, 0, 2**63])
