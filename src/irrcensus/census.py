@@ -584,8 +584,8 @@ def _add_exact(sums: list, values: np.ndarray, labels: np.ndarray):
             high[groups].astype(np.int64).tolist(),
             low[groups].astype(np.int64).tolist(),
         ):
-            label, k = divmod(k, span)
-            sums[label] += ((a << 26) + b) << k + least
+            label, e = divmod(k, span)
+            sums[label] += ((a << 26) + b) << e + least
 
 
 @dataclass(frozen=True)
@@ -989,12 +989,13 @@ class _Tally:
         rows, inv = states.distinct(rows)
         nu, omega, _, m, irreducible, g = states.stats_many(rows)
         nus, nu_id = np.unique(nu, return_inverse=True)
+        # omega_i and m are at most Omega_i <= 62, so a byte each
         profile = np.column_stack((omega, m)).astype(np.uint8)
         first, profile_id = states.group_rows(_words(profile))
-        keys = [(tuple(p[:-1]), p[-1]) for p in profile[first].tolist()]
+        profiles = [(tuple(p[:-1]), p[-1]) for p in profile[first].tolist()]
         for counters, ids, names in (
             (self.nu_counts, nu_id, nus.tolist()),
-            (self.profile_counts, profile_id, keys),
+            (self.profile_counts, profile_id, profiles),
         ):
             counts = np.bincount(ids[inv] * B + ub, weights=uk)
             hit = np.flatnonzero(counts)
